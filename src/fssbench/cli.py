@@ -13,8 +13,10 @@ directory:
                      distribution_stats.csv
     report        -> report.txt (and a summary on stdout)
 
-Each stage writes run_manifest.json (resolved config, config hash, seed,
-input digests), so a run is reproducible from the manifest alone.
+Each stage overwrites run_manifest.json with its own resolved config,
+config hash and seed, its output names, and the sha256 digests of the
+input files passed by flag (--publications, --roster, ...); artifacts a
+stage reads from the output directory are not digested.
 Settings come from an optional ``key = value`` config file; command-line
 flags override it. Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
@@ -43,10 +45,9 @@ DEFAULTS = {
     "seed": 42,
     "min_clusters": 30,
     "min_age": 4,
-    "recency": 2020,
+    "recency": None,             # the window's last year
     "min_obs": 10,
     "obs_rule": "literal",
-    "threads": 1,
     "sc_lookback": corpusmod.DEFAULT_SC_LOOKBACK,
     "out": "out",
     "mode": "both",
@@ -69,7 +70,6 @@ class RunConfig:
     recency: int
     min_obs: int
     obs_rule: str
-    threads: int
     sc_lookback: int
     mode: str
     publications: Path | None
@@ -89,7 +89,6 @@ class RunConfig:
             "recency": self.recency,
             "min_obs": self.min_obs,
             "obs_rule": self.obs_rule,
-            "threads": self.threads,
             "sc_lookback": self.sc_lookback,
             "mode": self.mode,
             "out": str(self.out),
@@ -130,6 +129,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         return DEFAULTS.get(key)
 
     window = corpusmod.YearWindow.parse(str(pick("window")))
+    recency = pick("recency", int)
     obs_rule = str(pick("obs_rule"))
     if obs_rule not in (fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT):
         raise StageError(f"obs_rule must be literal or strict, got {obs_rule!r}")
@@ -148,10 +148,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed=int(pick("seed", int)),
         min_clusters=int(pick("min_clusters", int)),
         min_age=int(pick("min_age", int)),
-        recency=int(pick("recency", int)),
+        recency=window.end if recency is None else int(recency),
         min_obs=int(pick("min_obs", int)),
         obs_rule=obs_rule,
-        threads=int(pick("threads", int)),
         sc_lookback=int(pick("sc_lookback", int)),
         mode=mode,
         extra=extra,
@@ -235,7 +234,7 @@ def cmd_ingest(cfg: RunConfig) -> list[Path]:
 def cmd_disambiguate(cfg: RunConfig) -> list[Path]:
     corpus = _load_corpus(cfg, _require(cfg, "corpus.jsonl", "ingest"))
     rules = disambig.load_rules(cfg.rules) if cfg.rules else disambig.DEFAULT_RULES
-    clusters = disambig.cluster_corpus(corpus, rules, threads=cfg.threads)
+    clusters = disambig.cluster_corpus(corpus, rules)
     out = cfg.out / "clusters.jsonl"
     disambig.write_clusters_jsonl(clusters, out)
     log.info("clustered %d mentions into %d clusters",
@@ -263,41 +262,6 @@ def cmd_derive_staff(cfg: RunConfig) -> list[Path]:
     return [staff_out, queue_out]
 
 
-def _rebuild_staff(cfg: RunConfig, corpus: corpusmod.Corpus) -> staffmod.DerivedStaff:
-    staff_path = _require(cfg, "staff.csv", "derive-staff")
-    clusters = {c.cluster_id: c
-                for c in disambig.load_clusters_jsonl(
-                    _require(cfg, "clusters.jsonl", "disambiguate"))}
-    import csv as _csv
-    members: dict[str, list[staffmod.StaffUnit]] = {}
-    with staff_path.open(encoding="utf-8", newline="") as fh:
-        for row in _csv.DictReader(fh):
-            ids = tuple(row["member_cluster_ids"].split(";"))
-            pub_ids = frozenset()
-            orcid = None
-            emails = []
-            for cid in ids:
-                cluster = clusters.get(cid)
-                if cluster is None:
-                    raise StageError(
-                        f"staff.csv references unknown cluster {cid}; "
-                        "run `disambiguate` first")
-                pub_ids = pub_ids | cluster.pub_ids
-                orcid = orcid or cluster.orcid
-                if cluster.email:
-                    emails.append(cluster.email)
-            members.setdefault(row["university_id"], []).append(staffmod.StaffUnit(
-                unit_id=row["cluster_id"],
-                university_id=row["university_id"],
-                evidence=row["evidence"],
-                cluster_ids=ids,
-                pub_ids=pub_ids,
-                orcid=orcid,
-                emails=tuple(sorted(set(emails))),
-            ))
-    return staffmod.DerivedStaff(members=members, review_queue=[])
-
-
 def cmd_score(cfg: RunConfig) -> list[Path]:
     corpus = _load_corpus(cfg, _require(cfg, "corpus.jsonl", "ingest"))
     scheme_path = cfg.scheme or (cfg.out / "scheme.csv")
@@ -307,38 +271,27 @@ def cmd_score(cfg: RunConfig) -> list[Path]:
     incidence = corpusmod.load_incidence(cfg.incidence) if cfg.incidence else None
     cells = fss.build_citation_cells(corpus)
 
-    supervised = unsupervised = None
+    def score(subjects: list[fss.Subject]) -> list[fss.ResearcherScore]:
+        return fss.score_subjects(subjects, corpus, cells, cfg.seed,
+                                  sc_lookback=cfg.sc_lookback, incidence=incidence)
+
+    by_mode: dict[str, list[fss.ResearcherScore]] = {}
     if cfg.mode in ("both", fss.MODE_SUPERVISED):
         roster_path = cfg.roster or (cfg.out / "roster.csv")
         if not roster_path.exists():
             raise StageError("missing roster.csv; pass --roster or run `synth` first")
         roster = corpusmod.load_roster(roster_path, cfg.window)
-        subjects = fss.subjects_from_roster(roster, corpus)
-        supervised = fss.score_subjects(subjects, corpus, cells, cfg.seed,
-                                        sc_lookback=cfg.sc_lookback,
-                                        incidence=incidence)
+        by_mode[fss.MODE_SUPERVISED] = score(fss.subjects_from_roster(roster, corpus))
     if cfg.mode in ("both", fss.MODE_UNSUPERVISED):
-        derived = _rebuild_staff(cfg, corpus)
-        subjects = fss.subjects_from_staff(derived, corpus)
-        unsupervised = fss.score_subjects(subjects, corpus, cells, cfg.seed,
-                                          sc_lookback=cfg.sc_lookback,
-                                          incidence=incidence)
-
-    if supervised is not None and unsupervised is not None:
-        supervised, unsupervised = fss.apply_exclusions(
-            (supervised, unsupervised), scheme, min_obs=cfg.min_obs, rule=cfg.obs_rule)
-    elif supervised is not None:
-        supervised = fss.apply_exclusions(supervised, scheme,
-                                          min_obs=cfg.min_obs, rule=cfg.obs_rule)
-    elif unsupervised is not None:
-        unsupervised = fss.apply_exclusions(unsupervised, scheme,
-                                            min_obs=cfg.min_obs, rule=cfg.obs_rule)
+        derived = staffmod.load_staff_csv(
+            _require(cfg, "staff.csv", "derive-staff"),
+            disambig.load_clusters_jsonl(_require(cfg, "clusters.jsonl", "disambiguate")))
+        by_mode[fss.MODE_UNSUPERVISED] = score(fss.subjects_from_staff(derived, corpus))
+    by_mode = fss.apply_exclusions(by_mode, scheme, min_obs=cfg.min_obs, rule=cfg.obs_rule)
 
     researcher_rows = []
     university_rows = []
-    for mode, scores in (("supervised", supervised), ("unsupervised", unsupervised)):
-        if scores is None:
-            continue
+    for mode, scores in by_mode.items():
         researcher_rows.extend(scores)
         baselines = fss.compute_sc_baselines(scores)
         for level in (fss.LEVEL_SC, fss.LEVEL_AREA, fss.LEVEL_OVERALL):
@@ -348,13 +301,7 @@ def cmd_score(cfg: RunConfig) -> list[Path]:
     res_out = cfg.out / "scores_researchers.csv"
     uni_out = cfg.out / "scores_universities.csv"
     fss.write_researcher_scores_csv(researcher_rows, res_out)
-    import csv as _csv
-    with uni_out.open("w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["university_id", "mode", "level", "key", "rs_u", "fss_u"])
-        for mode, s in university_rows:
-            writer.writerow([s.university_id, mode, s.level, s.level_key,
-                             s.rs_u, repr(s.fss_u)])
+    fss.write_university_scores_csv(university_rows, uni_out)
     log.info("scored %d researcher rows, %d university rows",
              len(researcher_rows), len(university_rows))
     return [res_out, uni_out]
@@ -469,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recency", type=int)
         p.add_argument("--min-obs", dest="min_obs", type=int)
         p.add_argument("--obs-rule", dest="obs_rule", choices=["literal", "strict"])
-        p.add_argument("--threads", type=int)
         p.add_argument("--sc-lookback", dest="sc_lookback", type=int)
         p.add_argument("--out", help="artifact directory (default: out)")
         if name == "score":

@@ -238,14 +238,17 @@ class UniversityRegistry:
         return self._by_variant.get(normalize_org(organization))
 
     def match_email(self, email: str | None) -> str | None:
-        """University whose domain the address ends in ('@dom' or '.dom')."""
+        """University whose domain the address ends in ('@dom' or '.dom');
+        with nested registered domains the longest one wins."""
         if not email:
             return None
         host = email_host(email.lower())
         if host is None:
             return None
-        for domain, univ in self._by_domain.items():
-            if host == domain or host.endswith("." + domain):
+        labels = host.split(".")
+        for i in range(len(labels)):
+            univ = self._by_domain.get(".".join(labels[i:]))
+            if univ is not None:
                 return univ
         return None
 

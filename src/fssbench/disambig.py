@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import combinations
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import Corpus, CorpusError, PublicationRecord, first_initial
@@ -50,19 +49,16 @@ class ScoringRules:
     merge_threshold: float = 50.0
 
     def __post_init__(self):
-        for name in ("orcid", "researcher_id", "email", "coauthor", "organization",
-                     "journal", "subject_category", "first_name"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"scoring weight {name} must be finite")
+        for f in fields(self):
+            if f.name != "merge_threshold" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"scoring weight {f.name} must be finite")
         if not math.isfinite(self.merge_threshold) or self.merge_threshold <= 0:
             raise ValueError("merge_threshold must be finite and > 0")
 
 
 DEFAULT_RULES = ScoringRules()
 
-_RULE_KEYS = {f.strip() for f in (
-    "orcid", "researcher_id", "email", "coauthor", "organization",
-    "journal", "subject_category", "first_name", "merge_threshold")}
+_RULE_KEYS = {f.name for f in fields(ScoringRules)}
 
 
 def load_rules(path: str | Path) -> ScoringRules:
@@ -357,18 +353,11 @@ def cluster_block(block: list[MentionContext],
 
 
 def cluster_corpus(corpus: Corpus,
-                   rules: ScoringRules = DEFAULT_RULES,
-                   threads: int = 1) -> list[AuthorCluster]:
-    """Cluster every block of the corpus; output is independent of thread
-    count (blocks are independent, results assembled in block-key order)."""
+                   rules: ScoringRules = DEFAULT_RULES) -> list[AuthorCluster]:
+    """Cluster every block of the corpus. Blocks are independent; results
+    are assembled in block-key order, then sorted by first mention ref."""
     blocks = block_mentions(corpus)
-    keys = sorted(blocks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: cluster_block(blocks[k], rules), keys))
-    else:
-        results = [cluster_block(blocks[k], rules) for k in keys]
-    clusters = [c for chunk in results for c in chunk]
+    clusters = [c for k in sorted(blocks) for c in cluster_block(blocks[k], rules)]
     return sorted(clusters, key=lambda c: c.mention_refs[0])
 
 
@@ -407,27 +396,30 @@ def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
 
 
 def pairwise_metrics(predicted, truth) -> tuple[float, float, float]:
-    """Pairwise precision, recall, and F-measure by exact pair enumeration.
+    """Pairwise precision, recall, and F-measure from contingency counts.
 
     Each argument is a partition of mention refs: either a mapping of group
     id to refs or a plain iterable of ref collections. A pair is correct
-    when both mentions share a predicted group and a truth group.
-    Degenerate cases (no pairs at all on either side) score 1.0 by
-    convention.
+    when both mentions share a predicted group and a truth group, so the
+    correct pairs number the sum of C(n, 2) over the mentions n shared by
+    each (predicted, truth) group pair; memory grows with the mentions, not
+    the pairs (Menestrina, Whang and Garcia-Molina, PVLDB 2010). Degenerate
+    cases (no pairs at all on either side) score 1.0 by convention.
     """
-    def pair_set(groups):
-        if hasattr(groups, "values"):
-            groups = groups.values()
-        pairs = set()
-        for refs in groups:
-            for a, b in combinations(sorted(refs), 2):
-                pairs.add((a, b))
-        return pairs
+    def groups(partition):
+        return list(partition.values() if hasattr(partition, "values") else partition)
 
-    pred_pairs = pair_set(predicted)
-    true_pairs = pair_set(truth)
-    both = len(pred_pairs & true_pairs)
-    precision = both / len(pred_pairs) if pred_pairs else 1.0
-    recall = both / len(true_pairs) if true_pairs else 1.0
+    def pair_count(sizes):
+        return sum(n * (n - 1) // 2 for n in sizes)
+
+    pred, true = groups(predicted), groups(truth)
+    label = {ref: i for i, refs in enumerate(pred) for ref in refs}
+    overlap = Counter((label[ref], j) for j, refs in enumerate(true)
+                      for ref in refs if ref in label)
+    pred_pairs = pair_count(len(refs) for refs in pred)
+    true_pairs = pair_count(len(refs) for refs in true)
+    both = pair_count(overlap.values())
+    precision = both / pred_pairs if pred_pairs else 1.0
+    recall = both / true_pairs if true_pairs else 1.0
     f = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
     return precision, recall, f

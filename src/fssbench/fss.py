@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,25 +73,37 @@ def build_citation_cells(corpus: Corpus) -> dict[tuple[int, str], CitationCell]:
             for key, (total, count) in sums.items()}
 
 
-def normalized_citation_score(pub: PublicationRecord, sc_id: str,
-                              cells: dict[tuple[int, str], CitationCell]) -> float:
-    """c_i / cbar for one publication against one SC cell; 0 when the cell
-    mean is 0 (then c_i is 0 too)."""
+def _cell(pub: PublicationRecord, sc_id: str,
+          cells: dict[tuple[int, str], CitationCell]) -> CitationCell:
     cell = cells.get((pub.year, sc_id))
     if cell is None:
         raise ScoreError(
             f"no citation cell for year {pub.year}, SC {sc_id!r} "
             f"(publication {pub.pub_id})")
+    return cell
+
+
+def _norm(pub: PublicationRecord, cell: CitationCell) -> float:
     if cell.mean_citations == 0.0:
         return 0.0
     return pub.citation_count / cell.mean_citations
 
 
+def normalized_citation_score(pub: PublicationRecord, sc_id: str,
+                              cells: dict[tuple[int, str], CitationCell]) -> float:
+    """c_i / cbar for one publication against one SC cell; 0 when the cell
+    mean is 0 (then c_i is 0 too)."""
+    return _norm(pub, _cell(pub, sc_id, cells))
+
+
 def publication_norm(pub: PublicationRecord,
-                     cells: dict[tuple[int, str], CitationCell]) -> float:
-    """Normalized citation score averaged over the publication's SCs."""
-    scs = sorted(set(pub.subject_categories))
-    return sum(normalized_citation_score(pub, sc, cells) for sc in scs) / len(scs)
+                     cells: dict[tuple[int, str], CitationCell]) -> tuple[float, float]:
+    """(norm, cbar): the normalized citation score and the cell mean
+    citations, each averaged over the publication's SCs, from one lookup
+    per cell."""
+    pub_cells = [_cell(pub, sc, cells) for sc in sorted(set(pub.subject_categories))]
+    return (sum(_norm(pub, cell) for cell in pub_cells) / len(pub_cells),
+            sum(cell.mean_citations for cell in pub_cells) / len(pub_cells))
 
 
 @dataclass(frozen=True)
@@ -259,10 +272,8 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
         pub = corpus.by_id.get(pub_id)
         if pub is None or pub.year not in window:
             continue
-        norm = publication_norm(pub, cells)
+        norm, cbar = publication_norm(pub, cells)
         frac = 1.0 / pub.byline_size
-        scs = sorted(set(pub.subject_categories))
-        cbar = sum(cells[(pub.year, sc)].mean_citations for sc in scs) / len(scs)
         terms.append(PublicationTerm(pub_id=pub.pub_id, citations=pub.citation_count,
                                      mean_citations=cbar, frac=frac, norm=norm))
         total += norm * frac
@@ -320,36 +331,28 @@ OBS_RULE_LITERAL = "literal"
 OBS_RULE_STRICT = "strict"
 
 
-def apply_exclusions(scores, scheme: SCScheme, min_obs: int = 10,
-                     rule: str = OBS_RULE_LITERAL):
+def apply_exclusions(scores: dict[str, list[ResearcherScore]], scheme: SCScheme,
+                     min_obs: int = 10, rule: str = OBS_RULE_LITERAL,
+                     ) -> dict[str, list[ResearcherScore]]:
     """Drop out-of-scope researchers, then thin SCs.
 
-    ``scores`` is either one score list or a (supervised, unsupervised)
-    pair; the same shape comes back. Researchers whose prevailing SC sits
-    in an excluded area, or is the multidisciplinary SC, are dropped first.
-    Then the observation floor: under the literal rule an SC is excluded
-    when it has fewer than min_obs researchers in BOTH datasets, under the
-    strict rule when it is short in either one.
+    ``scores`` maps each mode to its score list; the same modes come back.
+    Researchers whose prevailing SC sits in an excluded area, or is the
+    multidisciplinary SC, are dropped first. Then the observation floor:
+    under the literal rule an SC is excluded when it has fewer than min_obs
+    researchers in EVERY mode given, under the strict rule when it is short
+    in any one.
     """
     if rule not in (OBS_RULE_LITERAL, OBS_RULE_STRICT):
         raise ValueError(f"unknown obs rule {rule!r}")
-    paired = isinstance(scores, tuple)
-    lists = list(scores) if paired else [scores]
-    lists = [[s for s in lst if not scheme.is_dropped(s.sc_id)] for lst in lists]
-    obs = []
-    for lst in lists:
-        per_sc: dict[str, int] = {}
-        for s in lst:
-            per_sc[s.sc_id] = per_sc.get(s.sc_id, 0) + 1
-        obs.append(per_sc)
-    all_scs = set().union(*obs) if obs else set()
-    short = [{sc for sc in all_scs if per_sc.get(sc, 0) < min_obs} for per_sc in obs]
-    if rule == OBS_RULE_LITERAL:
-        excluded = set.intersection(*short) if short else set()
-    else:
-        excluded = set.union(*short) if short else set()
-    lists = [[s for s in lst if s.sc_id not in excluded] for lst in lists]
-    return tuple(lists) if paired else lists[0]
+    kept = {mode: [s for s in lst if not scheme.is_dropped(s.sc_id)]
+            for mode, lst in scores.items()}
+    obs = [Counter(s.sc_id for s in lst) for lst in kept.values()]
+    all_scs = set().union(*obs)
+    short = [{sc for sc in all_scs if per_sc[sc] < min_obs} for per_sc in obs]
+    combine = set.intersection if rule == OBS_RULE_LITERAL else set.union
+    excluded = combine(*short) if short else set()
+    return {mode: [s for s in lst if s.sc_id not in excluded] for mode, lst in kept.items()}
 
 
 LEVEL_SC = "sc"
@@ -440,13 +443,14 @@ def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
     return out
 
 
-def write_university_scores_csv(scores: list[UniversityScore], path: str | Path,
-                                mode: str | None = None) -> None:
+def write_university_scores_csv(rows: list[tuple[str, UniversityScore]],
+                                path: str | Path) -> None:
+    """Rows of (mode, score), the shape load_university_scores_csv returns."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["university_id", "mode", "level", "key", "rs_u", "fss_u"])
-        for s in scores:
-            writer.writerow([s.university_id, mode or "", s.level, s.level_key,
+        for mode, s in rows:
+            writer.writerow([s.university_id, mode, s.level, s.level_key,
                              s.rs_u, repr(s.fss_u)])
 
 

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import UniversityRegistry
+from .corpus import CorpusError, UniversityRegistry
 from .disambig import AuthorCluster
 
 log = logging.getLogger(__name__)
@@ -273,6 +273,35 @@ def write_staff_csv(staff: DerivedStaff, path: str | Path) -> None:
         for unit in staff.all_units():
             writer.writerow([unit.university_id, unit.unit_id, unit.evidence,
                              unit.n_pubs, ";".join(unit.cluster_ids)])
+
+
+def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedStaff:
+    """Read staff.csv back into staff units.
+
+    Each unit's publications, orcid and emails come from its member
+    clusters, so the clusters must be those the staff was derived from. The
+    review queue is not stored in staff.csv and comes back empty.
+    """
+    by_id = {c.cluster_id: c for c in clusters}
+    members: dict[str, list[StaffUnit]] = {}
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            ids = tuple(row["member_cluster_ids"].split(";"))
+            for cid in ids:
+                if cid not in by_id:
+                    raise CorpusError(f"{Path(path).name} references unknown cluster "
+                                      f"{cid}; run `disambiguate` first")
+            member_clusters = [by_id[cid] for cid in ids]
+            members.setdefault(row["university_id"], []).append(StaffUnit(
+                unit_id=row["cluster_id"],
+                university_id=row["university_id"],
+                evidence=row["evidence"],
+                cluster_ids=ids,
+                pub_ids=frozenset().union(*(c.pub_ids for c in member_clusters)),
+                orcid=next((c.orcid for c in member_clusters if c.orcid), None),
+                emails=tuple(sorted({c.email for c in member_clusters if c.email})),
+            ))
+    return DerivedStaff(members=members, review_queue=[])
 
 
 def write_review_queue_csv(staff: DerivedStaff, path: str | Path) -> None:

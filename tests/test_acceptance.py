@@ -31,7 +31,7 @@ from fssbench.corpus import (
     load_registry,
     load_roster,
 )
-from fssbench.disambig import DEFAULT_RULES, cluster_corpus
+from fssbench.disambig import DEFAULT_RULES, block_mentions, cluster_block, cluster_corpus
 from fssbench.fss import (
     MODE_SUPERVISED,
     MODE_UNSUPERVISED,
@@ -378,14 +378,15 @@ def _suite_cluster_partition(rng):
     return cases
 
 
-def _suite_thread_determinism(rng):
+def _suite_block_independence(rng):
     cases = 0
     while cases < 1000:
         corpus = _random_mention_corpus(rng)
-        outputs = [[(c.cluster_id, c.mention_refs)
-                    for c in cluster_corpus(corpus, DEFAULT_RULES, threads=t)]
-                   for t in (1, 2, 4)]
-        assert outputs[0] == outputs[1] == outputs[2]
+        blocks = list(block_mentions(corpus).values())
+        union = [c for i in rng.permutation(len(blocks))
+                 for c in cluster_block(blocks[i], DEFAULT_RULES)]
+        assert cluster_corpus(corpus, DEFAULT_RULES) == sorted(
+            union, key=lambda c: c.mention_refs[0])
         cases += corpus.mention_count()
     return cases
 
@@ -412,7 +413,7 @@ def test_randomized_invariant_suites():
         "citation-scaling": _suite_citation_scaling(np.random.default_rng(403)),
         "baseline-mean": _suite_baseline_normalized_mean(np.random.default_rng(404)),
         "cluster-partition": _suite_cluster_partition(np.random.default_rng(405)),
-        "thread-determinism": _suite_thread_determinism(np.random.default_rng(406)),
+        "block-independence": _suite_block_independence(np.random.default_rng(406)),
         "quartile-marginals": _suite_quartile_marginals(),
     }
     elapsed = time.perf_counter() - t0

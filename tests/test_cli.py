@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -134,6 +135,43 @@ def test_score_single_mode_blocks_compare(tmp_path, capsys):
         assert run_pipeline(argv) == 0
     assert run_pipeline(["compare", "--out", out]) == 1
     assert "mode=both" in capsys.readouterr().err
+
+
+def run_to_staff(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path)
+    for argv in [["synth", "--config", cfg, "--out", out],
+                 ["ingest", "--out", out],
+                 ["disambiguate", "--out", out],
+                 ["derive-staff", "--out", out, "--min-clusters", "1"]]:
+        assert run_pipeline(argv) == 0, argv
+    return tmp_path / "out"
+
+
+def test_recency_defaults_to_window_end(tmp_path):
+    out = run_to_staff(tmp_path)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["recency"] == 2019
+    with (out / "staff.csv").open(newline="") as fh:
+        assert list(csv.DictReader(fh))
+
+
+def test_score_refuses_staff_naming_unknown_cluster(tmp_path, capsys):
+    out = run_to_staff(tmp_path)
+    staff_path = out / "staff.csv"
+    with staff_path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields, rows = reader.fieldnames, list(reader)
+    rows[0]["member_cluster_ids"] = "W999:0"
+    with staff_path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields)
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert run_pipeline(["score", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: score: staff.csv references unknown cluster W999:0; "
+        "run `disambiguate` first\n")
 
 
 def test_window_flag_round_trips(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from fssbench import corpus as cm
 from fssbench.corpus import (
     CorpusError,
+    University,
+    UniversityRegistry,
     YearWindow,
     first_initial,
     load_incidence,
@@ -251,6 +253,18 @@ def test_load_registry_and_matching(tmp_path):
     assert reg.match_email("a.b@dept.unitwo.it") == "U2"
     assert reg.match_email("a.b@unitwo.it.evil.com") is None
     assert reg.match_email(None) is None
+
+
+def test_match_email_prefers_longest_nested_domain():
+    reg = UniversityRegistry([
+        University("U1", "One", ("uni.example",), ()),
+        University("U2", "Two", ("med.uni.example",), ()),
+    ])
+    assert reg.match_email("x@med.uni.example") == "U2"
+    assert reg.match_email("x@lab.med.uni.example") == "U2"
+    assert reg.match_email("x@uni.example") == "U1"
+    assert reg.match_email("x@lab.uni.example") == "U1"
+    assert reg.match_email("x@med.uni.example.org") is None
 
 
 def test_load_registry_variant_claimed_twice_names_both(tmp_path):

@@ -277,15 +277,6 @@ def test_raising_threshold_never_reduces_cluster_count():
         assert counts == sorted(counts)
 
 
-def test_cluster_corpus_thread_count_invariance():
-    rng = np.random.default_rng(303)
-    for _ in range(10):
-        corpus = _random_corpus(rng, n_pubs=20)
-        one = cluster_corpus(corpus, threads=1)
-        four = cluster_corpus(corpus, threads=4)
-        assert [c.to_dict() for c in one] == [c.to_dict() for c in four]
-
-
 # ---------------------------------------------------------------------------
 # serialization and metrics
 

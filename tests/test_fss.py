@@ -80,7 +80,7 @@ def test_publication_norm_averages_over_subject_categories():
     ])
     cells = build_citation_cells(corpus)
     # SC1 cell mean (4+4)/2=4 -> 1.0; SC2 cell mean (4+0)/2=2 -> 2.0
-    assert publication_norm(corpus.by_id["W1"], cells) == pytest.approx(1.5)
+    assert publication_norm(corpus.by_id["W1"], cells) == pytest.approx((1.5, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +343,26 @@ SCHEME = SCScheme([
 def test_apply_exclusions_drops_excluded_and_multidisciplinary():
     scores = [_fake_score("P1", "SC1"), _fake_score("P2", "LAW"),
               _fake_score("P3", "MULTI")]
-    kept = apply_exclusions(scores, SCHEME, min_obs=1)
-    assert [s.subject_id for s in kept] == ["P1"]
+    kept = apply_exclusions({MODE_SUPERVISED: scores}, SCHEME, min_obs=1)
+    assert [s.subject_id for s in kept[MODE_SUPERVISED]] == ["P1"]
 
 
 def test_apply_exclusions_literal_needs_short_in_both():
     supd = [_fake_score(f"P{i}", "SC1") for i in range(10)] + [_fake_score("P99", "SC2")]
     unsupd = [_fake_score(f"C{i}", "SC1", MODE_UNSUPERVISED) for i in range(10)] \
         + [_fake_score(f"C9{i}", "SC2", MODE_UNSUPERVISED) for i in range(10)]
-    s2, u2 = apply_exclusions((supd, unsupd), SCHEME, min_obs=10, rule="literal")
+    both = {MODE_SUPERVISED: supd, MODE_UNSUPERVISED: unsupd}
+    literal = apply_exclusions(both, SCHEME, min_obs=10, rule="literal")
     # SC2 is short only in the supervised list -> kept under the literal rule
-    assert any(s.sc_id == "SC2" for s in s2)
-    s3, u3 = apply_exclusions((supd, unsupd), SCHEME, min_obs=10, rule="strict")
-    assert not any(s.sc_id == "SC2" for s in s3)
-    assert not any(s.sc_id == "SC2" for s in u3)
+    assert literal == both
+    strict = apply_exclusions(both, SCHEME, min_obs=10, rule="strict")
+    assert not any(s.sc_id == "SC2" for lst in strict.values() for s in lst)
+    assert len(strict[MODE_UNSUPERVISED]) == 10
 
 
 def test_apply_exclusions_rejects_unknown_rule():
     with pytest.raises(ValueError, match="rule"):
-        apply_exclusions([], SCHEME, rule="fuzzy")
+        apply_exclusions({}, SCHEME, rule="fuzzy")
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +381,10 @@ def test_researcher_scores_csv_round_trip(tmp_path):
 
 def test_university_scores_csv_round_trip(tmp_path):
     _, scores = _scored_world()
-    rows = compute_fss_u(scores, compute_sc_baselines(scores), LEVEL_OVERALL)
+    baselines = compute_sc_baselines(scores)
+    rows = [(mode, u) for mode in (MODE_SUPERVISED, MODE_UNSUPERVISED)
+            for level in (LEVEL_SC, LEVEL_OVERALL)
+            for u in compute_fss_u(scores, baselines, level)]
     path = tmp_path / "u.csv"
-    write_university_scores_csv(rows, path, mode=MODE_SUPERVISED)
-    back = load_university_scores_csv(path)
-    assert [(m, s.university_id, s.rs_u, s.fss_u) for m, s in back] == \
-        [(MODE_SUPERVISED, s.university_id, s.rs_u, s.fss_u) for s in rows]
+    write_university_scores_csv(rows, path)
+    assert load_university_scores_csv(path) == rows   # repr round-trip is exact

@@ -15,6 +15,7 @@ from fssbench.staff import (
     build_candidates,
     coherence_check,
     derive_staff,
+    load_staff_csv,
     match_university,
     resolve_conflicts,
     write_review_queue_csv,
@@ -260,6 +261,9 @@ def test_derive_staff_end_to_end(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["cluster_id"] for r in rows] == ["C1", "C2"]
     assert rows[1]["member_cluster_ids"] == "C2;C3"
+    loaded = load_staff_csv(staff_path, clusters)
+    assert loaded.all_units() == staff.all_units()
+    assert loaded.review_queue == []
     with queue_path.open(newline="") as fh:
         qrows = list(csv.DictReader(fh))
     assert [r["cluster_id"] for r in qrows] == ["C4", "C6"]
