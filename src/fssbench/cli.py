@@ -18,7 +18,9 @@ config hash and seed, its output names, and the sha256 digests of the
 input files passed by flag (--publications, --roster, ...); artifacts a
 stage reads from the output directory are not digested.
 Settings come from an optional ``key = value`` config file; command-line
-flags override it. Exit status 0 on success; any failure prints a single
+flags override it. The file may also set the world generator's knobs;
+any other key is ignored with a warning and left out of the manifest.
+Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing.
 """
@@ -31,6 +33,7 @@ import hashlib
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +58,11 @@ DEFAULTS = {
 
 _PATH_KEYS = ("publications", "roster", "registry", "scheme", "rules", "incidence")
 
+#: World-generator knobs a config file may set; the window and seed come
+#: from the settings above.
+_SYNTH_KNOBS = {f.name: f for f in dataclasses.fields(synthmod.SynthConfig)
+                if f.name not in ("seed", "window_start", "window_end")}
+
 
 class StageError(RuntimeError):
     """Pipeline failure with a user-facing one-line message."""
@@ -78,7 +86,7 @@ class RunConfig:
     scheme: Path | None
     rules: Path | None
     incidence: Path | None
-    extra: dict[str, str]        # config-file keys not claimed above (synth knobs)
+    extra: dict[str, str]        # world-generator knobs from the config file
 
     def digestable(self) -> dict:
         d = {
@@ -102,16 +110,7 @@ class RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise StageError(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+    return {key: value for _, key, value in corpusmod.read_key_values(path, "config")}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -128,8 +127,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise StageError(f"config key {key}: bad value {file_values[key]!r}") from exc
         return DEFAULTS.get(key)
 
+    for key in ("window_start", "window_end"):
+        if key in file_values:
+            raise StageError(f"config key {key} is not a setting; use window = START:END")
+    for key in sorted(file_values.keys() - DEFAULTS.keys() - set(_PATH_KEYS)
+                      - _SYNTH_KNOBS.keys()):
+        log.warning("ignoring unknown config key %r", key)
     window = corpusmod.YearWindow.parse(str(pick("window")))
     recency = pick("recency", int)
+    recency = window.end if recency is None else recency
+    if recency > window.end:
+        raise StageError(f"recency {recency} is after the window's last year "
+                         f"{window.end}; no cluster can be active then")
     obs_rule = str(pick("obs_rule"))
     if obs_rule not in (fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT):
         raise StageError(f"obs_rule must be literal or strict, got {obs_rule!r}")
@@ -140,20 +149,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in _PATH_KEYS:
         value = getattr(args, key, None) or file_values.get(key)
         paths[key] = Path(value) if value else None
-    claimed = set(DEFAULTS) | set(_PATH_KEYS)
-    extra = {k: v for k, v in file_values.items() if k not in claimed}
     return RunConfig(
         out=Path(pick("out")),
         window=window,
         seed=int(pick("seed", int)),
         min_clusters=int(pick("min_clusters", int)),
         min_age=int(pick("min_age", int)),
-        recency=window.end if recency is None else int(recency),
+        recency=recency,
         min_obs=int(pick("min_obs", int)),
         obs_rule=obs_rule,
         sc_lookback=int(pick("sc_lookback", int)),
         mode=mode,
-        extra=extra,
+        extra={k: v for k, v in file_values.items() if k in _SYNTH_KNOBS},
         **paths,
     )
 
@@ -203,15 +210,8 @@ def _load_corpus(cfg: RunConfig, path: Path) -> corpusmod.Corpus:
 
 
 def cmd_synth(cfg: RunConfig) -> list[Path]:
-    kwargs = {}
-    valid = {f.name: f for f in dataclasses.fields(synthmod.SynthConfig)}
-    for key, raw in cfg.extra.items():
-        f = valid.get(key)
-        if f is None:
-            log.warning("ignoring unknown synth config key %r", key)
-            continue
-        cast = float if f.type == "float" else int
-        kwargs[key] = cast(raw)
+    kwargs = {key: (float if _SYNTH_KNOBS[key].type == "float" else int)(raw)
+              for key, raw in cfg.extra.items()}
     config = synthmod.SynthConfig(seed=cfg.seed, window_start=cfg.window.start,
                                   window_end=cfg.window.end, **kwargs)
     files, truth = synthmod.generate(config, cfg.out)
@@ -253,6 +253,12 @@ def cmd_derive_staff(cfg: RunConfig) -> list[Path]:
                                     min_clusters=cfg.min_clusters,
                                     min_age=cfg.min_age,
                                     recency_year=cfg.recency)
+    if not derived.members:
+        flags = Counter(f for cand in derived.review_queue for f in cand.flags)
+        per_flag = ", ".join(f"{flag} {n}" for flag, n in
+                             sorted(flags.items(), key=lambda kv: (-kv[1], kv[0])))
+        raise StageError(f"accepted no staff unit out of {len(derived.review_queue)} "
+                         f"candidates" + (f"; flags: {per_flag}" if per_flag else ""))
     staff_out = cfg.out / "staff.csv"
     queue_out = cfg.out / "review_queue.csv"
     staffmod.write_staff_csv(derived, staff_out)

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as sps
 
+from .corpus import write_csv
 from .fss import ResearcherScore, UniversityScore
 
 log = logging.getLogger(__name__)
@@ -474,37 +475,28 @@ def write_report_json(report: dict, path: str | Path) -> None:
 
 
 def write_rank_table_csv(table: RankTable, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["university_id",
-                         "unsup_obs", "unsup_fss_u", "unsup_rank", "unsup_percentile",
-                         "unsup_quartile",
-                         "sup_obs", "sup_fss_u", "sup_rank", "sup_percentile",
-                         "sup_quartile", "delta_rank"])
-        for r in table.rows:
-            writer.writerow([r.university_id,
-                             r.unsup_obs, repr(r.unsup_fss_u), r.unsup_rank,
-                             r.unsup_percentile, r.unsup_quartile,
-                             r.sup_obs, repr(r.sup_fss_u), r.sup_rank,
-                             r.sup_percentile, r.sup_quartile, r.delta_rank])
+    write_csv(path, ("university_id",
+                     "unsup_obs", "unsup_fss_u", "unsup_rank", "unsup_percentile",
+                     "unsup_quartile",
+                     "sup_obs", "sup_fss_u", "sup_rank", "sup_percentile",
+                     "sup_quartile", "delta_rank"),
+              ([r.university_id,
+                r.unsup_obs, repr(r.unsup_fss_u), r.unsup_rank,
+                r.unsup_percentile, r.unsup_quartile,
+                r.sup_obs, repr(r.sup_fss_u), r.sup_rank,
+                r.sup_percentile, r.sup_quartile, r.delta_rank] for r in table.rows))
 
 
 def write_quartile_matrix_csv(matrix: QuartileMatrix, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unsup_quartile", "sup_q1", "sup_q2", "sup_q3", "sup_q4"])
-        for i, row in enumerate(matrix.counts, start=1):
-            writer.writerow([f"Q{i}", *row])
+    write_csv(path, ("unsup_quartile", "sup_q1", "sup_q2", "sup_q3", "sup_q4"),
+              ([f"Q{i}", *row] for i, row in enumerate(matrix.counts, start=1)))
 
 
 def write_distribution_stats_csv(stats_by_group: dict[str, DistributionStats],
                                  path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "obs", "mean", "std_dev", "variance", "skewness",
-                         "kurtosis", *(f"p{p}" for p in PERCENTILE_POINTS), "max"])
-        for name in sorted(stats_by_group):
-            s = stats_by_group[name]
-            writer.writerow([name, s.obs, repr(s.mean), repr(s.std_dev),
-                             repr(s.variance), repr(s.skewness), repr(s.kurtosis),
-                             *(repr(p) for p in s.percentiles), repr(s.max)])
+    write_csv(path, ("group", "obs", "mean", "std_dev", "variance", "skewness",
+                     "kurtosis", *(f"p{p}" for p in PERCENTILE_POINTS), "max"),
+              ([name, s.obs, repr(s.mean), repr(s.std_dev),
+                repr(s.variance), repr(s.skewness), repr(s.kurtosis),
+                *(repr(p) for p in s.percentiles), repr(s.max)]
+               for name, s in sorted(stats_by_group.items())))

@@ -1,22 +1,33 @@
 """Data model and ingestion for publication corpora, staff rosters, the
-university registry, and the subject-category scheme.
+university registry, and the subject-category scheme, plus the one CSV
+reader, CSV writer and ``key = value`` reader the whole package uses.
 
-Input formats (documented in the README):
+Input formats (documented in the README); required columns first, then
+the optional ones:
 
 * ``publications.jsonl`` - one JSON object per line, fields ``pub_id``,
   ``year``, ``doc_type``, ``source_index``, ``subject_categories``,
   ``journal``, ``citation_count``, ``census_date``, ``mentions``.
-* ``roster.csv`` - ``person_id, full_name, university_id, field_code,
-  sc_hint, active_years, linked_pub_ids`` (years and pub ids joined
-  with ";", year ranges like "2015-2019" allowed).
-* ``registry.csv`` - ``university_id, official_name, email_domains,
-  organization_variants`` (";"-joined lists).
-* ``scheme.csv`` - ``sc_id, name, area_id, excluded_area,
-  is_multidisciplinary``.
+* ``roster.csv`` - required ``person_id, active_years``; optional
+  ``full_name, university_id, field_code, sc_hint, linked_pub_ids``
+  (years and pub ids joined with ";", year ranges like "2015-2019"
+  allowed).
+* ``registry.csv`` - required ``university_id``; optional
+  ``official_name, email_domains, organization_variants`` (";"-joined
+  lists).
+* ``scheme.csv`` - required ``sc_id, area_id``; optional ``name,
+  excluded_area, is_multidisciplinary``.
+* the incidence table (``--incidence``) - required ``field_code, sc_id,
+  incidence``.
 
-Unknown columns and JSON fields are ignored with a warning. Loading is a
-pure function of the file bytes: the same input yields an identical
-in-memory corpus, and downstream code treats it as read-only.
+The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
+``scores_universities.csv``) require every column their loader reads.
+
+An empty CSV file or one whose header lacks a required column is refused
+with a ``CorpusError`` naming the file and the column. Unknown columns and
+JSON fields are ignored with one warning each. Loading is a pure function
+of the file bytes: the same input yields an identical in-memory corpus,
+and downstream code treats it as read-only.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import json
 import logging
 import re
 import unicodedata
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -347,6 +359,55 @@ def _record_to_dict(r: PublicationRecord) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# text formats: every CSV and ``key = value`` file is read and written here
+
+def read_csv(path: str | Path, required: Sequence[str],
+             optional: Sequence[str] = ()) -> Iterator[tuple[str, dict[str, str]]]:
+    """Yield ``("<file> line <n>", row)`` for each data row of a CSV file.
+
+    An empty file, or a header lacking a column of ``required``, raises
+    ``CorpusError`` naming the file (and the column); each column outside
+    ``required`` and ``optional`` is ignored with one warning. A short row
+    gives ``None`` values.
+    """
+    path = Path(path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise CorpusError(f"{path.name}: empty file")
+        for column in required:
+            if column not in reader.fieldnames:
+                raise CorpusError(f"{path.name}: missing column {column}")
+        known = {*required, *optional}
+        for column in dict.fromkeys(reader.fieldnames):
+            if column not in known:
+                log.warning("%s: ignoring unknown column %r", path.name, column)
+        for lineno, row in enumerate(reader, start=2):
+            yield f"{path.name} line {lineno}", row
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows as utf-8 CSV in the default dialect."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, key, value)`` for each line of a ``key = value`` file;
+    ``#`` starts a comment and blank lines are skipped."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CorpusError(f"{what} line {lineno}: expected key = value, got {line!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
+# ---------------------------------------------------------------------------
 # loaders
 
 _PUB_FIELDS = {"pub_id", "year", "doc_type", "source_index", "subject_categories",
@@ -501,89 +562,66 @@ def _parse_years(text: str, where: str) -> frozenset[int]:
     return frozenset(years)
 
 
-_ROSTER_FIELDS = {"person_id", "full_name", "university_id", "field_code",
-                  "sc_hint", "active_years", "linked_pub_ids"}
-
-
 def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
     """Load roster.csv; active years must fall inside the window."""
-    path = Path(path)
-    warned: set[str] = set()
     entries: list[RosterEntry] = []
-    seen: dict[str, int] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CorpusError(f"{path.name}: empty file")
-        _warn_unknown("roster", set(reader.fieldnames) - _ROSTER_FIELDS, warned)
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path.name} line {lineno}"
-            pid = (row.get("person_id") or "").strip()
-            if not pid:
-                raise CorpusError(f"{where}: missing person_id")
-            if pid in seen:
-                raise CorpusError(
-                    f"{where}: duplicate person_id {pid!r} "
-                    f"(first seen on line {seen[pid]})")
-            seen[pid] = lineno
-            years = _parse_years(row.get("active_years") or "", where)
-            if not years:
-                raise CorpusError(f"{where}: person {pid!r} has empty active_years")
-            outside = sorted(y for y in years if y not in window)
-            if outside:
-                raise CorpusError(
-                    f"{where}: person {pid!r} active_years {outside} outside "
-                    f"window {window.start}:{window.end}")
-            links = tuple(filter(None, (t.strip() for t in (row.get("linked_pub_ids") or "").split(";"))))
-            entries.append(RosterEntry(
-                person_id=pid,
-                full_name=(row.get("full_name") or "").strip(),
-                university_id=(row.get("university_id") or "").strip(),
-                field_code=(row.get("field_code") or "").strip(),
-                sc_hint=(row.get("sc_hint") or "").strip() or None,
-                active_years=years,
-                linked_pub_ids=links,
-            ))
+    seen: dict[str, str] = {}
+    for where, row in read_csv(path, ("person_id", "active_years"),
+                               ("full_name", "university_id", "field_code", "sc_hint",
+                                "linked_pub_ids")):
+        pid = (row.get("person_id") or "").strip()
+        if not pid:
+            raise CorpusError(f"{where}: missing person_id")
+        if pid in seen:
+            raise CorpusError(
+                f"{where}: duplicate person_id {pid!r} (first seen on {seen[pid]})")
+        seen[pid] = where
+        years = _parse_years(row.get("active_years") or "", where)
+        if not years:
+            raise CorpusError(f"{where}: person {pid!r} has empty active_years")
+        outside = sorted(y for y in years if y not in window)
+        if outside:
+            raise CorpusError(
+                f"{where}: person {pid!r} active_years {outside} outside "
+                f"window {window.start}:{window.end}")
+        links = tuple(filter(None, (t.strip() for t in (row.get("linked_pub_ids") or "").split(";"))))
+        entries.append(RosterEntry(
+            person_id=pid,
+            full_name=(row.get("full_name") or "").strip(),
+            university_id=(row.get("university_id") or "").strip(),
+            field_code=(row.get("field_code") or "").strip(),
+            sc_hint=(row.get("sc_hint") or "").strip() or None,
+            active_years=years,
+            linked_pub_ids=links,
+        ))
     return entries
-
-
-_REGISTRY_FIELDS = {"university_id", "official_name", "email_domains",
-                    "organization_variants"}
 
 
 def load_registry(path: str | Path) -> UniversityRegistry:
     """Load registry.csv, normalizing variants and enforcing disjointness."""
-    path = Path(path)
-    warned: set[str] = set()
     universities: list[University] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CorpusError(f"{path.name}: empty file")
-        _warn_unknown("registry", set(reader.fieldnames) - _REGISTRY_FIELDS, warned)
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path.name} line {lineno}"
-            uid = (row.get("university_id") or "").strip()
-            if not uid:
-                raise CorpusError(f"{where}: missing university_id")
-            if uid in seen:
-                raise CorpusError(f"{where}: duplicate university_id {uid!r}")
-            seen.add(uid)
-            domains = tuple(dict.fromkeys(
-                d.strip().lower() for d in (row.get("email_domains") or "").split(";") if d.strip()))
-            variants = tuple(dict.fromkeys(
-                normalize_org(v) for v in (row.get("organization_variants") or "").split(";") if v.strip()))
-            universities.append(University(
-                university_id=uid,
-                official_name=(row.get("official_name") or uid).strip(),
-                email_domains=domains,
-                organization_variants=variants,
-            ))
+    for where, row in read_csv(path, ("university_id",),
+                               ("official_name", "email_domains", "organization_variants")):
+        uid = (row.get("university_id") or "").strip()
+        if not uid:
+            raise CorpusError(f"{where}: missing university_id")
+        if uid in seen:
+            raise CorpusError(f"{where}: duplicate university_id {uid!r}")
+        seen.add(uid)
+        domains = tuple(dict.fromkeys(
+            d.strip().lower() for d in (row.get("email_domains") or "").split(";") if d.strip()))
+        variants = tuple(dict.fromkeys(
+            normalize_org(v) for v in (row.get("organization_variants") or "").split(";") if v.strip()))
+        universities.append(University(
+            university_id=uid,
+            official_name=(row.get("official_name") or uid).strip(),
+            email_domains=domains,
+            organization_variants=variants,
+        ))
     return UniversityRegistry(universities)
 
 
-_SCHEME_FIELDS = {"sc_id", "name", "area_id", "excluded_area", "is_multidisciplinary"}
 _TRUTHY = {"1", "true", "yes", "y"}
 _FALSY = {"0", "false", "no", "n", ""}
 
@@ -599,50 +637,39 @@ def _parse_bool(text: str | None, where: str, fieldname: str) -> bool:
 
 def load_scheme(path: str | Path) -> SCScheme:
     """Load scheme.csv; every SC belongs to exactly one area."""
-    path = Path(path)
-    warned: set[str] = set()
     categories: list[SubjectCategory] = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CorpusError(f"{path.name}: empty file")
-        _warn_unknown("scheme", set(reader.fieldnames) - _SCHEME_FIELDS, warned)
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path.name} line {lineno}"
-            sc_id = (row.get("sc_id") or "").strip()
-            if not sc_id:
-                raise CorpusError(f"{where}: missing sc_id")
-            area = (row.get("area_id") or "").strip()
-            if not area:
-                raise CorpusError(f"{where}: SC {sc_id!r} missing area_id")
-            categories.append(SubjectCategory(
-                sc_id=sc_id,
-                name=(row.get("name") or sc_id).strip(),
-                area_id=area,
-                excluded_area=_parse_bool(row.get("excluded_area"), where, "excluded_area"),
-                is_multidisciplinary=_parse_bool(row.get("is_multidisciplinary"), where,
-                                                 "is_multidisciplinary"),
-            ))
+    for where, row in read_csv(path, ("sc_id", "area_id"),
+                               ("name", "excluded_area", "is_multidisciplinary")):
+        sc_id = (row.get("sc_id") or "").strip()
+        if not sc_id:
+            raise CorpusError(f"{where}: missing sc_id")
+        area = (row.get("area_id") or "").strip()
+        if not area:
+            raise CorpusError(f"{where}: SC {sc_id!r} missing area_id")
+        categories.append(SubjectCategory(
+            sc_id=sc_id,
+            name=(row.get("name") or sc_id).strip(),
+            area_id=area,
+            excluded_area=_parse_bool(row.get("excluded_area"), where, "excluded_area"),
+            is_multidisciplinary=_parse_bool(row.get("is_multidisciplinary"), where,
+                                             "is_multidisciplinary"),
+        ))
     return SCScheme(categories)
 
 
 def load_incidence(path: str | Path) -> dict[str, tuple[tuple[str, float], ...]]:
     """Load the field-code to SC incidence table (columns field_code, sc_id,
     incidence), used as the supervised SC-assignment fallback."""
-    path = Path(path)
     table: dict[str, list[tuple[str, float]]] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path.name} line {lineno}"
-            code = (row.get("field_code") or "").strip()
-            sc = (row.get("sc_id") or "").strip()
-            if not code or not sc:
-                raise CorpusError(f"{where}: missing field_code or sc_id")
-            try:
-                weight = float(row.get("incidence") or "")
-            except ValueError as exc:
-                raise CorpusError(f"{where}: invalid incidence") from exc
-            table.setdefault(code, []).append((sc, weight))
+    for where, row in read_csv(path, ("field_code", "sc_id", "incidence")):
+        code = (row.get("field_code") or "").strip()
+        sc = (row.get("sc_id") or "").strip()
+        if not code or not sc:
+            raise CorpusError(f"{where}: missing field_code or sc_id")
+        try:
+            weight = float(row.get("incidence") or "")
+        except ValueError as exc:
+            raise CorpusError(f"{where}: invalid incidence") from exc
+        table.setdefault(code, []).append((sc, weight))
     return {code: tuple(sorted(rows, key=lambda r: (-r[1], r[0])))
             for code, rows in table.items()}

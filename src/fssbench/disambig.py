@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .corpus import Corpus, CorpusError, PublicationRecord, first_initial
+from .corpus import Corpus, CorpusError, PublicationRecord, first_initial, read_key_values
 
 log = logging.getLogger(__name__)
 
@@ -64,19 +64,12 @@ _RULE_KEYS = {f.name for f in fields(ScoringRules)}
 def load_rules(path: str | Path) -> ScoringRules:
     """Read a ``key = value`` weights file; unlisted keys keep defaults."""
     overrides: dict[str, float] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CorpusError(f"rules file line {lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
+    for lineno, key, value in read_key_values(path, "rules file"):
         if key not in _RULE_KEYS:
             log.warning("ignoring unknown rules key %r", key)
             continue
         try:
-            overrides[key] = float(value.strip())
+            overrides[key] = float(value)
         except ValueError as exc:
             raise CorpusError(f"rules file line {lineno}: bad value for {key}") from exc
     return replace(DEFAULT_RULES, **overrides)

@@ -29,7 +29,6 @@ iteration order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 from collections import Counter
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (Corpus, PublicationRecord, RosterEntry, SCScheme, YearWindow,
-                     lookback_window, DEFAULT_SC_LOOKBACK)
+                     lookback_window, read_csv, write_csv, DEFAULT_SC_LOOKBACK)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -417,53 +416,47 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
 # ---------------------------------------------------------------------------
 # score files
 
+#: Columns of scores_researchers.csv, written and read.
+RESEARCHER_COLUMNS = ("subject_id", "mode", "university_id", "sc", "t", "n", "fss_r")
+
+#: Columns of scores_universities.csv, written and read.
+UNIVERSITY_COLUMNS = ("university_id", "mode", "level", "key", "rs_u", "fss_u")
+
+
 def write_researcher_scores_csv(scores: list[ResearcherScore], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "mode", "university_id", "sc", "t", "n", "fss_r"])
-        for s in sorted(scores, key=lambda s: (s.mode, s.subject_id)):
-            writer.writerow([s.subject_id, s.mode, s.university_id or "", s.sc_id,
-                             f"{s.t:g}", s.n_pubs, repr(s.fss_r)])
+    write_csv(path, RESEARCHER_COLUMNS,
+              ([s.subject_id, s.mode, s.university_id or "", s.sc_id, f"{s.t:g}",
+                s.n_pubs, repr(s.fss_r)]
+               for s in sorted(scores, key=lambda s: (s.mode, s.subject_id))))
 
 
 def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
-    out = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(ResearcherScore(
-                subject_id=row["subject_id"],
-                mode=row["mode"],
-                university_id=row["university_id"] or None,
-                sc_id=row["sc"],
-                t=float(row["t"]),
-                n_pubs=int(row["n"]),
-                fss_r=float(row["fss_r"]),
-                terms=(),
-            ))
-    return out
+    return [ResearcherScore(
+        subject_id=row["subject_id"],
+        mode=row["mode"],
+        university_id=row["university_id"] or None,
+        sc_id=row["sc"],
+        t=float(row["t"]),
+        n_pubs=int(row["n"]),
+        fss_r=float(row["fss_r"]),
+        terms=(),
+    ) for _, row in read_csv(path, RESEARCHER_COLUMNS)]
 
 
 def write_university_scores_csv(rows: list[tuple[str, UniversityScore]],
                                 path: str | Path) -> None:
     """Rows of (mode, score), the shape load_university_scores_csv returns."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["university_id", "mode", "level", "key", "rs_u", "fss_u"])
-        for mode, s in rows:
-            writer.writerow([s.university_id, mode, s.level, s.level_key,
-                             s.rs_u, repr(s.fss_u)])
+    write_csv(path, UNIVERSITY_COLUMNS,
+              ([s.university_id, mode, s.level, s.level_key, s.rs_u, repr(s.fss_u)]
+               for mode, s in rows))
 
 
 def load_university_scores_csv(path: str | Path) -> list[tuple[str, UniversityScore]]:
     """Rows of (mode, score)."""
-    out = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((row["mode"], UniversityScore(
-                university_id=row["university_id"],
-                level=row["level"],
-                level_key=row["key"],
-                rs_u=int(row["rs_u"]),
-                fss_u=float(row["fss_u"]),
-            )))
-    return out
+    return [(row["mode"], UniversityScore(
+        university_id=row["university_id"],
+        level=row["level"],
+        level_key=row["key"],
+        rs_u=int(row["rs_u"]),
+        fss_u=float(row["fss_u"]),
+    )) for _, row in read_csv(path, UNIVERSITY_COLUMNS)]

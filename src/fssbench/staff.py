@@ -12,12 +12,11 @@ candidate carries the flags naming the rules that fired.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CorpusError, UniversityRegistry
+from .corpus import CorpusError, UniversityRegistry, read_csv, write_csv
 from .disambig import AuthorCluster
 
 log = logging.getLogger(__name__)
@@ -265,14 +264,14 @@ def derive_staff(clusters: list[AuthorCluster],
     return resolve_conflicts(candidates)
 
 
+#: Columns of staff.csv; load_staff_csv reads all but n_pubs.
+STAFF_COLUMNS = ("university_id", "cluster_id", "evidence", "n_pubs", "member_cluster_ids")
+
+
 def write_staff_csv(staff: DerivedStaff, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["university_id", "cluster_id", "evidence", "n_pubs",
-                         "member_cluster_ids"])
-        for unit in staff.all_units():
-            writer.writerow([unit.university_id, unit.unit_id, unit.evidence,
-                             unit.n_pubs, ";".join(unit.cluster_ids)])
+    write_csv(path, STAFF_COLUMNS,
+              ([unit.university_id, unit.unit_id, unit.evidence, unit.n_pubs,
+                ";".join(unit.cluster_ids)] for unit in staff.all_units()))
 
 
 def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedStaff:
@@ -284,32 +283,30 @@ def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedSt
     """
     by_id = {c.cluster_id: c for c in clusters}
     members: dict[str, list[StaffUnit]] = {}
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            ids = tuple(row["member_cluster_ids"].split(";"))
-            for cid in ids:
-                if cid not in by_id:
-                    raise CorpusError(f"{Path(path).name} references unknown cluster "
-                                      f"{cid}; run `disambiguate` first")
-            member_clusters = [by_id[cid] for cid in ids]
-            members.setdefault(row["university_id"], []).append(StaffUnit(
-                unit_id=row["cluster_id"],
-                university_id=row["university_id"],
-                evidence=row["evidence"],
-                cluster_ids=ids,
-                pub_ids=frozenset().union(*(c.pub_ids for c in member_clusters)),
-                orcid=next((c.orcid for c in member_clusters if c.orcid), None),
-                emails=tuple(sorted({c.email for c in member_clusters if c.email})),
-            ))
+    required = tuple(c for c in STAFF_COLUMNS if c != "n_pubs")
+    for _, row in read_csv(path, required, ("n_pubs",)):
+        ids = tuple((row["member_cluster_ids"] or "").split(";"))
+        for cid in ids:
+            if cid not in by_id:
+                raise CorpusError(f"{Path(path).name} references unknown cluster "
+                                  f"{cid}; run `disambiguate` first")
+        member_clusters = [by_id[cid] for cid in ids]
+        members.setdefault(row["university_id"], []).append(StaffUnit(
+            unit_id=row["cluster_id"],
+            university_id=row["university_id"],
+            evidence=row["evidence"],
+            cluster_ids=ids,
+            pub_ids=frozenset().union(*(c.pub_ids for c in member_clusters)),
+            orcid=next((c.orcid for c in member_clusters if c.orcid), None),
+            emails=tuple(sorted({c.email for c in member_clusters if c.email})),
+        ))
     return DerivedStaff(members=members, review_queue=[])
 
 
 def write_review_queue_csv(staff: DerivedStaff, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "flags", "details"])
-        for cand in staff.review_queue:
-            details = (f"university={cand.university_id} evidence={cand.evidence} "
-                       f"n_pubs={cand.cluster.n_pubs} age={cand.cluster.academic_age} "
-                       f"last_year={cand.cluster.last_year}")
-            writer.writerow([cand.cluster_id, ";".join(sorted(cand.flags)), details])
+    write_csv(path, ("cluster_id", "flags", "details"),
+              ([cand.cluster_id, ";".join(sorted(cand.flags)),
+                f"university={cand.university_id} evidence={cand.evidence} "
+                f"n_pubs={cand.cluster.n_pubs} age={cand.cluster.academic_age} "
+                f"last_year={cand.cluster.last_year}"]
+               for cand in staff.review_queue))

@@ -20,7 +20,6 @@ independent reference the scoring pipeline is tested against.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, YearWindow
+from .corpus import Corpus, YearWindow, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -383,39 +382,24 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
     files["publications"].write_text(
         "\n".join(pub_lines) + ("\n" if pub_lines else ""), encoding="utf-8")
 
-    with files["roster"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "full_name", "university_id", "field_code",
-                         "sc_hint", "active_years", "linked_pub_ids"])
-        for person in persons:
-            if person.kind != "faculty":
-                continue
-            active_start = max(person.career_start, window.start)
-            active_end = min(person.career_end, window.end)
-            writer.writerow([
-                person.person_id,
+    write_csv(files["roster"], ("person_id", "full_name", "university_id", "field_code",
+                                "sc_hint", "active_years", "linked_pub_ids"),
+              ([person.person_id,
                 f"{person.last_name}, {person.first_name}",
                 universities[person.university]["university_id"],
                 f"F{person.sc:02d}",
                 sc_ids[person.sc],
-                f"{active_start}-{active_end}",
-                ";".join(person.pubs),
-            ])
-
-    with files["registry"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["university_id", "official_name", "email_domains",
-                         "organization_variants"])
-        for univ in universities:
-            writer.writerow([univ["university_id"], univ["official_name"],
-                             univ["domain"], ";".join(univ["variants"])])
-
-    with files["scheme"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sc_id", "name", "area_id", "excluded_area",
-                         "is_multidisciplinary"])
-        for i, sc in enumerate(sc_ids):
-            writer.writerow([sc, _SC_NAMES[i], f"AREA{i % 4}", "false", "false"])
+                f"{max(person.career_start, window.start)}-{min(person.career_end, window.end)}",
+                ";".join(person.pubs)]
+               for person in persons if person.kind == "faculty"))
+    write_csv(files["registry"], ("university_id", "official_name", "email_domains",
+                                  "organization_variants"),
+              ([univ["university_id"], univ["official_name"], univ["domain"],
+                ";".join(univ["variants"])] for univ in universities))
+    write_csv(files["scheme"], ("sc_id", "name", "area_id", "excluded_area",
+                                "is_multidisciplinary"),
+              ([sc, _SC_NAMES[i], f"AREA{i % 4}", "false", "false"]
+               for i, sc in enumerate(sc_ids)))
 
     truth_persons: dict[str, GroundTruthPerson] = {}
     for person in persons + [p for pool in external_pools for p in pool]:
@@ -439,17 +423,14 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
         )
     truth = GroundTruth(persons=truth_persons)
 
-    with files["ground_truth"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "kind", "university_id", "sc_id",
-                         "career_start", "career_end", "orcid", "email",
-                         "pub_ids", "mention_refs"])
-        for pid in sorted(truth_persons):
-            p = truth_persons[pid]
-            writer.writerow([p.person_id, p.kind, p.university_id, p.sc_id,
-                             p.career_start, p.career_end, p.orcid, p.email or "",
-                             ";".join(p.pub_ids),
-                             ";".join(f"{r[0]}:{r[1]}" for r in p.mention_refs)])
+    write_csv(files["ground_truth"], ("person_id", "kind", "university_id", "sc_id",
+                                      "career_start", "career_end", "orcid", "email",
+                                      "pub_ids", "mention_refs"),
+              ([p.person_id, p.kind, p.university_id, p.sc_id,
+                p.career_start, p.career_end, p.orcid, p.email or "",
+                ";".join(p.pub_ids),
+                ";".join(f"{r[0]}:{r[1]}" for r in p.mention_refs)]
+               for _, p in sorted(truth_persons.items())))
     return files, truth
 
 

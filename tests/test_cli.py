@@ -111,7 +111,8 @@ def test_malformed_config_line(tmp_path, capsys):
     cfg = write_config(tmp_path, "n_universities = 3\njust words\n")
     assert run_pipeline(["synth", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 1
-    assert "config line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: synth: config line 2: expected key = value, got 'just words'\n")
 
 
 def test_load_config_file_strips_comments(tmp_path):
@@ -172,6 +173,81 @@ def test_score_refuses_staff_naming_unknown_cluster(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: score: staff.csv references unknown cluster W999:0; "
         "run `disambiguate` first\n")
+
+
+def test_score_refuses_staff_without_member_column(tmp_path, capsys):
+    out = run_to_staff(tmp_path)
+    staff_path = out / "staff.csv"
+    with staff_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fields = [f for f in rows[0] if f != "member_cluster_ids"]
+    with staff_path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert run_pipeline(["score", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: score: staff.csv: missing column member_cluster_ids\n")
+
+
+def test_score_refuses_empty_incidence_file(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path)
+    for argv in [["synth", "--config", cfg, "--out", out],
+                 ["ingest", "--out", out]]:
+        assert run_pipeline(argv) == 0
+    incidence = tmp_path / "incidence.csv"
+    incidence.write_text("")
+    capsys.readouterr()
+    assert run_pipeline(["score", "--out", out, "--mode", "supervised",
+                         "--incidence", str(incidence)]) == 1
+    assert capsys.readouterr().err == "error: score: incidence.csv: empty file\n"
+
+
+def test_derive_staff_refuses_when_nobody_is_accepted(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path)
+    for argv in [["synth", "--config", cfg, "--out", out],
+                 ["ingest", "--out", out],
+                 ["disambiguate", "--out", out]]:
+        assert run_pipeline(argv) == 0
+    capsys.readouterr()
+    assert run_pipeline(["derive-staff", "--out", out]) == 1    # min_clusters 30
+    assert capsys.readouterr().err == (
+        "error: derive-staff: accepted no staff unit out of 35 candidates; flags: "
+        "excluded_small_university 35, stale 17, below_age 13\n")
+    assert not (tmp_path / "out" / "staff.csv").exists()
+    assert not (tmp_path / "out" / "review_queue.csv").exists()
+
+
+def test_recency_after_window_end_refused(tmp_path, capsys):
+    assert run_pipeline(["derive-staff", "--out", str(tmp_path / "o"),
+                         "--recency", "2020"]) == 1
+    assert capsys.readouterr().err == (
+        "error: derive-staff: recency 2020 is after the window's last year 2019; "
+        "no cluster can be active then\n")
+
+
+def test_unknown_config_key_warned_and_not_recorded(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert run_pipeline(["synth", "--config", write_config(tmp_path),
+                         "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, "threads = 4\n", name="stage.cfg")
+    caplog.clear()
+    assert run_pipeline(["ingest", "--config", cfg, "--out", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records if "threads" in r.getMessage()] == [
+        "ignoring unknown config key 'threads'"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "threads" not in manifest["config"]
+
+
+@pytest.mark.parametrize("key", ["window_start", "window_end"])
+def test_window_bound_keys_in_config_refused(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, SMALL_WORLD + f"{key} = 2018\n")
+    assert run_pipeline(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: synth: config key {key} is not a setting; use window = START:END\n")
 
 
 def test_window_flag_round_trips(tmp_path):

@@ -21,6 +21,9 @@ from fssbench.corpus import (
     split_full_name,
 )
 
+from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
+from fssbench.staff import load_staff_csv
+
 from conftest import WINDOW, mention, pub, write_jsonl
 
 
@@ -313,3 +316,76 @@ def test_load_incidence_sorted_by_weight_then_id(tmp_path):
                     "F01,SC2,0.3\nF01,SC1,0.6\nF01,SC3,0.3\n", encoding="utf-8")
     table = load_incidence(path)
     assert table["F01"] == (("SC1", 0.6), ("SC2", 0.3), ("SC3", 0.3))
+
+
+# ---------------------------------------------------------------------------
+# every CSV loader: header checks
+
+#: file name -> (loader, full header, required columns)
+CSV_LOADERS = {
+    "roster.csv": (lambda p: load_roster(p, WINDOW), ROSTER_HEADER.split(","),
+                   ("person_id", "active_years")),
+    "registry.csv": (load_registry,
+                     ["university_id", "official_name", "email_domains",
+                      "organization_variants"],
+                     ("university_id",)),
+    "scheme.csv": (load_scheme,
+                   ["sc_id", "name", "area_id", "excluded_area", "is_multidisciplinary"],
+                   ("sc_id", "area_id")),
+    "incidence.csv": (load_incidence, ["field_code", "sc_id", "incidence"],
+                      ("field_code", "sc_id", "incidence")),
+    "staff.csv": (lambda p: load_staff_csv(p, []),
+                  ["university_id", "cluster_id", "evidence", "n_pubs",
+                   "member_cluster_ids"],
+                  ("university_id", "cluster_id", "evidence", "member_cluster_ids")),
+    "scores_researchers.csv": (load_researcher_scores_csv,
+                               ["subject_id", "mode", "university_id", "sc", "t", "n",
+                                "fss_r"],
+                               ("subject_id", "mode", "university_id", "sc", "t", "n",
+                                "fss_r")),
+    "scores_universities.csv": (load_university_scores_csv,
+                                ["university_id", "mode", "level", "key", "rs_u", "fss_u"],
+                                ("university_id", "mode", "level", "key", "rs_u", "fss_u")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_LOADERS))
+def test_csv_loader_refuses_missing_required_column(tmp_path, name):
+    load, header, required = CSV_LOADERS[name]
+    path = tmp_path / name
+    for column in required:
+        path.write_text(",".join(c for c in header if c != column) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            load(path)
+        assert str(exc.value) == f"{name}: missing column {column}"
+
+
+@pytest.mark.parametrize("name", sorted(CSV_LOADERS))
+def test_csv_loader_refuses_empty_file(tmp_path, name):
+    load, _, _ = CSV_LOADERS[name]
+    path = tmp_path / name
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{name}: empty file$"):
+        load(path)
+
+
+def test_csv_loader_warns_unknown_column_once(tmp_path, caplog):
+    path = tmp_path / "roster.csv"
+    path.write_text(ROSTER_HEADER + ",nickname\n"
+                    'P1,"Rossi, M",U1,F01,SC1,2015,,Mimi\n'
+                    'P2,"Verdi, A",U1,F01,SC1,2016,,Annie\n', encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        entries = load_roster(path, WINDOW)
+    assert [e.person_id for e in entries] == ["P1", "P2"]
+    hits = [r.getMessage() for r in caplog.records if "nickname" in r.getMessage()]
+    assert hits == ["roster.csv: ignoring unknown column 'nickname'"]
+
+
+def test_write_csv_round_trips_through_read_csv(tmp_path):
+    path = tmp_path / "t.csv"
+    cm.write_csv(path, ("a", "b"), [["x, y", 1], ["", 'q"uote']])
+    assert path.read_bytes() == b'a,b\r\n"x, y",1\r\n,"q""uote"\r\n'
+    assert list(cm.read_csv(path, ("a", "b"))) == [
+        ("t.csv line 2", {"a": "x, y", "b": "1"}),
+        ("t.csv line 3", {"a": "", "b": 'q"uote'})]
+
