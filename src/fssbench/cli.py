@@ -18,8 +18,24 @@ config hash and seed, its output names, and the sha256 digests of the
 input files passed by flag (--publications, --roster, ...); artifacts a
 stage reads from the output directory are not digested.
 Settings come from an optional ``key = value`` config file; command-line
-flags override it. The file may also set the world generator's knobs;
-any other key is ignored with a warning and left out of the manifest.
+flags override it. Each is one entry of ``SETTINGS``:
+
+    key           flag             default
+    seed          --seed           42
+    window        --window         2015:2019
+    min_clusters  --min-clusters   30
+    min_age       --min-age        4
+    recency       --recency        the window's last year
+    min_obs       --min-obs        10
+    obs_rule      --obs-rule       literal (or strict)
+    sc_lookback   --sc-lookback    19
+    out           --out            out
+    mode          --mode (score)   both (or supervised, unsupervised)
+
+The file may also set the world generator's knobs; any other key is
+ignored with a warning and left out of the manifest. A file value not of
+its setting's or knob's type, or not one of its allowed values, is refused
+as ``config key <key>: bad value '<value>'``.
 Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing.
@@ -33,6 +49,7 @@ import hashlib
 import json
 import logging
 import sys
+import typing
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,25 +60,42 @@ from . import disambig, fss, staff as staffmod, synth as synthmod
 
 log = logging.getLogger(__name__)
 
-DEFAULTS = {
-    "window": "2015:2019",
-    "seed": 42,
-    "min_clusters": 30,
-    "min_age": 4,
-    "recency": None,             # the window's last year
-    "min_obs": 10,
-    "obs_rule": "literal",
-    "sc_lookback": corpusmod.DEFAULT_SC_LOOKBACK,
-    "out": "out",
-    "mode": "both",
+
+class Setting(typing.NamedTuple):
+    """A run setting: ``type`` casts a flag or config-file string; ``help`` and
+    ``choices`` go to the flag, which only subcommand ``stage`` has if set."""
+
+    type: typing.Callable[[str], object]
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    stage: str | None = None
+
+
+#: Every run setting, in the order of the flags in ``--help``.
+SETTINGS = {
+    "seed": Setting(int, 42),
+    "window": Setting(corpusmod.YearWindow.parse, corpusmod.YearWindow(2015, 2019),
+                      "observation window, START:END"),
+    "min_clusters": Setting(int, 30),
+    "min_age": Setting(int, 4),
+    "recency": Setting(int, None),                # None: the window's last year
+    "min_obs": Setting(int, 10),
+    "obs_rule": Setting(str, fss.OBS_RULE_LITERAL,
+                        choices=(fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT)),
+    "sc_lookback": Setting(int, corpusmod.DEFAULT_SC_LOOKBACK),
+    "out": Setting(Path, Path("out"), "artifact directory (default: out)"),
+    "mode": Setting(str, "both",
+                    choices=("both", fss.MODE_SUPERVISED, fss.MODE_UNSUPERVISED),
+                    stage="score"),
 }
 
 _PATH_KEYS = ("publications", "roster", "registry", "scheme", "rules", "incidence")
 
 #: World-generator knobs a config file may set; the window and seed come
 #: from the settings above.
-_SYNTH_KNOBS = {f.name: f for f in dataclasses.fields(synthmod.SynthConfig)
-                if f.name not in ("seed", "window_start", "window_end")}
+_SYNTH_KNOBS = {name: hint for name, hint in typing.get_type_hints(synthmod.SynthConfig).items()
+                if name not in SETTINGS and name not in ("window_start", "window_end")}
 
 
 class StageError(RuntimeError):
@@ -75,7 +109,7 @@ class RunConfig:
     seed: int
     min_clusters: int
     min_age: int
-    recency: int
+    recency: int | None          # None becomes the window's last year
     min_obs: int
     obs_rule: str
     sc_lookback: int
@@ -86,83 +120,65 @@ class RunConfig:
     scheme: Path | None
     rules: Path | None
     incidence: Path | None
-    extra: dict[str, str]        # world-generator knobs from the config file
+    extra: dict[str, str]        # world-generator knobs from the config file, as written
+
+    def __post_init__(self):
+        if self.recency is None:
+            self.recency = self.window.end
+        if self.recency > self.window.end:
+            raise StageError(f"recency {self.recency} is after the window's last year "
+                             f"{self.window.end}; no cluster can be active then")
 
     def digestable(self) -> dict:
-        d = {
-            "window": f"{self.window.start}:{self.window.end}",
-            "seed": self.seed,
-            "min_clusters": self.min_clusters,
-            "min_age": self.min_age,
-            "recency": self.recency,
-            "min_obs": self.min_obs,
-            "obs_rule": self.obs_rule,
-            "sc_lookback": self.sc_lookback,
-            "mode": self.mode,
-            "out": str(self.out),
-        }
-        for key in _PATH_KEYS:
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = str(value)
-        d.update({k: v for k, v in sorted(self.extra.items())})
-        return d
+        """The manifest's ``config``: every setting, each input path that is
+        set, then the world knobs as written in the config file."""
+        config = dataclasses.asdict(self)
+        extra = config.pop("extra")
+        config["window"] = f"{self.window.start}:{self.window.end}"
+        config = {key: str(value) if isinstance(value, Path) else value
+                  for key, value in config.items() if value is not None}
+        return {**config, **dict(sorted(extra.items()))}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     return {key: value for _, key, value in corpusmod.read_key_values(path, "config")}
 
 
+def _cast(key: str, raw: str) -> object:
+    """Config-file value ``raw`` of setting or world knob ``key``, cast to its type."""
+    setting = SETTINGS.get(key)
+    try:
+        value = setting.type(raw) if setting else _SYNTH_KNOBS[key](raw)
+        if setting and setting.choices and value not in setting.choices:
+            raise ValueError(raw)
+    except (ValueError, corpusmod.CorpusError) as exc:
+        raise StageError(f"config key {key}: bad value {raw!r}") from exc
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
-
-    def pick(key, cast=str):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            try:
-                return cast(file_values[key])
-            except ValueError as exc:
-                raise StageError(f"config key {key}: bad value {file_values[key]!r}") from exc
-        return DEFAULTS.get(key)
-
     for key in ("window_start", "window_end"):
         if key in file_values:
             raise StageError(f"config key {key} is not a setting; use window = START:END")
-    for key in sorted(file_values.keys() - DEFAULTS.keys() - set(_PATH_KEYS)
+    for key in sorted(file_values.keys() - SETTINGS.keys() - set(_PATH_KEYS)
                       - _SYNTH_KNOBS.keys()):
         log.warning("ignoring unknown config key %r", key)
-    window = corpusmod.YearWindow.parse(str(pick("window")))
-    recency = pick("recency", int)
-    recency = window.end if recency is None else recency
-    if recency > window.end:
-        raise StageError(f"recency {recency} is after the window's last year "
-                         f"{window.end}; no cluster can be active then")
-    obs_rule = str(pick("obs_rule"))
-    if obs_rule not in (fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT):
-        raise StageError(f"obs_rule must be literal or strict, got {obs_rule!r}")
-    mode = str(pick("mode"))
-    if mode not in ("both", fss.MODE_SUPERVISED, fss.MODE_UNSUPERVISED):
-        raise StageError(f"mode must be both, supervised, or unsupervised, got {mode!r}")
+    settings = {}
+    for key, setting in SETTINGS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = setting.type(flag)
+        elif key in file_values:
+            settings[key] = _cast(key, file_values[key])
+        else:
+            settings[key] = setting.default
     paths = {}
     for key in _PATH_KEYS:
         value = getattr(args, key, None) or file_values.get(key)
         paths[key] = Path(value) if value else None
-    return RunConfig(
-        out=Path(pick("out")),
-        window=window,
-        seed=int(pick("seed", int)),
-        min_clusters=int(pick("min_clusters", int)),
-        min_age=int(pick("min_age", int)),
-        recency=recency,
-        min_obs=int(pick("min_obs", int)),
-        obs_rule=obs_rule,
-        sc_lookback=int(pick("sc_lookback", int)),
-        mode=mode,
-        extra={k: v for k, v in file_values.items() if k in _SYNTH_KNOBS},
-        **paths,
-    )
+    return RunConfig(**settings, **paths,
+                     extra={k: v for k, v in file_values.items() if k in _SYNTH_KNOBS})
 
 
 def _sha256(path: Path) -> str:
@@ -173,17 +189,17 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(cfg: RunConfig, subcommand: str, inputs: list[Path],
-                   outputs: list[Path]) -> None:
+def write_manifest(cfg: RunConfig, subcommand: str, outputs: list[Path]) -> None:
     config = cfg.digestable()
     config_hash = hashlib.sha256(
         "\n".join(f"{k}={config[k]}" for k in sorted(config)).encode()).hexdigest()
+    inputs = (getattr(cfg, key) for key in _PATH_KEYS)
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "config_hash": config_hash,
         "seed": cfg.seed,
-        "inputs": {p.name: _sha256(p) for p in inputs if p.exists()},
+        "inputs": {p.name: _sha256(p) for p in inputs if p and p.exists()},
         "outputs": [p.name for p in outputs],
     }
     (cfg.out / "run_manifest.json").write_text(
@@ -197,12 +213,12 @@ def _require(cfg: RunConfig, name: str, producer: str) -> Path:
     return path
 
 
-def _require_flag(value: Path | None, flag: str, stage: str) -> Path:
-    if value is None:
-        raise StageError(f"{stage} needs --{flag} (or config key {flag})")
-    if not value.exists():
-        raise StageError(f"--{flag} file {value} does not exist")
-    return value
+def _input(cfg: RunConfig, key: str, name: str) -> Path:
+    """The input file passed as ``--<key>``, else ``name`` in the output directory."""
+    path = getattr(cfg, key) or cfg.out / name
+    if not path.exists():
+        raise StageError(f"missing {name}; pass --{key} or run `synth` first")
+    return path
 
 
 def _load_corpus(cfg: RunConfig, path: Path) -> corpusmod.Corpus:
@@ -210,21 +226,16 @@ def _load_corpus(cfg: RunConfig, path: Path) -> corpusmod.Corpus:
 
 
 def cmd_synth(cfg: RunConfig) -> list[Path]:
-    kwargs = {key: (float if _SYNTH_KNOBS[key].type == "float" else int)(raw)
-              for key, raw in cfg.extra.items()}
     config = synthmod.SynthConfig(seed=cfg.seed, window_start=cfg.window.start,
-                                  window_end=cfg.window.end, **kwargs)
+                                  window_end=cfg.window.end,
+                                  **{key: _cast(key, raw) for key, raw in cfg.extra.items()})
     files, truth = synthmod.generate(config, cfg.out)
     log.info("synthesized %d persons, %s", len(truth.persons), files["publications"])
     return list(files.values())
 
 
 def cmd_ingest(cfg: RunConfig) -> list[Path]:
-    pubs = cfg.publications or (cfg.out / "publications.jsonl")
-    if not pubs.exists():
-        raise StageError(
-            "missing publications.jsonl; pass --publications or run `synth` first")
-    corpus = _load_corpus(cfg, pubs)
+    corpus = _load_corpus(cfg, _input(cfg, "publications", "publications.jsonl"))
     out = cfg.out / "corpus.jsonl"
     corpus.write_jsonl(out)
     log.info("ingested %d publications, %d mentions", len(corpus), corpus.mention_count())
@@ -243,12 +254,8 @@ def cmd_disambiguate(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_derive_staff(cfg: RunConfig) -> list[Path]:
-    clusters_path = _require(cfg, "clusters.jsonl", "disambiguate")
-    registry_path = cfg.registry or (cfg.out / "registry.csv")
-    if not registry_path.exists():
-        raise StageError("missing registry.csv; pass --registry or run `synth` first")
-    clusters = disambig.load_clusters_jsonl(clusters_path)
-    registry = corpusmod.load_registry(registry_path)
+    clusters = disambig.load_clusters_jsonl(_require(cfg, "clusters.jsonl", "disambiguate"))
+    registry = corpusmod.load_registry(_input(cfg, "registry", "registry.csv"))
     derived = staffmod.derive_staff(clusters, registry,
                                     min_clusters=cfg.min_clusters,
                                     min_age=cfg.min_age,
@@ -270,10 +277,7 @@ def cmd_derive_staff(cfg: RunConfig) -> list[Path]:
 
 def cmd_score(cfg: RunConfig) -> list[Path]:
     corpus = _load_corpus(cfg, _require(cfg, "corpus.jsonl", "ingest"))
-    scheme_path = cfg.scheme or (cfg.out / "scheme.csv")
-    if not scheme_path.exists():
-        raise StageError("missing scheme.csv; pass --scheme or run `synth` first")
-    scheme = corpusmod.load_scheme(scheme_path)
+    scheme = corpusmod.load_scheme(_input(cfg, "scheme", "scheme.csv"))
     incidence = corpusmod.load_incidence(cfg.incidence) if cfg.incidence else None
     cells = fss.build_citation_cells(corpus)
 
@@ -283,10 +287,7 @@ def cmd_score(cfg: RunConfig) -> list[Path]:
 
     by_mode: dict[str, list[fss.ResearcherScore]] = {}
     if cfg.mode in ("both", fss.MODE_SUPERVISED):
-        roster_path = cfg.roster or (cfg.out / "roster.csv")
-        if not roster_path.exists():
-            raise StageError("missing roster.csv; pass --roster or run `synth` first")
-        roster = corpusmod.load_roster(roster_path, cfg.window)
+        roster = corpusmod.load_roster(_input(cfg, "roster", "roster.csv"), cfg.window)
         by_mode[fss.MODE_SUPERVISED] = score(fss.subjects_from_roster(roster, corpus))
     if cfg.mode in ("both", fss.MODE_UNSUPERVISED):
         derived = staffmod.load_staff_csv(
@@ -337,18 +338,9 @@ def cmd_compare(cfg: RunConfig) -> list[Path]:
     comparemod.write_rank_table_csv(table, cfg.out / "rank_table.csv")
     comparemod.write_quartile_matrix_csv(comparemod.quartile_confusion(table),
                                          cfg.out / "quartile_matrix.csv")
-    stats_by_group: dict[str, comparemod.DistributionStats] = {}
-    for mode, scores in (("supervised", sup_res), ("unsupervised", unsup_res)):
-        per_sc: dict[str, list[float]] = {}
-        for s in scores:
-            per_sc.setdefault(s.sc_id, []).append(s.fss_r)
-        if scores:
-            stats_by_group[f"{mode}:overall"] = comparemod.distribution_stats(
-                [s.fss_r for s in scores])
-        for sc, values in per_sc.items():
-            stats_by_group[f"{mode}:{sc}"] = comparemod.distribution_stats(values)
-    comparemod.write_distribution_stats_csv(stats_by_group,
-                                            cfg.out / "distribution_stats.csv")
+    comparemod.write_distribution_stats_csv(
+        comparemod.researcher_distributions(sup_res, unsup_res),
+        cfg.out / "distribution_stats.csv")
     log.info("compared %d universities", table.n)
     return [report_out, cfg.out / "rank_table.csv", cfg.out / "quartile_matrix.csv",
             cfg.out / "distribution_stats.csv"]
@@ -415,17 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, path_flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--window", help="observation window, START:END")
-        p.add_argument("--min-clusters", dest="min_clusters", type=int)
-        p.add_argument("--min-age", dest="min_age", type=int)
-        p.add_argument("--recency", type=int)
-        p.add_argument("--min-obs", dest="min_obs", type=int)
-        p.add_argument("--obs-rule", dest="obs_rule", choices=["literal", "strict"])
-        p.add_argument("--sc-lookback", dest="sc_lookback", type=int)
-        p.add_argument("--out", help="artifact directory (default: out)")
-        if name == "score":
-            p.add_argument("--mode", choices=["both", "supervised", "unsupervised"])
+        for key, setting in SETTINGS.items():
+            if setting.stage in (None, name):
+                # a bad window is refused by resolve_config, in one line
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                               type=int if setting.type is int else None,
+                               choices=setting.choices, help=setting.help)
         for flag in path_flags:
             p.add_argument(f"--{flag}")
     return parser
@@ -438,10 +425,7 @@ def run_pipeline(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
         handler, _ = _COMMANDS[subcommand]
-        outputs = handler(cfg)
-        inputs = [p for p in (cfg.publications, cfg.roster, cfg.registry,
-                              cfg.scheme, cfg.rules, cfg.incidence) if p]
-        write_manifest(cfg, subcommand, inputs, outputs)
+        write_manifest(cfg, subcommand, handler(cfg))
         return 0
     except (StageError, corpusmod.CorpusError, fss.ScoreError, ValueError,
             OSError) as exc:

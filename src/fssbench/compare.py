@@ -369,19 +369,32 @@ def university_deviation_correlations(table: RankTable) -> dict[str, float]:
     }
 
 
+def _fss_r_by_sc(scores: list[ResearcherScore]) -> dict[str, list[float]]:
+    by_sc: dict[str, list[float]] = {}
+    for s in scores:
+        by_sc.setdefault(s.sc_id, []).append(s.fss_r)
+    return by_sc
+
+
+def researcher_distributions(supervised: list[ResearcherScore],
+                             unsupervised: list[ResearcherScore]) -> dict[str, DistributionStats]:
+    """Distribution statistics of researcher scores per mode, over all
+    researchers (group ``<mode>:overall``) and per SC (``<mode>:<sc_id>``)."""
+    stats: dict[str, DistributionStats] = {}
+    for mode, scores in (("supervised", supervised), ("unsupervised", unsupervised)):
+        stats[f"{mode}:overall"] = distribution_stats([s.fss_r for s in scores])
+        for sc, values in _fss_r_by_sc(scores).items():
+            stats[f"{mode}:{sc}"] = distribution_stats(values)
+    return stats
+
+
 def sc_deviation_correlations(supervised: list[ResearcherScore],
                               unsupervised: list[ResearcherScore],
                               min_obs: int = 2) -> dict[str, float]:
     """Per-SC percentage deviations of researcher counts against the
     deviations of mean and median scores (Pearson, across SCs present in
     both modes)."""
-    def by_sc(scores):
-        acc: dict[str, list[float]] = {}
-        for s in scores:
-            acc.setdefault(s.sc_id, []).append(s.fss_r)
-        return acc
-
-    sup, unsup = by_sc(supervised), by_sc(unsupervised)
+    sup, unsup = _fss_r_by_sc(supervised), _fss_r_by_sc(unsupervised)
     obs_dev, mean_dev, median_dev = [], [], []
     for sc in sorted(set(sup) & set(unsup)):
         a, b = sup[sc], unsup[sc]
@@ -416,14 +429,13 @@ def _json_safe(value):
 
 
 def comparison_report(table: RankTable,
-                      groups: dict[str, list[str]] | None = None,
                       supervised_researchers: list[ResearcherScore] | None = None,
                       unsupervised_researchers: list[ResearcherScore] | None = None,
                       ) -> dict:
     """The full battery as one JSON-ready dictionary."""
     matrix = quartile_confusion(table)
     jumps = rank_jumps(table)
-    battery = correlation_battery(table, groups)
+    battery = correlation_battery(table)
     report = {
         "n_universities": table.n,
         "correlations": {

@@ -24,10 +24,11 @@ The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
 ``scores_universities.csv``) require every column their loader reads.
 
 An empty CSV file or one whose header lacks a required column is refused
-with a ``CorpusError`` naming the file and the column. Unknown columns and
-JSON fields are ignored with one warning each. Loading is a pure function
-of the file bytes: the same input yields an identical in-memory corpus,
-and downstream code treats it as read-only.
+with a ``CorpusError`` naming the file and the column, and a row with
+fewer fields than the header with one naming the file and the line.
+Unknown columns and JSON fields are ignored with one warning each. Loading
+is a pure function of the file bytes: the same input yields an identical
+in-memory corpus, and downstream code treats it as read-only.
 """
 
 from __future__ import annotations
@@ -365,25 +366,29 @@ def read_csv(path: str | Path, required: Sequence[str],
              optional: Sequence[str] = ()) -> Iterator[tuple[str, dict[str, str]]]:
     """Yield ``("<file> line <n>", row)`` for each data row of a CSV file.
 
-    An empty file, or a header lacking a column of ``required``, raises
-    ``CorpusError`` naming the file (and the column); each column outside
-    ``required`` and ``optional`` is ignored with one warning. A short row
-    gives ``None`` values.
+    An empty file, a header lacking a column of ``required``, or a row
+    with fewer fields than the header raises ``CorpusError`` naming the
+    file (and the column or the line); each column outside ``required``
+    and ``optional`` is ignored with one warning. Blank lines are skipped.
     """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise CorpusError(f"{path.name}: empty file")
         for column in required:
-            if column not in reader.fieldnames:
+            if column not in header:
                 raise CorpusError(f"{path.name}: missing column {column}")
         known = {*required, *optional}
-        for column in dict.fromkeys(reader.fieldnames):
+        for column in dict.fromkeys(header):
             if column not in known:
                 log.warning("%s: ignoring unknown column %r", path.name, column)
-        for lineno, row in enumerate(reader, start=2):
-            yield f"{path.name} line {lineno}", row
+        for lineno, values in enumerate(filter(None, reader), start=2):
+            if len(values) < len(header):
+                raise CorpusError(f"{path.name} line {lineno}: expected {len(header)} "
+                                  f"fields, got {len(values)}")
+            yield f"{path.name} line {lineno}", dict(zip(header, values))
 
 
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -507,13 +512,12 @@ def lookback_window(window: YearWindow, sc_lookback: int = DEFAULT_SC_LOOKBACK) 
 
 def load_publications(path: str | Path,
                       window: YearWindow,
-                      doc_filter: frozenset[str] = DEFAULT_DOC_FILTER,
                       sc_lookback: int = DEFAULT_SC_LOOKBACK) -> Corpus:
     """Load and filter publications.jsonl.
 
-    Keeps records whose doc_type is in ``doc_filter``, whose source index is
-    the core collection, and whose year falls in the observation window or
-    the SC-assignment lookback range. Records come back sorted by pub_id.
+    Keeps records whose doc_type is in ``DEFAULT_DOC_FILTER``, whose source
+    index is the core collection, and whose year falls in the observation
+    window or the SC-assignment lookback range. Records come back sorted by pub_id.
     """
     path = Path(path)
     accepted_years = set(window.years()) | set(lookback_window(window, sc_lookback).years())
@@ -536,7 +540,7 @@ def load_publications(path: str | Path,
                     f"{where}: duplicate pub_id {rec.pub_id!r} "
                     f"(first seen on line {seen[rec.pub_id]})")
             seen[rec.pub_id] = lineno
-            if rec.doc_type not in doc_filter:
+            if rec.doc_type not in DEFAULT_DOC_FILTER:
                 continue
             if rec.source_index != "core":
                 continue

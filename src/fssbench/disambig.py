@@ -240,7 +240,7 @@ def _modal(values) -> str | None:
     return min(counts, key=lambda v: (-counts[v], v))
 
 
-def summarize_cluster(members: list[MentionContext], corpus: Corpus | None = None) -> AuthorCluster:
+def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
     """Build the cluster summary for one set of mentions.
 
     Modal email/organization/city/country (ties broken lexicographically),

@@ -340,19 +340,16 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
         external_pools.append(pool)
 
     # publications
-    raw_pubs = []   # (lead_index, year, j, record-dict without pub_id)
+    raw_pubs = []   # record dicts without pub_id, in (lead_index, year, j) order
     for lead_index, person in enumerate(persons):
         for year in range(person.career_start, person.career_end + 1):
             year_rng = _rng(config, _NS_PUB, lead_index, year)
             count = min(int(year_rng.poisson(person.rate)), 8)
             for j in range(count):
-                raw_pubs.append((lead_index, year, j,
-                                 _make_pub(config, universities, sc_ids, cite_mult,
-                                           persons, external_pools, lead_index,
-                                           year, j)))
-    raw_pubs.sort(key=lambda p: (p[0], p[1], p[2]))
+                raw_pubs.append(_make_pub(config, universities, sc_ids, cite_mult,
+                                          persons, external_pools, lead_index, year, j))
     pub_lines = []
-    for number, (lead_index, year, j, record) in enumerate(raw_pubs):
+    for number, record in enumerate(raw_pubs):
         pub_id = f"W{number:06d}"
         record["pub_id"] = pub_id
         byline = record.pop("_byline")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fssbench.cli import load_config_file, run_pipeline
+from fssbench.cli import SETTINGS, load_config_file, run_pipeline
 
 SMALL_WORLD = """\
 # generator knobs for a quick world
@@ -101,10 +101,39 @@ def test_manifest_records_inputs_and_hash(tmp_path):
 
 
 def test_bad_obs_rule_in_config_file(tmp_path, capsys):
-    cfg = write_config(tmp_path, "obs_rule = sometimes\n")
-    assert run_pipeline(["synth", "--config", cfg,
-                         "--out", str(tmp_path / "o")]) == 1
-    assert "obs_rule" in capsys.readouterr().err
+    for key, value in [("obs_rule", "sometimes"), ("mode", "sometimes"),
+                       ("window", "lots"), ("n_researchers", "lots")]:
+        cfg = write_config(tmp_path, f"{key} = {value}\n")
+        assert run_pipeline(["synth", "--config", cfg,
+                             "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: synth: config key {key}: bad value '{value}'\n")
+
+
+#: setting -> (config-file value, flag value); neither is the default.
+#: ``out`` is set by every test; ``--mode`` exists on ``score`` only.
+SETTING_VALUES = {
+    "seed": ("9", "7"),
+    "window": ("2014:2018", "2013:2017"),
+    "min_clusters": ("5", "6"),
+    "min_age": ("2", "3"),
+    "recency": ("2016", "2017"),
+    "min_obs": ("3", "4"),
+    "obs_rule": ("strict", "literal"),
+    "sc_lookback": ("10", "12"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS.keys() - {"out", "mode"}))
+def test_setting_from_config_file_and_flag(tmp_path, key):
+    in_file, by_flag = SETTING_VALUES[key]
+    cfg = write_config(tmp_path, SMALL_WORLD + f"{key} = {in_file}\n")
+    out = tmp_path / "out"
+    flag = ["--" + key.replace("_", "-"), by_flag]
+    for extra, expected in [([], in_file), (flag, by_flag)]:
+        assert run_pipeline(["synth", "--config", cfg, "--out", str(out), *extra]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert str(manifest["config"][key]) == expected
 
 
 def test_malformed_config_line(tmp_path, capsys):
@@ -257,3 +286,30 @@ def test_window_flag_round_trips(tmp_path):
                          "--window", "2013:2017"]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["window"] == "2013:2017"
+
+
+def test_compare_refuses_short_row(tmp_path, capsys):
+    out = run_chain(tmp_path)
+    path = out / "scores_universities.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:3])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: compare: scores_universities.csv line 2: expected 6 fields, got 3\n")
+
+
+def test_readme_flow_with_default_filters(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "n_universities = 3\nn_researchers = 120\nn_scs = 2\n")
+    for argv in [["synth", "--config", cfg, "--out", out],
+                 ["ingest", "--out", out],
+                 ["disambiguate", "--out", out],
+                 ["derive-staff", "--out", out],
+                 ["score", "--out", out],
+                 ["compare", "--out", out],
+                 ["report", "--out", out]]:
+        assert run_pipeline(argv) == 0, argv
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["n_universities"] == 3

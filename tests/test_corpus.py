@@ -369,6 +369,16 @@ def test_csv_loader_refuses_empty_file(tmp_path, name):
         load(path)
 
 
+@pytest.mark.parametrize("name", sorted(CSV_LOADERS))
+def test_csv_loader_refuses_short_row(tmp_path, name):
+    load, header, _ = CSV_LOADERS[name]
+    path = tmp_path / name
+    path.write_text(",".join(header) + "\nx,y\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load(path)
+    assert str(exc.value) == f"{name} line 2: expected {len(header)} fields, got 2"
+
+
 def test_csv_loader_warns_unknown_column_once(tmp_path, caplog):
     path = tmp_path / "roster.csv"
     path.write_text(ROSTER_HEADER + ",nickname\n"
