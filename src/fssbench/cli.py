@@ -260,14 +260,17 @@ def cmd_derive_staff(cfg: RunConfig) -> list[Path]:
                                     min_clusters=cfg.min_clusters,
                                     min_age=cfg.min_age,
                                     recency_year=cfg.recency)
+    staff_out = cfg.out / "staff.csv"
+    queue_out = cfg.out / "review_queue.csv"
     if not derived.members:
+        # an earlier run's staff would otherwise be scored as if derived now
+        staff_out.unlink(missing_ok=True)
+        queue_out.unlink(missing_ok=True)
         flags = Counter(f for cand in derived.review_queue for f in cand.flags)
         per_flag = ", ".join(f"{flag} {n}" for flag, n in
                              sorted(flags.items(), key=lambda kv: (-kv[1], kv[0])))
         raise StageError(f"accepted no staff unit out of {len(derived.review_queue)} "
                          f"candidates" + (f"; flags: {per_flag}" if per_flag else ""))
-    staff_out = cfg.out / "staff.csv"
-    queue_out = cfg.out / "review_queue.csv"
     staffmod.write_staff_csv(derived, staff_out)
     staffmod.write_review_queue_csv(derived, queue_out)
     log.info("accepted %d staff units over %d universities; %d queued",

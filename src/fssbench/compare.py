@@ -325,6 +325,18 @@ class GroupCorrelation:
     spearman_ranks: float
 
 
+def _correlation(test, x: list, y: list) -> float:
+    """``test(x, y).statistic`` as a float: Pearson or Spearman from scipy.
+
+    When x or y is constant the coefficient is undefined: NaN, without the
+    call, which would only add a ``ConstantInputWarning``. Inputs shorter
+    than two still go to ``test``, which decides what they give.
+    """
+    if len(x) > 1 and (all(v == x[0] for v in x) or all(v == y[0] for v in y)):
+        return math.nan
+    return float(test(x, y).statistic)
+
+
 def correlation_battery(table: RankTable,
                         groups: dict[str, list[str]] | None = None,
                         ) -> dict[str, GroupCorrelation]:
@@ -342,9 +354,9 @@ def correlation_battery(table: RankTable,
             continue
         sup_scores = [r.sup_fss_u for r in rows]
         unsup_scores = [r.unsup_fss_u for r in rows]
-        pearson = float(sps.pearsonr(sup_scores, unsup_scores).statistic)
-        spearman = float(sps.spearmanr([r.sup_rank for r in rows],
-                                       [r.unsup_rank for r in rows]).statistic)
+        pearson = _correlation(sps.pearsonr, sup_scores, unsup_scores)
+        spearman = _correlation(sps.spearmanr, [r.sup_rank for r in rows],
+                                [r.unsup_rank for r in rows])
         out[name] = GroupCorrelation(group=name, n=len(rows),
                                      pearson_scores=pearson, spearman_ranks=spearman)
     return out
@@ -364,8 +376,8 @@ def university_deviation_correlations(table: RankTable) -> dict[str, float]:
     fss_dev = [percent_deviation(r.sup_fss_u, r.unsup_fss_u) for r in table.rows]
     delta = [float(r.delta_rank) for r in table.rows]
     return {
-        "obs_vs_fss_u": float(sps.pearsonr(obs_dev, fss_dev).statistic),
-        "obs_vs_delta_rank": float(sps.pearsonr(obs_dev, delta).statistic),
+        "obs_vs_fss_u": _correlation(sps.pearsonr, obs_dev, fss_dev),
+        "obs_vs_delta_rank": _correlation(sps.pearsonr, obs_dev, delta),
     }
 
 
@@ -410,8 +422,8 @@ def sc_deviation_correlations(supervised: list[ResearcherScore],
     if len(obs_dev) < 3:
         return {"obs_vs_mean_fss": float("nan"), "obs_vs_median_fss": float("nan")}
     return {
-        "obs_vs_mean_fss": float(sps.pearsonr(obs_dev, mean_dev).statistic),
-        "obs_vs_median_fss": float(sps.pearsonr(obs_dev, median_dev).statistic),
+        "obs_vs_mean_fss": _correlation(sps.pearsonr, obs_dev, mean_dev),
+        "obs_vs_median_fss": _correlation(sps.pearsonr, obs_dev, median_dev),
     }
 
 

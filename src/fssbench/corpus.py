@@ -34,6 +34,7 @@ in-memory corpus, and downstream code treats it as read-only.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import re
@@ -66,6 +67,9 @@ class CorpusError(ValueError):
 # ---------------------------------------------------------------------------
 # normalization
 
+# Names and organizations repeat heavily: one contamination world makes
+# 36.6k calls for 2.7k distinct strings.
+@functools.lru_cache(maxsize=4096)
 def normalize_name(text: str) -> str:
     """Normal form used for person and organization names.
 

@@ -2,7 +2,14 @@
 
 Mentions are blocked by (normalized last name, first initial), scored
 pairwise on metadata evidence, and agglomerated greedily with average
-linkage. Each resulting cluster is a proto-individual summarized in the
+linkage. Agglomeration keeps only the nonzero pair sums, one dict per
+cluster, and takes merges from a heap of candidate pairs whose average
+clears the threshold, dropping stale entries as they surface. Two clusters
+that share a publication or carry distinct ORCIDs never merge. Beyond
+scoring every pair of a block once, a block costs about O(P log P) for P
+nonzero pair sums, not the O(n^3) of rescanning all pairs after each merge.
+
+Each resulting cluster is a proto-individual summarized in the
 same field layout as the reference cluster schema (cluster_id, n_pubs,
 first_year, last_year, academic_age, full_name, last_name, first_name,
 email, organization, city, country, orcid, researcherid).
@@ -19,6 +26,7 @@ No repair pass is attempted; precision is favoured over recall.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -283,65 +291,95 @@ def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
     )
 
 
+def _distinct(x: str | None, y: str | None) -> bool:
+    """Both identifiers present and different: a hard conflict for ORCIDs."""
+    return x is not None and y is not None and x != y
+
+
 def cluster_block(block: list[MentionContext],
                   rules: ScoringRules = DEFAULT_RULES) -> list[AuthorCluster]:
     """Greedy average-linkage agglomeration of one block.
 
     Repeatedly merges the cluster pair with the highest average pairwise
-    score, while that average clears the merge threshold, no member pair is
-    a hard conflict, and the clusters share no publication. Ties break on
-    the smallest (pub_id, position) pair, so the trace is deterministic.
+    score, while that average clears the merge threshold and the two
+    clusters do not conflict. Ties break on the smallest (pub_id, position)
+    pair, so the trace is deterministic.
+
+    Clusters are numbered in canonical mention order, and a merge keeps the
+    lower number: the cluster with the smaller canonical ref survives.
+
+    - Pair sums are sparse: one dict per cluster holds its nonzero sums. A
+      pair without evidence sums to 0 and cannot clear the threshold,
+      which is > 0. A merge folds b's sums into a's with one float addition
+      per pair, the same addition a dense matrix would make.
+    - Candidate merges wait in a heap keyed by (-average, lo ref, hi ref,
+      lo, hi). The seed pairs that clear the threshold go in first; after
+      each merge, every pair of the survivor whose average clears the
+      threshold goes in again. A popped entry is dropped when either
+      cluster has died or its average is no longer current (lazy
+      invalidation; Müllner, arXiv:1109.2378).
+    - Two clusters conflict when their publication sets meet or their
+      ORCIDs differ. Distinct ORCIDs are the only never-merge evidence, so
+      a cluster holds at most one ORCID, and a conflict, once there, lasts.
+      A never-merge score that comes from overflowing weights is kept as a
+      pair sum instead, and no sum it enters can clear the threshold.
+
+    Cost: the n(n-1)/2 calls to ``score_pair``, then O(log P) per heap
+    entry, where P counts the nonzero pair sums. At most one entry goes in
+    per nonzero sum at the seed and per neighbour of each merge's survivor:
+    about O(P log P) per block, not the O(n^3) of rescanning every live
+    pair after each merge.
     """
-    n = len(block)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: block[i].ref)
-    members = [[i] for i in order]          # each cluster: member indices into block
-    canon = [block[i].ref for i in order]   # smallest mention ref per cluster
-    pubs = [{block[i].pub_id} for i in order]
-    # pair_sum[a][b] = sum of pairwise scores between clusters a and b;
-    # conflict[a][b] = some member pair can never merge
-    pair_sum = [[0.0] * n for _ in range(n)]
-    conflict = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            ma, mb = block[order[a]], block[order[b]]
+    ctxs = sorted(block, key=lambda c: c.ref)
+    ids = list(range(len(ctxs)))            # dict keys share these, not one int per pair
+    members = [[c] for c in ctxs]           # emptied when the cluster dies
+    refs = [c.ref for c in ctxs]            # canonical ref of each cluster
+    pubs = [{c.pub_id} for c in ctxs]
+    orcids = [c.orcid for c in ctxs]
+    sums: list[dict[int, float]] = [{} for _ in ctxs]
+    threshold = rules.merge_threshold
+    heap = []
+    for a, ma in zip(ids, ctxs):
+        for b in ids[a + 1:]:
+            mb = ctxs[b]
             if ma.pub_id == mb.pub_id:
-                conflict[a][b] = conflict[b][a] = True
                 continue
             s = score_pair(ma, mb, rules)
-            if s == NEVER_MERGE:
-                conflict[a][b] = conflict[b][a] = True
-            else:
-                pair_sum[a][b] = pair_sum[b][a] = s
-    alive = list(range(n))
-    while len(alive) > 1:
-        best = best_key = None
-        for ia, a in enumerate(alive):
-            for b in alive[ia + 1:]:
-                if conflict[a][b] or (pubs[a] & pubs[b]):
-                    continue
-                avg = pair_sum[a][b] / (len(members[a]) * len(members[b]))
-                if avg < rules.merge_threshold:
-                    continue
-                lo, hi = sorted((canon[a], canon[b]))
-                key = (-avg, lo, hi)
-                if best is None or key < best_key:
-                    best, best_key = (a, b), key
-        if best is None:
-            break
-        a, b = best
-        members[a].extend(members[b])
-        pubs[a] |= pubs[b]
-        canon[a] = min(canon[a], canon[b])
-        for x in alive:
-            if x in (a, b):
+            # distinct ORCIDs are checked per cluster; any other never-merge
+            # score (weights that overflowed) is kept as the pair's sum
+            if s == 0 or (s == NEVER_MERGE and _distinct(ma.orcid, mb.orcid)):
                 continue
-            pair_sum[a][x] = pair_sum[x][a] = pair_sum[a][x] + pair_sum[b][x]
-            if conflict[b][x]:
-                conflict[a][x] = conflict[x][a] = True
-        alive.remove(b)
-    out = [summarize_cluster([block[i] for i in members[a]]) for a in alive]
+            sums[a][b] = sums[b][a] = s
+            if s >= threshold:
+                heap.append((-s, refs[a], refs[b], a, b))
+    heapq.heapify(heap)
+    while heap:
+        neg_avg, _, _, a, b = heapq.heappop(heap)
+        # a dead cluster has no sums and is gone from every live one's
+        s = sums[a].get(b)
+        if s is None or s / (len(members[a]) * len(members[b])) != -neg_avg:
+            continue
+        if not pubs[a].isdisjoint(pubs[b]) or _distinct(orcids[a], orcids[b]):
+            continue
+        members[a] += members[b]
+        members[b] = []
+        pubs[a] |= pubs[b]
+        if orcids[a] is None:
+            orcids[a] = orcids[b]
+        sa, sb = sums[a], sums[b]
+        sums[b] = {}
+        del sa[b], sb[a]
+        for x, s in sb.items():
+            sx = sums[x]
+            del sx[b]
+            sa[x] = sx[a] = sa.get(x, 0.0) + s
+        size_a = len(members[a])
+        for x, s in sa.items():
+            avg = s / (size_a * len(members[x]))
+            if avg >= threshold:
+                lo, hi = (a, x) if a < x else (x, a)
+                heapq.heappush(heap, (-avg, refs[lo], refs[hi], lo, hi))
+    out = [summarize_cluster(m) for m in members if m]
     return sorted(out, key=lambda c: c.mention_refs[0])
 
 

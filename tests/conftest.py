@@ -11,8 +11,14 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from fssbench.corpus import AuthorMention, Corpus, PublicationRecord, YearWindow
+
+# Property tests draw the same examples on every run, and a slow example on
+# a busy host is not a failure.
+settings.register_profile("fssbench", derandomize=True, deadline=None)
+settings.load_profile("fssbench")
 
 WINDOW = YearWindow(2015, 2019)
 CENSUS = "2021-03-29"

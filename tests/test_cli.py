@@ -250,6 +250,17 @@ def test_derive_staff_refuses_when_nobody_is_accepted(tmp_path, capsys):
     assert not (tmp_path / "out" / "review_queue.csv").exists()
 
 
+def test_refused_derive_staff_removes_earlier_staff(tmp_path, capsys):
+    out = run_chain(tmp_path)
+    assert run_pipeline(["derive-staff", "--out", str(out), "--min-clusters", "1000"]) == 1
+    assert not (out / "staff.csv").exists()
+    assert not (out / "review_queue.csv").exists()
+    capsys.readouterr()
+    assert run_pipeline(["score", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: score: missing staff.csv; run `derive-staff` first\n")
+
+
 def test_recency_after_window_end_refused(tmp_path, capsys):
     assert run_pipeline(["derive-staff", "--out", str(tmp_path / "o"),
                          "--recency", "2020"]) == 1
@@ -300,6 +311,7 @@ def test_compare_refuses_short_row(tmp_path, capsys):
         "error: compare: scores_universities.csv line 2: expected 6 fields, got 3\n")
 
 
+@pytest.mark.filterwarnings("error")
 def test_readme_flow_with_default_filters(tmp_path):
     out = str(tmp_path / "out")
     cfg = write_config(tmp_path, "n_universities = 3\nn_researchers = 120\nn_scs = 2\n")

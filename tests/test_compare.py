@@ -254,7 +254,7 @@ def test_percent_deviation():
         percent_deviation(0.0, 5.0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
+@pytest.mark.filterwarnings("error::scipy.stats.ConstantInputWarning")
 def test_university_deviation_correlations_sign():
     # staff inflation moves with score deflation -> negative correlation
     sup = [uscore("A", 2.0, rs_u=100), uscore("B", 2.0, rs_u=100),
@@ -300,7 +300,7 @@ def test_sc_deviation_correlations_direction():
 # ---------------------------------------------------------------------------
 # report assembly and writers
 
-@pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
+@pytest.mark.filterwarnings("error::scipy.stats.ConstantInputWarning")
 def test_comparison_report_json_round_trip(tmp_path):
     table = _small_table()
     sup_res = [rscore("P1", "SC1", 1.0), rscore("P2", "SC1", 0.0)]

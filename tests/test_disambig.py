@@ -1,12 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fssbench.corpus import Corpus, CorpusError, YearWindow
+from fssbench.corpus import Corpus, CorpusError, YearWindow, load_publications
 from fssbench.disambig import (
     DEFAULT_RULES,
     NEVER_MERGE,
+    MentionContext,
     ScoringRules,
     block_key,
     block_mentions,
@@ -20,8 +24,10 @@ from fssbench.disambig import (
     summarize_cluster,
     write_clusters_jsonl,
 )
+from fssbench.synth import SynthConfig, generate
 
 from conftest import WINDOW, corpus_of, record
+from reference_clustering import reference_cluster_block
 
 
 def ctx(pub_id, names, pos=0, year=2016, scs=("SC1",), journal="j", **kw):
@@ -308,3 +314,88 @@ def test_pairwise_metrics_perfect_and_degenerate():
     assert pairwise_metrics(part, part) == (1.0, 1.0, 1.0)
     singletons = [{("W1", 0)}, {("W2", 0)}]
     assert pairwise_metrics(singletons, singletons) == (1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# agglomeration against the dense reference
+
+_POOL_PUBS = [f"W{i}" for i in range(8)]
+_POOL_ORCIDS = [None, None, "0000-0001-0000-0001", "0000-0002-0000-0002"]
+# few distinct values, so that sums tie and averages land on the threshold
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.0, -10.0, 10.0, 25.0, 50.0, 100.0]),
+                     st.floats(-120, 120, allow_nan=False))
+_THRESHOLDS = st.one_of(st.sampled_from([10.0, 25.0, 50.0]),
+                        st.floats(0.01, 150, allow_nan=False))
+
+
+@st.composite
+def _blocks(draw):
+    """A one-surname block: publications repeat (several mentions share a
+    byline), ORCIDs collide or differ, and small pools of evidence values
+    make equal scores and equal averages common."""
+    n = draw(st.integers(0, 24))
+    positions: dict[str, int] = {}
+    block = []
+    for _ in range(n):
+        pub_id = draw(st.sampled_from(_POOL_PUBS))
+        positions[pub_id] = positions.get(pub_id, -1) + 1
+        block.append(MentionContext(
+            pub_id=pub_id,
+            position=positions[pub_id],
+            last_name="rossi",
+            first_name=draw(st.sampled_from(["m", "maria", "marco"])),
+            email=draw(st.sampled_from([None, "m@x.it", "m@y.it"])),
+            orcid=draw(st.sampled_from(_POOL_ORCIDS)),
+            researcher_id=draw(st.sampled_from([None, None, "A-1"])),
+            organization=draw(st.sampled_from([None, "univ milano", "univ roma"])),
+            city=None,
+            country=None,
+            journal=draw(st.sampled_from(["j1", "j2"])),
+            year=draw(st.integers(2015, 2019)),
+            subject_categories=frozenset(draw(st.sets(st.sampled_from(["SC1", "SC2"]),
+                                                      min_size=1))),
+            coauthor_last_names=frozenset(draw(st.sets(st.sampled_from(["verdi", "neri"])))),
+        ))
+    return block
+
+
+_RULES = st.builds(ScoringRules, orcid=_WEIGHTS, researcher_id=_WEIGHTS, email=_WEIGHTS,
+                   coauthor=_WEIGHTS, organization=_WEIGHTS, journal=_WEIGHTS,
+                   subject_category=_WEIGHTS, first_name=_WEIGHTS,
+                   merge_threshold=_THRESHOLDS)
+
+
+@settings(max_examples=200)
+@given(block=_blocks(), rules=_RULES)
+def test_cluster_block_equals_dense_reference(block, rules):
+    assert cluster_block(block, rules) == reference_cluster_block(block, rules)
+
+
+def test_overflowing_score_is_a_hard_conflict_like_the_reference():
+    # a-b overflows to the never-merge score without any ORCID; after a and
+    # c merge, the average with b alone would clear the threshold
+    rules = ScoringRules(coauthor=-1e308, email=100, organization=100, journal=0,
+                         subject_category=0)
+    a = ctx("W1", ["rossi, m", "verdi, a", "neri, b"], organization="u")
+    c = ctx("W2", ["rossi, m"], organization="u", email="m@x.it")
+    b = ctx("W3", ["rossi, m", "verdi, a", "neri, b"], email="m@x.it")
+    assert score_pair(a, b, rules) == NEVER_MERGE
+    clusters = cluster_block([a, b, c], rules)
+    assert clusters == reference_cluster_block([a, b, c], rules)
+    assert [cl.mention_refs for cl in clusters] == [(("W1", 0), ("W2", 0)), (("W3", 0),)]
+
+
+def test_cluster_block_scales_to_a_large_homonym_block(tmp_path):
+    # every faculty member shares one surname and initial; the dense rescan
+    # would take minutes on a block this size
+    config = SynthConfig(seed=7, n_universities=4, n_researchers=150, n_scs=4,
+                         homonym_rate=1.0, orcid_missing_rate=0.5, email_missing_rate=0.5)
+    files, _ = generate(config, tmp_path)
+    blocks = block_mentions(load_publications(files["publications"], config.window))
+    block = max(blocks.values(), key=len)[:1600]
+    assert len(block) == 1600
+    started = time.perf_counter()
+    clusters = cluster_block(block)
+    assert time.perf_counter() - started < 30
+    assert sorted(ref for c in clusters for ref in c.mention_refs) == [c.ref for c in block]
+    assert len(clusters) < len(block) / 2
