@@ -11,8 +11,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-import scipy.stats as sps
-
+from fssbench import compare
 from fssbench.corpus import load_publications, load_registry, load_roster
 from fssbench.disambig import DEFAULT_RULES, cluster_corpus
 from fssbench.fss import (
@@ -72,19 +71,17 @@ def main() -> None:
               f"{uns_m[sc] - sup_m[sc]:+8.3f}")
 
     sup_by_u = {u.university_id: u for u in sup_u}
-    obs_dev, fss_dev = [], []
     print("\nper-university staff counts and scores")
     print(f"  {'univ':6s} {'staff':>11s} {'score':>15s} {'obs dev':>8s} {'score dev':>10s}")
     for unsup in uns_u:
         supv = sup_by_u[unsup.university_id]
         d_obs = 100.0 * (unsup.rs_u - supv.rs_u) / supv.rs_u
         d_fss = 100.0 * (unsup.fss_u - supv.fss_u) / supv.fss_u
-        obs_dev.append(d_obs)
-        fss_dev.append(d_fss)
         print(f"  {unsup.university_id:6s} {supv.rs_u:4d} -> {unsup.rs_u:4d} "
               f"{supv.fss_u:6.3f} -> {unsup.fss_u:6.3f} {d_obs:+7.1f}% {d_fss:+9.1f}%")
 
-    r = float(sps.pearsonr(obs_dev, fss_dev).statistic)
+    r = compare.university_deviation_correlations(
+        compare.rank_universities(sup_u, uns_u))["obs_vs_fss_u"]
     print(f"\ncorrelation between staff inflation and score deviation: {r:+.3f}")
 
 

@@ -26,7 +26,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
 
 from .corpus import write_csv
 from .fss import ResearcherScore, UniversityScore
@@ -325,16 +324,48 @@ class GroupCorrelation:
     spearman_ranks: float
 
 
-def _correlation(test, x: list, y: list) -> float:
-    """``test(x, y).statistic`` as a float: Pearson or Spearman from scipy.
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r with ``scipy.stats.pearsonr``'s arithmetic (scipy 1.17),
+    so the two agree bit for bit: each centred vector v is divided by its
+    norm, taken as max|v| times the norm of v / max|v|; the dot product is
+    clipped to [-1, 1], and two pairs give exactly -1.0 or 1.0."""
+    xm, ym = x - x.mean(), y - y.mean()
+    xmax, ymax = np.abs(xm).max(), np.abs(ym).max()
+    r = np.vecdot(xm / (xmax * np.linalg.vector_norm(xm / xmax)),
+                  ym / (ymax * np.linalg.vector_norm(ym / ymax)))
+    r = np.clip(r, -1.0, 1.0)
+    return float(np.round(r) if x.size == 2 else r)
 
-    When x or y is constant the coefficient is undefined: NaN, without the
-    call, which would only add a ``ConstantInputWarning``. Inputs shorter
-    than two still go to ``test``, which decides what they give.
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """Ranks 1..n; tied values share the mean of their ranks."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho as ``scipy.stats.spearmanr`` computes it: the
+    Pearson correlation (``np.corrcoef``) of the average ranks."""
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
+def _correlation(test, x: list, y: list) -> float:
+    """``test`` (``_pearson`` or ``_spearman``) over the pairs (x[i], y[i]).
+
+    Fewer than two pairs are refused. When x or y is constant the
+    coefficient is undefined: NaN.
     """
-    if len(x) > 1 and (all(v == x[0] for v in x) or all(v == y[0] for v in y)):
+    if len(x) < 2:
+        raise ValueError(f"a correlation needs at least 2 pairs, got {len(x)}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x == x[0]).all() or (y == y[0]).all():
         return math.nan
-    return float(test(x, y).statistic)
+    return test(x, y)
 
 
 def correlation_battery(table: RankTable,
@@ -354,8 +385,8 @@ def correlation_battery(table: RankTable,
             continue
         sup_scores = [r.sup_fss_u for r in rows]
         unsup_scores = [r.unsup_fss_u for r in rows]
-        pearson = _correlation(sps.pearsonr, sup_scores, unsup_scores)
-        spearman = _correlation(sps.spearmanr, [r.sup_rank for r in rows],
+        pearson = _correlation(_pearson, sup_scores, unsup_scores)
+        spearman = _correlation(_spearman, [r.sup_rank for r in rows],
                                 [r.unsup_rank for r in rows])
         out[name] = GroupCorrelation(group=name, n=len(rows),
                                      pearson_scores=pearson, spearman_ranks=spearman)
@@ -376,8 +407,8 @@ def university_deviation_correlations(table: RankTable) -> dict[str, float]:
     fss_dev = [percent_deviation(r.sup_fss_u, r.unsup_fss_u) for r in table.rows]
     delta = [float(r.delta_rank) for r in table.rows]
     return {
-        "obs_vs_fss_u": _correlation(sps.pearsonr, obs_dev, fss_dev),
-        "obs_vs_delta_rank": _correlation(sps.pearsonr, obs_dev, delta),
+        "obs_vs_fss_u": _correlation(_pearson, obs_dev, fss_dev),
+        "obs_vs_delta_rank": _correlation(_pearson, obs_dev, delta),
     }
 
 
@@ -422,8 +453,8 @@ def sc_deviation_correlations(supervised: list[ResearcherScore],
     if len(obs_dev) < 3:
         return {"obs_vs_mean_fss": float("nan"), "obs_vs_median_fss": float("nan")}
     return {
-        "obs_vs_mean_fss": _correlation(sps.pearsonr, obs_dev, mean_dev),
-        "obs_vs_median_fss": _correlation(sps.pearsonr, obs_dev, median_dev),
+        "obs_vs_mean_fss": _correlation(_pearson, obs_dev, mean_dev),
+        "obs_vs_median_fss": _correlation(_pearson, obs_dev, median_dev),
     }
 
 

@@ -31,7 +31,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .corpus import Corpus, CorpusError, PublicationRecord, first_initial, read_key_values
@@ -101,10 +101,18 @@ class MentionContext:
     year: int
     subject_categories: frozenset[str]
     coauthor_last_names: frozenset[str]
+    #: First token of the given name when it is a full name (at least two
+    #: letters), not an initial. Set by __post_init__, read by score_pair
+    #: for every pair.
+    full_first: str | None = field(init=False, repr=False, compare=False)
 
     @property
     def ref(self) -> tuple[str, int]:
         return (self.pub_id, self.position)
+
+    def __post_init__(self) -> None:
+        token = self.first_name.split(" ", 1)[0] if self.first_name else ""
+        object.__setattr__(self, "full_first", token if len(token) >= 2 else None)
 
 
 def mention_contexts(record: PublicationRecord) -> list[MentionContext]:
@@ -150,13 +158,6 @@ def block_mentions(corpus: Corpus) -> dict[str, list[MentionContext]]:
     return blocks
 
 
-def _full_first(name: str) -> str | None:
-    """First token of the given-name part when it is a full name, not an
-    initial (at least two letters)."""
-    token = name.split(" ", 1)[0] if name else ""
-    return token if len(token) >= 2 else None
-
-
 def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAULT_RULES) -> float:
     """Evidence score for "a and b are the same person".
 
@@ -185,8 +186,7 @@ def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAU
         score += rules.journal
     if a.subject_categories & b.subject_categories:
         score += rules.subject_category
-    fa, fb = _full_first(a.first_name), _full_first(b.first_name)
-    if fa is not None and fa == fb:
+    if a.full_first is not None and a.full_first == b.full_first:
         score += rules.first_name
     return score
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,30 @@ def test_compare_refuses_short_row(tmp_path, capsys):
     assert run_pipeline(["compare", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: compare: scores_universities.csv line 2: expected 6 fields, got 3\n")
+
+
+def test_compare_refuses_a_single_university(tmp_path, capsys):
+    out = run_chain(tmp_path)
+    path = out / "scores_universities.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines
+                               if not line.startswith(("U01,", "U02,"))) + "\n")
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: compare: a correlation needs at least 2 pairs, got 1\n")
+
+
+def test_cli_import_does_not_load_scipy():
+    import fssbench
+
+    src = str(Path(fssbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import fssbench.cli, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.filterwarnings("error")

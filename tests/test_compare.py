@@ -1,10 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fssbench.compare import (
+    _correlation,
+    _pearson,
+    _spearman,
     assign_quartile,
     build_rank_table,
     comparison_report,
@@ -248,13 +254,69 @@ def test_correlation_battery_skips_tiny_groups(caplog):
     assert any("tiny" in r.getMessage() for r in caplog.records)
 
 
+def test_correlation_needs_two_pairs():
+    with pytest.raises(ValueError, match="needs at least 2 pairs, got 1"):
+        _correlation(_pearson, [1.0], [2.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_constant_input_gives_nan():
+    for test in (_pearson, _spearman):
+        assert math.isnan(_correlation(test, [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(_correlation(test, [1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
+
+
+@st.composite
+def _pairs(draw):
+    """Paired columns of 2 to 30 values: floats at one of five magnitudes
+    from 1e-5 to 1e5 (optionally on a large offset), heavily tied values
+    from a pool of three, or integer ranks."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["floats", "ties", "ranks"]))
+
+    def column():
+        if kind == "ranks":
+            return draw(st.permutations(range(1, n + 1)))
+        if kind == "ties":
+            return draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n, max_size=n))
+        scale = draw(st.sampled_from([1e-5, 1e-2, 1.0, 1e2, 1e5]))
+        offset = draw(st.sampled_from([0.0, 1e5]))
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        return [offset + scale * v for v in values]
+
+    return column(), column()
+
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.fixture(scope="module")
+def sps():
+    return pytest.importorskip("scipy.stats")
+
+
+@settings(max_examples=500)
+@given(xy=_pairs())
+def test_correlations_equal_scipy_bit_for_bit(sps, xy):
+    x, y = xy
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pearson = float(sps.pearsonr(x, y).statistic)
+        spearman = float(sps.spearmanr(x, y).statistic)
+    assert _same_float(_correlation(_pearson, x, y), pearson)
+    assert _same_float(_correlation(_spearman, x, y), spearman)
+
+
 def test_percent_deviation():
     assert percent_deviation(200.0, 150.0) == pytest.approx(-25.0)
     with pytest.raises(ValueError):
         percent_deviation(0.0, 5.0)
 
 
-@pytest.mark.filterwarnings("error::scipy.stats.ConstantInputWarning")
+@pytest.mark.filterwarnings("error")
 def test_university_deviation_correlations_sign():
     # staff inflation moves with score deflation -> negative correlation
     sup = [uscore("A", 2.0, rs_u=100), uscore("B", 2.0, rs_u=100),
@@ -300,7 +362,7 @@ def test_sc_deviation_correlations_direction():
 # ---------------------------------------------------------------------------
 # report assembly and writers
 
-@pytest.mark.filterwarnings("error::scipy.stats.ConstantInputWarning")
+@pytest.mark.filterwarnings("error")
 def test_comparison_report_json_round_trip(tmp_path):
     table = _small_table()
     sup_res = [rscore("P1", "SC1", 1.0), rscore("P2", "SC1", 0.0)]
