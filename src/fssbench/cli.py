@@ -353,10 +353,14 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
     report_path = _require(cfg, "report.json", "compare")
     report = json.loads(report_path.read_text(encoding="utf-8"))
     lines = [f"universities compared: {report['n_universities']}"]
+    for mode in ("supervised", "unsupervised"):
+        unranked = report.get(f"universities_only_{mode}")
+        if unranked:
+            lines.append(f"scored {mode} only, not compared: {', '.join(unranked)}")
     for name, corr in sorted(report.get("correlations", {}).items()):
         lines.append(f"correlation [{name}]: pearson(scores)="
-                     f"{corr['pearson_scores']:.3f} "
-                     f"spearman(ranks)={corr['spearman_ranks']:.3f} (n={corr['n']})")
+                     f"{_fmt(corr['pearson_scores'])} "
+                     f"spearman(ranks)={_fmt(corr['spearman_ranks'])} (n={corr['n']})")
     matrix = report.get("quartile_matrix")
     if matrix:
         lines.append("quartile matrix (rows unsupervised, columns supervised):")

@@ -13,6 +13,9 @@ a rank = round-half-up of 100*(n-rank)/(n-1), quartiles cut at the
 unrounded 75/50/25 percentile thresholds, and delta_rank = supervised
 rank minus unsupervised rank (negative when the unsupervised ranking is
 too generous).
+
+numpy is imported inside the functions that compute with it: every CLI
+stage imports this module through the package, and only ``compare`` needs it.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import write_csv
 from .fss import ResearcherScore, UniversityScore
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +63,8 @@ def distribution_stats(values) -> DistributionStats:
     both are NaN (m2 = 0). A single observation also gives NaN sample
     std/variance.
     """
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot describe an empty distribution")
@@ -135,6 +142,8 @@ class RankRow:
 @dataclass(frozen=True)
 class RankTable:
     rows: tuple[RankRow, ...]    # sorted by unsupervised rank
+    only_supervised: tuple[str, ...] = ()     # scored in one mode only, so unranked
+    only_unsupervised: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -185,21 +194,24 @@ def _ranks_desc(values: dict[str, float]) -> dict[str, int]:
 
 def rank_universities(supervised: list[UniversityScore],
                       unsupervised: list[UniversityScore]) -> RankTable:
-    """Rank both modes' overall scores on the shared university set.
+    """Rank both modes' overall scores on the universities both cover.
 
     Descending by score, ties broken by full-precision value and then by
-    university_id. The two modes must cover the same universities.
+    university_id. A university scored in one mode only is left out and
+    named in the table's only_supervised or only_unsupervised. Fewer than
+    two shared universities are refused: no correlation can be taken.
     """
     sup = {s.university_id: s for s in supervised}
     unsup = {s.university_id: s for s in unsupervised}
-    if set(sup) != set(unsup):
-        only_sup = sorted(set(sup) - set(unsup))
-        only_unsup = sorted(set(unsup) - set(sup))
-        raise ValueError(
-            "university sets differ between modes: only supervised "
-            f"{only_sup}, only unsupervised {only_unsup}")
-    sup_ranks = _ranks_desc({u: s.fss_u for u, s in sup.items()})
-    unsup_ranks = _ranks_desc({u: s.fss_u for u, s in unsup.items()})
+    shared = sup.keys() & unsup.keys()
+    only_sup = tuple(sorted(sup.keys() - shared))
+    only_unsup = tuple(sorted(unsup.keys() - shared))
+    if len(shared) < 2:
+        dropped = (f"; only supervised {list(only_sup)}, only unsupervised "
+                   f"{list(only_unsup)}" if only_sup or only_unsup else "")
+        raise ValueError(f"a correlation needs at least 2 pairs, got {len(shared)}{dropped}")
+    sup_ranks = _ranks_desc({u: sup[u].fss_u for u in shared})
+    unsup_ranks = _ranks_desc({u: unsup[u].fss_u for u in shared})
     rows = [{
         "university_id": u,
         "sup_obs": sup[u].rs_u,
@@ -208,8 +220,9 @@ def rank_universities(supervised: list[UniversityScore],
         "unsup_obs": unsup[u].rs_u,
         "unsup_fss_u": unsup[u].fss_u,
         "unsup_rank": unsup_ranks[u],
-    } for u in sorted(sup)]
-    return build_rank_table(rows)
+    } for u in sorted(shared)]
+    return replace(build_rank_table(rows), only_supervised=only_sup,
+                   only_unsupervised=only_unsup)
 
 
 FIXTURE_COLUMNS = ("university", "unsup_obs", "unsup_fss_u", "unsup_rank",
@@ -329,6 +342,8 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     so the two agree bit for bit: each centred vector v is divided by its
     norm, taken as max|v| times the norm of v / max|v|; the dot product is
     clipped to [-1, 1], and two pairs give exactly -1.0 or 1.0."""
+    import numpy as np
+
     xm, ym = x - x.mean(), y - y.mean()
     xmax, ymax = np.abs(xm).max(), np.abs(ym).max()
     r = np.vecdot(xm / (xmax * np.linalg.vector_norm(xm / xmax)),
@@ -339,6 +354,8 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """Ranks 1..n; tied values share the mean of their ranks."""
+    import numpy as np
+
     order = np.argsort(v, kind="stable")
     ordered = v[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -351,6 +368,8 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman's rho as ``scipy.stats.spearmanr`` computes it: the
     Pearson correlation (``np.corrcoef``) of the average ranks."""
+    import numpy as np
+
     return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
 
 
@@ -360,6 +379,8 @@ def _correlation(test, x: list, y: list) -> float:
     Fewer than two pairs are refused. When x or y is constant the
     coefficient is undefined: NaN.
     """
+    import numpy as np
+
     if len(x) < 2:
         raise ValueError(f"a correlation needs at least 2 pairs, got {len(x)}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -437,6 +458,8 @@ def sc_deviation_correlations(supervised: list[ResearcherScore],
     """Per-SC percentage deviations of researcher counts against the
     deviations of mean and median scores (Pearson, across SCs present in
     both modes)."""
+    import numpy as np
+
     sup, unsup = _fss_r_by_sc(supervised), _fss_r_by_sc(unsupervised)
     obs_dev, mean_dev, median_dev = [], [], []
     for sc in sorted(set(sup) & set(unsup)):
@@ -481,6 +504,8 @@ def comparison_report(table: RankTable,
     battery = correlation_battery(table)
     report = {
         "n_universities": table.n,
+        "universities_only_supervised": list(table.only_supervised),
+        "universities_only_unsupervised": list(table.only_unsupervised),
         "correlations": {
             name: {"n": c.n, "pearson_scores": c.pearson_scores,
                    "spearman_ranks": c.spearman_ranks}

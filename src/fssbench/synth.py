@@ -16,6 +16,9 @@ unsupervised scores where it is largest.
 ``oracle_scores`` evaluates the two scoring formulas by brute force
 (full corpus scan per cell mean, no indexing, no caching) and is the
 independent reference the scoring pipeline is tested against.
+
+numpy is imported inside the functions that draw from it: every CLI stage
+imports this module through the package, and only ``synth`` needs it.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import logging
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus, YearWindow, write_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +129,8 @@ class SynthConfig:
 
 
 def _rng(config: SynthConfig, *key: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng([config.seed, *key])
 
 
@@ -232,6 +239,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
 
     Byte-identical output for identical (config, seed).
     """
+    import numpy as np
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     window = config.window
@@ -433,6 +442,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
 
 def _make_pub(config, universities, sc_ids, cite_mult, persons, external_pools,
               lead_index, year, j) -> dict:
+    import numpy as np
+
     rng = _rng(config, _NS_PUB, lead_index, year, j)
     lead = persons[lead_index]
     n_fillers = int(rng.integers(0, config.coauthor_max + 1))

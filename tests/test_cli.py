@@ -24,10 +24,10 @@ def write_config(tmp_path, text=SMALL_WORLD, name="world.cfg"):
     return str(path)
 
 
-def run_chain(tmp_path, out_name="out", seed="42"):
+def chain_steps(tmp_path, out_name="out", seed="42"):
     out = str(tmp_path / out_name)
     cfg = write_config(tmp_path)
-    steps = [
+    return [
         ["synth", "--config", cfg, "--out", out, "--seed", seed],
         ["ingest", "--out", out],
         ["disambiguate", "--out", out],
@@ -37,9 +37,23 @@ def run_chain(tmp_path, out_name="out", seed="42"):
         ["compare", "--out", out],
         ["report", "--out", out],
     ]
-    for argv in steps:
+
+
+def run_chain(tmp_path, out_name="out", seed="42"):
+    for argv in chain_steps(tmp_path, out_name, seed):
         assert run_pipeline(argv) == 0, f"step failed: {argv}"
     return tmp_path / out_name
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` in a new interpreter that imports this fssbench."""
+    import fssbench
+
+    src = str(Path(fssbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
 
 
 def test_full_pipeline_produces_all_artifacts(tmp_path, capsys):
@@ -327,16 +341,80 @@ def test_compare_refuses_a_single_university(tmp_path, capsys):
         "error: compare: a correlation needs at least 2 pairs, got 1\n")
 
 
-def test_cli_import_does_not_load_scipy():
-    import fssbench
+def test_report_prints_a_null_correlation_as_na(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text(json.dumps({
+        "n_universities": 3,
+        "correlations": {"overall": {"n": 3, "pearson_scores": None,
+                                     "spearman_ranks": None}},
+    }))
+    assert run_pipeline(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "universities compared: 3\n"
+        "correlation [overall]: pearson(scores)=n/a spearman(ranks)=n/a (n=3)\n")
 
-    src = str(Path(fssbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+NINETY_RESEARCHERS = "n_universities = 3\nn_researchers = 90\nn_scs = 2\n"
+
+
+def default_filter_flow(tmp_path, seed):
+    """The README flow with default filters, as argv lists."""
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, NINETY_RESEARCHERS)
+    return [["synth", "--config", cfg, "--out", out, "--seed", seed],
+            *([stage, "--out", out] for stage in ("ingest", "disambiguate", "derive-staff",
+                                                  "score", "compare", "report"))]
+
+
+def test_compare_ranks_the_universities_both_modes_cover(tmp_path, capsys):
+    # at seed 7 derive-staff accepts units in U00 and U02 only
+    for argv in default_filter_flow(tmp_path, "7"):
+        assert run_pipeline(argv) == 0, argv
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["n_universities"] == 2
+    assert report["universities_only_supervised"] == ["U01"]
+    assert report["universities_only_unsupervised"] == []
+    assert "scored supervised only, not compared: U01\n" in capsys.readouterr().out
+
+
+def test_compare_names_dropped_universities_when_one_remains(tmp_path, capsys):
+    # at seed 42 derive-staff accepts units in U02 only
+    *upstream, compare, _ = default_filter_flow(tmp_path, "42")
+    for argv in upstream:
+        assert run_pipeline(argv) == 0, argv
+    capsys.readouterr()
+    assert run_pipeline(compare) == 1
+    assert capsys.readouterr().err == (
+        "error: compare: a correlation needs at least 2 pairs, got 1; "
+        "only supervised ['U00', 'U01'], only unsupervised []\n")
+
+
+def test_cli_import_does_not_load_scipy():
     code = "import fssbench.cli, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    done = run_fresh(code)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_every_package_module_but_not_numpy():
+    done = run_fresh("import fssbench.cli, json, sys; print(json.dumps(list(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    modules = set(json.loads(done.stdout))
+    assert {f"fssbench.{name}" for name in ("corpus", "disambig", "staff", "fss",
+                                            "compare", "synth")} <= modules
+    assert "numpy" not in modules
+
+
+def test_only_synth_and_compare_load_numpy(tmp_path):
+    loaded = {}
+    for argv in chain_steps(tmp_path):
+        done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
+                         f"code = run_pipeline({argv!r}); print(code, 'numpy' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        loaded[argv[0]] = done.stdout.split()[-2:]
+    assert loaded == {stage: ["0", str(stage in ("synth", "compare"))] for stage in
+                      ("synth", "ingest", "disambiguate", "derive-staff", "score",
+                       "compare", "report")}
 
 
 @pytest.mark.filterwarnings("error")

@@ -153,8 +153,24 @@ def test_rank_universities_ranks_and_delta_sign():
 
 
 def test_rank_universities_mismatched_sets_error_names_both_sides():
-    with pytest.raises(ValueError, match=r"only supervised \['A'\].*only unsupervised \['B'\]"):
-        rank_universities([uscore("A", 1.0)], [uscore("B", 1.0)])
+    # fewer than two shared universities leave nothing to correlate
+    with pytest.raises(ValueError, match=(
+            r"^a correlation needs at least 2 pairs, got 1; "
+            r"only supervised \['A'\], only unsupervised \['C', 'D'\]$")):
+        rank_universities([uscore("A", 1.0), uscore("B", 1.0)],
+                          [uscore("B", 1.0), uscore("C", 1.0), uscore("D", 1.0)])
+
+
+def test_rank_universities_ranks_the_shared_set():
+    table = rank_universities(
+        [uscore("A", 3.0), uscore("B", 1.0), uscore("C", 2.0)],
+        [uscore("B", 2.0), uscore("C", 1.0), uscore("D", 3.0)])
+    assert [(r.university_id, r.sup_rank, r.unsup_rank) for r in table.rows] == [
+        ("B", 2, 1), ("C", 1, 2)]
+    assert (table.only_supervised, table.only_unsupervised) == (("A",), ("D",))
+    report = comparison_report(table)
+    assert report["universities_only_supervised"] == ["A"]
+    assert report["universities_only_unsupervised"] == ["D"]
 
 
 def test_build_rank_table_requires_permutations():
@@ -373,6 +389,8 @@ def test_comparison_report_json_round_trip(tmp_path):
     write_report_json(report, path)
     back = json.loads(path.read_text())
     assert back["n_universities"] == 8
+    assert back["universities_only_supervised"] == []
+    assert back["universities_only_unsupervised"] == []
     assert back["quartile_matrix"][0][0] >= 0
     # NaN correlations become null, never the string "NaN"
     assert back["sc_deviation_correlations"]["obs_vs_mean_fss"] is None
