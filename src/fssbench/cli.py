@@ -38,7 +38,9 @@ its setting's or knob's type, or not one of its allowed values, is refused
 as ``config key <key>: bad value '<value>'``.
 Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
-the subcommand to run first when an upstream artifact is missing.
+the subcommand to run first when an upstream artifact is missing. A
+warning from the package prints as ``warning: <stage>: <message>`` on
+stderr and does not change the exit status.
 """
 
 from __future__ import annotations
@@ -428,6 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run_pipeline(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     subcommand = args.subcommand
+    # the package's warnings, in the stage's own words; without a handler
+    # they would reach stderr as bare lines through logging's last resort
+    warn_handler = logging.StreamHandler(sys.stderr)
+    warn_handler.setLevel(logging.WARNING)
+    warn_handler.setFormatter(logging.Formatter(f"warning: {subcommand}: %(message)s"))
+    package_log = logging.getLogger(__package__)
+    package_log.addHandler(warn_handler)
     try:
         cfg = resolve_config(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -439,6 +448,8 @@ def run_pipeline(argv: list[str] | None = None) -> int:
         message = str(exc).replace("\n", " ")
         sys.stderr.write(f"error: {subcommand}: {message}\n")
         return 1
+    finally:
+        package_log.removeHandler(warn_handler)
 
 
 def main() -> None:

@@ -31,12 +31,21 @@ import json
 import logging
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .corpus import Corpus, CorpusError, PublicationRecord, first_initial, read_key_values
 
 log = logging.getLogger(__name__)
+
+#: Sort key of a mention: its ref, (pub_id, position).
+_BY_REF = attrgetter("pub_id", "position")
+#: The fields a cluster summary reads from each mention.
+_SUMMARY_FIELDS = attrgetter("pub_id", "position", "year", "orcid", "researcher_id",
+                             "last_name", "first_name", "email", "organization", "city",
+                             "country")
 
 #: Sentinel for a hard conflict (two distinct ORCIDs): never merge.
 NEVER_MERGE = float("-inf")
@@ -117,13 +126,18 @@ class MentionContext:
 
 def mention_contexts(record: PublicationRecord) -> list[MentionContext]:
     last_names = [m.last_name for m in record.mentions]
+    byline = frozenset(last_names)
+    scs = frozenset(record.subject_categories)
     out = []
     for pos, m in enumerate(record.mentions):
-        others = frozenset(n for i, n in enumerate(last_names) if i != pos)
+        # a surname shared with another author on the byline stays a co-author
+        name = m.last_name
+        shared = len(byline) < len(last_names) and last_names.count(name) > 1
+        others = byline if shared else byline - {name}
         out.append(MentionContext(
             pub_id=record.pub_id,
             position=pos,
-            last_name=m.last_name,
+            last_name=name,
             first_name=m.first_name,
             email=m.email,
             orcid=m.orcid,
@@ -133,7 +147,7 @@ def mention_contexts(record: PublicationRecord) -> list[MentionContext]:
             country=m.country,
             journal=record.journal,
             year=record.year,
-            subject_categories=frozenset(record.subject_categories),
+            subject_categories=scs,
             coauthor_last_names=others,
         ))
     return out
@@ -154,7 +168,7 @@ def block_mentions(corpus: Corpus) -> dict[str, list[MentionContext]]:
         for ctx in mention_contexts(record):
             blocks.setdefault(block_key(ctx.last_name, ctx.first_name), []).append(ctx)
     for members in blocks.values():
-        members.sort(key=lambda c: c.ref)
+        members.sort(key=_BY_REF)
     return blocks
 
 
@@ -178,13 +192,15 @@ def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAU
         score += rules.researcher_id
     if a.email is not None and a.email == b.email:
         score += rules.email
-    shared = a.coauthor_last_names & b.coauthor_last_names
-    score += rules.coauthor * len(shared)
+    # a term skipped on disjoint sets would add w * 0 = +-0.0, and the score,
+    # which starts at +0.0, cannot be -0.0: skipping it changes no bit
+    if not a.coauthor_last_names.isdisjoint(b.coauthor_last_names):
+        score += rules.coauthor * len(a.coauthor_last_names & b.coauthor_last_names)
     if a.organization is not None and a.organization == b.organization:
         score += rules.organization
     if a.journal and a.journal == b.journal:
         score += rules.journal
-    if a.subject_categories & b.subject_categories:
+    if not a.subject_categories.isdisjoint(b.subject_categories):
         score += rules.subject_category
     if a.full_first is not None and a.full_first == b.full_first:
         score += rules.first_name
@@ -236,9 +252,11 @@ class AuthorCluster:
         }
 
 
-def _modal(values) -> str | None:
+def _modal(values: Sequence[str | None]) -> str | None:
     """Most frequent non-empty value; ties go to the lexicographically
     smaller one."""
+    if values.count(values[0]) == len(values):
+        return values[0] or None
     counts: dict[str, int] = {}
     for v in values:
         if v:
@@ -257,35 +275,36 @@ def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
     """
     if not members:
         raise ValueError("cannot summarize an empty mention set")
-    members = sorted(members, key=lambda c: c.ref)
-    pub_ids = {c.pub_id for c in members}
-    if len(pub_ids) != len(members):
+    members = sorted(members, key=_BY_REF)
+    (pub_ids, positions, years, orcids, rids, last_names, first_names,
+     emails, organizations, cities, countries) = zip(*map(_SUMMARY_FIELDS, members))
+    n_pubs = len(set(pub_ids))
+    if n_pubs != len(members):
         raise CorpusError("cluster contains two mentions from one publication")
-    orcids = sorted({c.orcid for c in members if c.orcid is not None})
+    orcids = sorted(set(orcids) - {None})
     if len(orcids) > 1:
         raise CorpusError(f"cluster mixes distinct orcids {orcids}")
-    rids = {c.researcher_id for c in members if c.researcher_id is not None}
-    years = [c.year for c in members]
+    rids = set(rids) - {None}
     first_year, last_year = min(years), max(years)
-    last_name = _modal(c.last_name for c in members) or members[0].last_name
-    first_name = max((c.first_name for c in members),
-                     key=lambda n: (len(n), [-ord(ch) for ch in n]))
+    last_name = _modal(last_names) or last_names[0]
+    # the longest first name; among equally long ones the smallest
+    longest = max(map(len, first_names))
+    first_name = min(n for n in first_names if len(n) == longest)
     initials = "".join(tok[0] for tok in first_name.split() if tok)
-    canon = members[0].ref
     return AuthorCluster(
-        cluster_id=f"{canon[0]}:{canon[1]}",
-        mention_refs=tuple(c.ref for c in members),
-        n_pubs=len(pub_ids),
+        cluster_id=f"{pub_ids[0]}:{positions[0]}",
+        mention_refs=tuple(zip(pub_ids, positions)),
+        n_pubs=n_pubs,
         first_year=first_year,
         last_year=last_year,
         academic_age=last_year - first_year,
         full_name=f"{last_name}, {initials}" if initials else last_name,
         last_name=last_name,
         first_name=first_name,
-        email=_modal(c.email for c in members),
-        organization=_modal(c.organization for c in members),
-        city=_modal(c.city for c in members),
-        country=_modal(c.country for c in members),
+        email=_modal(emails),
+        organization=_modal(organizations),
+        city=_modal(cities),
+        country=_modal(countries),
         orcid=orcids[0] if orcids else None,
         researcher_id=next(iter(rids)) if len(rids) == 1 else None,
     )
@@ -306,14 +325,18 @@ def cluster_block(block: list[MentionContext],
     pair, so the trace is deterministic.
 
     Clusters are numbered in canonical mention order, and a merge keeps the
-    lower number: the cluster with the smaller canonical ref survives.
+    lower number: the cluster with the smaller canonical ref survives. So a
+    cluster's number is the index of its canonical mention, and comparing
+    numbers compares canonical refs: the block is sorted by ref, and refs
+    are unique within it.
 
     - Pair sums are sparse: one dict per cluster holds its nonzero sums. A
       pair without evidence sums to 0 and cannot clear the threshold,
       which is > 0. A merge folds b's sums into a's with one float addition
       per pair, the same addition a dense matrix would make.
-    - Candidate merges wait in a heap keyed by (-average, lo ref, hi ref,
-      lo, hi). The seed pairs that clear the threshold go in first; after
+    - Candidate merges wait in a heap keyed by (-average, lo, hi), the two
+      cluster numbers in order, which breaks ties as the canonical refs
+      would. The seed pairs that clear the threshold go in first; after
       each merge, every pair of the survivor whose average clears the
       threshold goes in again. A popped entry is dropped when either
       cluster has died or its average is no longer current (lazy
@@ -330,31 +353,32 @@ def cluster_block(block: list[MentionContext],
     about O(P log P) per block, not the O(n^3) of rescanning every live
     pair after each merge.
     """
-    ctxs = sorted(block, key=lambda c: c.ref)
+    ctxs = sorted(block, key=_BY_REF)
     ids = list(range(len(ctxs)))            # dict keys share these, not one int per pair
     members = [[c] for c in ctxs]           # emptied when the cluster dies
-    refs = [c.ref for c in ctxs]            # canonical ref of each cluster
     pubs = [{c.pub_id} for c in ctxs]
     orcids = [c.orcid for c in ctxs]
     sums: list[dict[int, float]] = [{} for _ in ctxs]
     threshold = rules.merge_threshold
     heap = []
     for a, ma in zip(ids, ctxs):
+        pub_a, orcid_a, sums_a = ma.pub_id, ma.orcid, sums[a]
         for b in ids[a + 1:]:
             mb = ctxs[b]
-            if ma.pub_id == mb.pub_id:
+            if mb.pub_id == pub_a:
                 continue
             s = score_pair(ma, mb, rules)
             # distinct ORCIDs are checked per cluster; any other never-merge
             # score (weights that overflowed) is kept as the pair's sum
-            if s == 0 or (s == NEVER_MERGE and _distinct(ma.orcid, mb.orcid)):
+            if s == 0 or (s == NEVER_MERGE and _distinct(orcid_a, mb.orcid)):
                 continue
-            sums[a][b] = sums[b][a] = s
+            sums_a[b] = sums[b][a] = s
             if s >= threshold:
-                heap.append((-s, refs[a], refs[b], a, b))
+                heap.append((-s, a, b))
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        neg_avg, _, _, a, b = heapq.heappop(heap)
+        neg_avg, a, b = heappop(heap)
         # a dead cluster has no sums and is gone from every live one's
         s = sums[a].get(b)
         if s is None or s / (len(members[a]) * len(members[b])) != -neg_avg:
@@ -377,10 +401,10 @@ def cluster_block(block: list[MentionContext],
         for x, s in sa.items():
             avg = s / (size_a * len(members[x]))
             if avg >= threshold:
-                lo, hi = (a, x) if a < x else (x, a)
-                heapq.heappush(heap, (-avg, refs[lo], refs[hi], lo, hi))
-    out = [summarize_cluster(m) for m in members if m]
-    return sorted(out, key=lambda c: c.mention_refs[0])
+                heappush(heap, (-avg, a, x) if a < x else (-avg, x, a))
+    # each survivor's number is its canonical mention's index, so the
+    # clusters come out in canonical ref order
+    return [summarize_cluster(m) for m in members if m]
 
 
 def cluster_corpus(corpus: Corpus,

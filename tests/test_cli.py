@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -376,6 +377,18 @@ def test_compare_ranks_the_universities_both_modes_cover(tmp_path, capsys):
     assert report["universities_only_supervised"] == ["U01"]
     assert report["universities_only_unsupervised"] == []
     assert "scored supervised only, not compared: U01\n" in capsys.readouterr().out
+
+
+def test_package_warning_prints_as_one_stage_line(tmp_path, capsys):
+    # at seed 7 two universities are compared, one short of a quartile group
+    *upstream, compare, _ = default_filter_flow(tmp_path, "7")
+    for argv in upstream:
+        assert run_pipeline(argv) == 0, argv
+    capsys.readouterr()
+    assert run_pipeline(compare) == 0
+    assert capsys.readouterr().err == (
+        "warning: compare: group 'overall' has 2 universities, need 3; skipped\n")
+    assert logging.getLogger("fssbench").handlers == []
 
 
 def test_compare_names_dropped_universities_when_one_remains(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import json
 import logging
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fssbench import corpus as cm
 from fssbench.corpus import (
@@ -36,6 +39,22 @@ def test_normalize_name_basic():
     assert normalize_name("van der Berg") == "van der berg"
     assert normalize_name("Smith-Jones") == "smith-jones"
     assert normalize_name("Smith - Jones") == "smith jones"
+
+
+# single characters, plus hyphen and apostrophe runs that lead, trail or double
+_ASCII_PIECES = st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits + string.punctuation
+                    + string.whitespace),
+    st.sampled_from(["-", "--", "---", "'", "''", "-'", "'-", " - ", "a-b", "a--b", "\x00"]),
+    st.characters(max_codepoint=127))
+
+
+@given(st.lists(_ASCII_PIECES, max_size=12).map("".join))
+def test_normalize_name_ascii_path_equals_the_nfkd_path(text):
+    # NFKD keeps a trailing combining mark apart and the loop drops it, so
+    # text + mark goes through the Unicode path and normalizes as text would
+    assert text.isascii()
+    assert normalize_name(text) == normalize_name(text + "\u0301")
 
 
 def test_normalize_name_collapses_whitespace_and_punctuation():

@@ -1,4 +1,5 @@
 import math
+import struct
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from fssbench.disambig import (
 )
 from fssbench.synth import SynthConfig, generate
 
+import reference_clustering as reference
 from conftest import WINDOW, corpus_of, record
 from reference_clustering import reference_cluster_block
 
@@ -369,6 +371,87 @@ _RULES = st.builds(ScoringRules, orcid=_WEIGHTS, researcher_id=_WEIGHTS, email=_
 @given(block=_blocks(), rules=_RULES)
 def test_cluster_block_equals_dense_reference(block, rules):
     assert cluster_block(block, rules) == reference_cluster_block(block, rules)
+
+
+# ---------------------------------------------------------------------------
+# scoring, summaries and mention contexts against their earlier forms
+
+_SCORE_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 10.0, -10.0, 25.0, -25.0, 1e308, -1e308]),
+    st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False))
+_SCORE_RULES = st.builds(ScoringRules, orcid=_SCORE_WEIGHTS, researcher_id=_SCORE_WEIGHTS,
+                         email=_SCORE_WEIGHTS, coauthor=_SCORE_WEIGHTS,
+                         organization=_SCORE_WEIGHTS, journal=_SCORE_WEIGHTS,
+                         subject_category=_SCORE_WEIGHTS, first_name=_SCORE_WEIGHTS,
+                         merge_threshold=st.floats(0.01, 150))
+
+
+@st.composite
+def _mentions(draw, pub_id, orcids=_POOL_ORCIDS):
+    """One mention of pub_id whose fields come from small pools, None and
+    the empty string included, so that values tie and sets meet or not."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    return MentionContext(
+        pub_id=pub_id,
+        position=0,
+        last_name=pick("rossi", "rossi", "rosi", ""),
+        first_name=pick("", "m", "ma", "mb", "maria", "marta", "mario", "m a", "ma rb"),
+        email=pick(None, "", "m@x.it", "m@y.it"),
+        orcid=pick(*orcids),
+        researcher_id=pick(None, "", "A-1", "A-2"),
+        organization=pick(None, "", "univ milano", "univ roma"),
+        city=pick(None, "", "milano", "roma"),
+        country=pick(None, "", "italy", "spain"),
+        journal=pick("", "j1", "j2"),
+        year=draw(st.integers(2010, 2019)),
+        subject_categories=frozenset(draw(st.sets(st.sampled_from(["SC1", "SC2", "SC3"])))),
+        coauthor_last_names=frozenset(draw(st.sets(st.sampled_from(["verdi", "neri", "blu"])))),
+    )
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=500)
+@given(a=_mentions("W1"), b=_mentions("W2"), rules=_SCORE_RULES)
+def test_score_pair_equals_the_reference_bit_for_bit(a, b, rules):
+    # bits, so that -0.0 differs from 0.0 and a NaN from an overflow compares
+    assert _bits(score_pair(a, b, rules)) == _bits(reference.score_pair(a, b, rules))
+    assert _bits(score_pair(b, a, rules)) == _bits(reference.score_pair(b, a, rules))
+
+
+def _outcome(fn, members):
+    try:
+        return fn(members)
+    except (ValueError, CorpusError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _clusters(draw):
+    """1-6 mentions of one person, on distinct publications unless a draw
+    repeats one, with at most one ORCID unless a draw mixes two."""
+    pub_ids = draw(st.lists(st.sampled_from(_POOL_PUBS), min_size=1, max_size=6,
+                            unique=draw(st.booleans())))
+    orcids = draw(st.sampled_from([[None], [None, _POOL_ORCIDS[2]], _POOL_ORCIDS]))
+    return [draw(_mentions(p, orcids)) for p in pub_ids]
+
+
+@settings(max_examples=500)
+@given(members=_clusters())
+def test_summarize_cluster_equals_the_reference(members):
+    assert (_outcome(summarize_cluster, members)
+            == _outcome(reference.summarize_cluster, members))
+
+
+@given(names=st.lists(st.sampled_from(["rossi", "verdi", "neri"]), min_size=1, max_size=6))
+def test_mention_contexts_coauthors_are_the_other_surnames(names):
+    contexts = mention_contexts(record("W1", 2016, [f"{n}, m" for n in names], ["SC1"]))
+    for pos, c in enumerate(contexts):
+        assert c.coauthor_last_names == frozenset(n for i, n in enumerate(names) if i != pos)
 
 
 def test_overflowing_score_is_a_hard_conflict_like_the_reference():
