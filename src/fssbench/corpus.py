@@ -67,16 +67,16 @@ class CorpusError(ValueError):
 # ---------------------------------------------------------------------------
 # normalization
 
-#: What the per-character rule of ``normalize_name`` blanks in lowercase
-#: ASCII: anything but a letter, a digit or a hyphen, and a hyphen without
-#: a letter or digit on both sides (lookarounds read the unchanged text).
-_ASCII_BLANKED = re.compile(r"[^a-z0-9-]|(?<![a-z0-9])-|-(?![a-z0-9])")
+#: What ``normalize_name`` blanks once the text is lowercase: anything but
+#: a letter, a digit or a hyphen, and a hyphen without a letter or digit on
+#: both sides. ``[^\W_]`` is one character for which ``str.isalnum()``
+#: holds; the lookarounds read the unchanged text.
+_BLANKED = re.compile(r"[^\w-]|_|(?<![^\W_])-|-(?![^\W_])")
 
 
 # Names and organizations repeat heavily: one contamination world makes
 # 36.6k calls for 2.7k distinct strings. ASCII text, which NFKD leaves as
-# it is, skips the per-character loop: one regex substitution applies the
-# same rule.
+# it is, skips the decomposition.
 @functools.lru_cache(maxsize=4096)
 def normalize_name(text: str) -> str:
     """Normal form used for person and organization names.
@@ -86,21 +86,11 @@ def normalize_name(text: str) -> str:
     vanish outright, so the D'Amico/Damico spellings coincide), collapse
     whitespace. Idempotent.
     """
-    if text.isascii():
-        text = text.lower().replace("'", "")
-        return " ".join(_ASCII_BLANKED.sub(" ", text).split())
-    text = unicodedata.normalize("NFKD", text)
-    text = "".join(ch for ch in text if not unicodedata.combining(ch))
-    text = text.lower().replace("'", "").replace("’", "")
-    out = []
-    for i, ch in enumerate(text):
-        if ch.isalnum():
-            out.append(ch)
-        elif ch == "-" and 0 < i < len(text) - 1 and text[i - 1].isalnum() and text[i + 1].isalnum():
-            out.append(ch)
-        else:
-            out.append(" ")
-    return " ".join("".join(out).split())
+    if not text.isascii():
+        text = unicodedata.normalize("NFKD", text)
+        text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    text = text.lower().replace("'", "").replace("\u2019", "")
+    return " ".join(_BLANKED.sub(" ", text).split())
 
 
 normalize_org = normalize_name

@@ -1,6 +1,7 @@
 import json
 import logging
 import string
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -51,10 +52,33 @@ _ASCII_PIECES = st.one_of(
 
 @given(st.lists(_ASCII_PIECES, max_size=12).map("".join))
 def test_normalize_name_ascii_path_equals_the_nfkd_path(text):
-    # NFKD keeps a trailing combining mark apart and the loop drops it, so
-    # text + mark goes through the Unicode path and normalizes as text would
+    # NFKD keeps a trailing combining mark apart and the combining-mark
+    # filter drops it, so text + mark is decomposed and normalizes as text would
     assert text.isascii()
     assert normalize_name(text) == normalize_name(text + "\u0301")
+
+
+def _per_character_normal_form(text):
+    """The per-character rule ``normalize_name`` applied before it used one regex."""
+    text = unicodedata.normalize("NFKD", text)
+    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    text = text.lower().replace("'", "").replace("\u2019", "")
+    out = []
+    for i, ch in enumerate(text):
+        if ch.isalnum():
+            out.append(ch)
+        elif ch == "-" and 0 < i < len(text) - 1 and text[i - 1].isalnum() and text[i + 1].isalnum():
+            out.append(ch)
+        else:
+            out.append(" ")
+    return " ".join("".join(out).split())
+
+
+@given(st.lists(st.one_of(st.characters(), st.sampled_from(
+    ["-", "--", "_", "'", " ", "a", "Z", "7", "\u00e9", "\u00df", "\u0130", "\u0663", "\u2019", "\u0301"])),
+    max_size=12).map("".join))
+def test_normalize_name_regex_equals_the_per_character_rule(text):
+    assert normalize_name(text) == _per_character_normal_form(text)
 
 
 def test_normalize_name_collapses_whitespace_and_punctuation():
