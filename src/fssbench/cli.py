@@ -79,10 +79,10 @@ SETTINGS = {
     "seed": Setting(int, 42),
     "window": Setting(corpusmod.YearWindow.parse, corpusmod.YearWindow(2015, 2019),
                       "observation window, START:END"),
-    "min_clusters": Setting(int, 30),
-    "min_age": Setting(int, 4),
+    "min_clusters": Setting(int, staffmod.DEFAULT_MIN_CLUSTERS),
+    "min_age": Setting(int, staffmod.DEFAULT_MIN_AGE),
     "recency": Setting(int, None),                # None: the window's last year
-    "min_obs": Setting(int, 10),
+    "min_obs": Setting(int, fss.DEFAULT_MIN_OBS),
     "obs_rule": Setting(str, fss.OBS_RULE_LITERAL,
                         choices=(fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT)),
     "sc_lookback": Setting(int, corpusmod.DEFAULT_SC_LOOKBACK),
@@ -287,8 +287,7 @@ def cmd_score(cfg: RunConfig) -> list[Path]:
     cells = fss.build_citation_cells(corpus)
 
     def score(subjects: list[fss.Subject]) -> list[fss.ResearcherScore]:
-        return fss.score_subjects(subjects, corpus, cells, cfg.seed,
-                                  sc_lookback=cfg.sc_lookback, incidence=incidence)
+        return fss.score_subjects(subjects, corpus, cells, cfg.seed, incidence=incidence)
 
     by_mode: dict[str, list[fss.ResearcherScore]] = {}
     if cfg.mode in ("both", fss.MODE_SUPERVISED):

@@ -20,7 +20,6 @@ stage imports this module through the package, and only ``compare`` needs it.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -29,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import write_csv
+from .corpus import read_csv, write_csv
 from .fss import ResearcherScore, UniversityScore
 
 if TYPE_CHECKING:
@@ -230,23 +229,15 @@ FIXTURE_COLUMNS = ("university", "unsup_obs", "unsup_fss_u", "unsup_rank",
                    "delta_rank")
 
 
-def load_fixture_rows(path: str | Path | None = None) -> list[dict]:
+def load_fixture_rows() -> list[dict]:
     """Raw rows of the bundled 65-university reference table (every value
     as published: scores at 3 decimals, ranks, percentiles, rank deltas)."""
-    if path is None:
-        source = resources.files("fssbench.data").joinpath("reference_table.csv")
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.DictReader(text.splitlines()))
-    for row in rows:
-        missing = [c for c in FIXTURE_COLUMNS if c not in row]
-        if missing:
-            raise ValueError(f"fixture is missing columns {missing}")
-    return rows
+    source = resources.files("fssbench.data").joinpath("reference_table.csv")
+    with resources.as_file(source) as path:
+        return [row for _, row in read_csv(path, FIXTURE_COLUMNS)]
 
 
-def load_reference_table(path: str | Path | None = None) -> RankTable:
+def load_reference_table() -> RankTable:
     """The bundled reference table as a RankTable, using its published
     ranks (two unsupervised scores tie at 3 decimals, so re-ranking the
     rounded scores would be ambiguous)."""
@@ -258,7 +249,7 @@ def load_reference_table(path: str | Path | None = None) -> RankTable:
         "unsup_obs": int(r["unsup_obs"]),
         "unsup_fss_u": float(r["unsup_fss_u"]),
         "unsup_rank": int(r["unsup_rank"]),
-    } for r in load_fixture_rows(path)]
+    } for r in load_fixture_rows()]
     return build_rank_table(rows)
 
 

@@ -307,12 +307,18 @@ class SCScheme:
 
 
 class Corpus:
-    """Immutable post-ingestion view of the loaded publications."""
+    """Immutable post-ingestion view of the loaded publications.
 
-    def __init__(self, records: list[PublicationRecord], window: YearWindow):
+    ``lookback`` is the range of years feeding supervised SC assignment;
+    without one it is the default lookback ending with the window.
+    """
+
+    def __init__(self, records: list[PublicationRecord], window: YearWindow,
+                 lookback: YearWindow | None = None):
         self.records: tuple[PublicationRecord, ...] = tuple(
             sorted(records, key=lambda r: r.pub_id))
         self.window = window
+        self.lookback = lookback if lookback is not None else lookback_window(window)
         self.by_id: dict[str, PublicationRecord] = {r.pub_id: r for r in self.records}
 
     def __len__(self) -> int:
@@ -389,11 +395,17 @@ def read_csv(path: str | Path, required: Sequence[str],
         for column in dict.fromkeys(header):
             if column not in known:
                 log.warning("%s: ignoring unknown column %r", path.name, column)
-        for lineno, values in enumerate(filter(None, reader), start=2):
+        end = reader.line_num
+        for values in reader:
+            # a row starts after the line the previous one ended on; blank
+            # lines and line breaks inside quoted fields count
+            where, end = f"{path.name} line {end + 1}", reader.line_num
+            if not values:
+                continue
             if len(values) < len(header):
-                raise CorpusError(f"{path.name} line {lineno}: expected {len(header)} "
-                                  f"fields, got {len(values)}")
-            yield f"{path.name} line {lineno}", dict(zip(header, values))
+                raise CorpusError(f"{where}: expected {len(header)} fields, "
+                                  f"got {len(values)}")
+            yield where, dict(zip(header, values))
 
 
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -524,10 +536,12 @@ def load_publications(path: str | Path,
 
     Keeps records whose doc_type is in ``DEFAULT_DOC_FILTER``, whose source
     index is the core collection, and whose year falls in the observation
-    window or the SC-assignment lookback range. Records come back sorted by pub_id.
+    window or the SC-assignment lookback range, which the corpus records as
+    ``lookback``. Records come back sorted by pub_id.
     """
     path = Path(path)
-    accepted_years = set(window.years()) | set(lookback_window(window, sc_lookback).years())
+    lookback = lookback_window(window, sc_lookback)
+    accepted_years = set(window.years()) | set(lookback.years())
     warned: set[str] = set()
     records: list[PublicationRecord] = []
     seen: dict[str, int] = {}
@@ -554,7 +568,7 @@ def load_publications(path: str | Path,
             if rec.year not in accepted_years:
                 continue
             records.append(rec)
-    return Corpus(records, window)
+    return Corpus(records, window, lookback)
 
 
 def _parse_years(text: str, where: str) -> frozenset[int]:

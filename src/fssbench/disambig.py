@@ -409,10 +409,10 @@ def cluster_block(block: list[MentionContext],
 
 def cluster_corpus(corpus: Corpus,
                    rules: ScoringRules = DEFAULT_RULES) -> list[AuthorCluster]:
-    """Cluster every block of the corpus. Blocks are independent; results
-    are assembled in block-key order, then sorted by first mention ref."""
-    blocks = block_mentions(corpus)
-    clusters = [c for k in sorted(blocks) for c in cluster_block(blocks[k], rules)]
+    """Cluster every block of the corpus. Blocks are independent; the
+    clusters come back sorted by first mention ref, which no two share."""
+    clusters = [c for block in block_mentions(corpus).values()
+                for c in cluster_block(block, rules)]
     return sorted(clusters, key=lambda c: c.mention_refs[0])
 
 

@@ -35,8 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import (Corpus, PublicationRecord, RosterEntry, SCScheme, YearWindow,
-                     lookback_window, read_csv, write_csv, DEFAULT_SC_LOOKBACK)
+from .corpus import Corpus, PublicationRecord, RosterEntry, SCScheme, read_csv, write_csv
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -171,14 +170,14 @@ def _sc_counts(pubs: list[PublicationRecord]) -> dict[str, int]:
 
 
 def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int,
-                         sc_lookback: int = DEFAULT_SC_LOOKBACK,
                          incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
                          ) -> str:
     """The subject category a researcher is evaluated under.
 
     Unsupervised: the most frequent SC over the whole oeuvre; several
     equally frequent SCs are settled by the seeded draw. Supervised: the
-    most frequent SC over the lookback-range production; a tie prefers the
+    most frequent SC over the production in the corpus's lookback range
+    (``corpus.lookback``, set when the corpus was loaded); a tie prefers the
     roster hint, then the field-code incidence ranking; with no production
     at all the hint, then the incidence table, decide, and an error is
     raised when neither exists.
@@ -192,8 +191,7 @@ def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int,
         tied = [sc for sc, c in counts.items() if c == top]
         return tied[0] if len(tied) == 1 else _seeded_choice(seed, subject.subject_id, tied)
 
-    lookback = lookback_window(corpus.window, sc_lookback)
-    counts = _sc_counts([p for p in pubs if p.year in lookback])
+    counts = _sc_counts([p for p in pubs if p.year in corpus.lookback])
     rows = (incidence or {}).get(subject.field_code or "", ())
     if counts:
         top = max(counts.values())
@@ -242,8 +240,6 @@ class ResearcherScore:
 
 def compute_fss_r(subject: Subject, corpus: Corpus,
                   cells: dict[tuple[int, str], CitationCell], seed: int,
-                  sc_id: str | None = None,
-                  sc_lookback: int = DEFAULT_SC_LOOKBACK,
                   incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
                   ) -> ResearcherScore:
     """Score one subject over the corpus window.
@@ -263,8 +259,7 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
         t = float(len(window))
     else:
         raise ScoreError(f"unknown mode {subject.mode!r}")
-    if sc_id is None:
-        sc_id = assign_prevailing_sc(subject, corpus, seed, sc_lookback, incidence)
+    sc_id = assign_prevailing_sc(subject, corpus, seed, incidence)
     terms = []
     total = 0.0
     for pub_id in sorted(set(subject.pub_ids)):
@@ -290,11 +285,9 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
 
 def score_subjects(subjects: list[Subject], corpus: Corpus,
                    cells: dict[tuple[int, str], CitationCell], seed: int,
-                   sc_lookback: int = DEFAULT_SC_LOOKBACK,
                    incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
                    ) -> list[ResearcherScore]:
-    return [compute_fss_r(s, corpus, cells, seed, sc_lookback=sc_lookback,
-                          incidence=incidence)
+    return [compute_fss_r(s, corpus, cells, seed, incidence=incidence)
             for s in sorted(subjects, key=lambda s: s.subject_id)]
 
 
@@ -328,10 +321,12 @@ def compute_sc_baselines(scores: list[ResearcherScore]) -> dict[str, SCBaseline]
 
 OBS_RULE_LITERAL = "literal"
 OBS_RULE_STRICT = "strict"
+#: Default observation floor of ``apply_exclusions``.
+DEFAULT_MIN_OBS = 10
 
 
 def apply_exclusions(scores: dict[str, list[ResearcherScore]], scheme: SCScheme,
-                     min_obs: int = 10, rule: str = OBS_RULE_LITERAL,
+                     min_obs: int = DEFAULT_MIN_OBS, rule: str = OBS_RULE_LITERAL,
                      ) -> dict[str, list[ResearcherScore]]:
     """Drop out-of-scope researchers, then thin SCs.
 

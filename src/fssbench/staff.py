@@ -2,12 +2,16 @@
 
 A cluster becomes a staff candidate when its prevailing organization
 matches a registered name variant or its email lands in a registered
-domain. Candidates then pass coherence checks (organization that is no
-known university, email outside every university, email and organization
-pointing at different universities), size/age/recency filters, and a
-deterministic resolution of clusters sharing an orcid or email. A
-candidate is accepted exactly when its flag set is empty; every rejected
-candidate carries the flags naming the rules that fired.
+domain; ``build_candidates`` looks each up once and derives the
+university, the evidence and the coherence flags from the two answers
+(organization that is no known university, email outside every
+university, email and organization pointing at different universities).
+Size, age and recency filters follow, then a deterministic resolution of
+clusters sharing an orcid or email. A candidate is accepted exactly when
+its flag set is empty; every rejected candidate carries the flags naming
+the rules that fired. Every staff unit, whether one accepted cluster, a
+merge or a row of staff.csv, is built from its member clusters by
+``_unit``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ FLAG_EMAIL_CONFLICT = "email_conflict"
 FLAG_BELOW_AGE = "below_age"
 FLAG_STALE = "stale"
 FLAG_SMALL_UNIVERSITY = "excluded_small_university"
+
+#: Defaults of the size and age filters; the recency year has none.
+DEFAULT_MIN_CLUSTERS = 30
+DEFAULT_MIN_AGE = 4
 
 
 @dataclass
@@ -82,31 +90,17 @@ class DerivedStaff:
         return [u for uid in sorted(self.members) for u in self.members[uid]]
 
 
-def match_university(cluster: AuthorCluster,
-                     registry: UniversityRegistry) -> tuple[str, str] | None:
-    """(university_id, evidence) for a cluster, or None when neither the
-    organization nor the email matches the registry.
+def build_candidates(clusters: list[AuthorCluster],
+                     registry: UniversityRegistry) -> list[StaffCandidate]:
+    """Match clusters to universities and attach coherence flags.
 
-    When organization and email point at different universities the email
-    wins (the domain convention is the higher-trust signal); the
-    disagreement itself is flagged later by coherence_check.
-    """
-    by_org = registry.match_organization(cluster.organization)
-    by_email = registry.match_email(cluster.email)
-    if by_org is None and by_email is None:
-        return None
-    if by_org is not None and by_email is not None:
-        if by_org == by_email:
-            return by_org, "both"
-        return by_email, "email"
-    if by_email is not None:
-        return by_email, "email"
-    return by_org, "organization"
+    Each cluster's organization and email are looked up once in the
+    registry. A cluster matching neither is no candidate. Otherwise:
 
-
-def coherence_check(cluster: AuthorCluster, registry: UniversityRegistry) -> set[str]:
-    """Flags for internally inconsistent evidence.
-
+    * university: the email's match when there is one (the domain
+      convention is the higher-trust signal), else the organization's.
+    * evidence: ``both`` when the two matches agree, ``email`` when the
+      email matched, ``organization`` when only the organization did.
     * incoherent_org: the cluster names an organization, but it is no
       registered university variant.
     * non_university_email: the cluster has an email outside every
@@ -114,40 +108,31 @@ def coherence_check(cluster: AuthorCluster, registry: UniversityRegistry) -> set
     * email_org_conflict: organization and email match different
       universities.
     """
-    flags: set[str] = set()
-    by_org = registry.match_organization(cluster.organization)
-    by_email = registry.match_email(cluster.email)
-    if cluster.organization and by_org is None:
-        flags.add(FLAG_INCOHERENT_ORG)
-    if cluster.email and by_email is None:
-        flags.add(FLAG_NON_UNIVERSITY_EMAIL)
-    if by_org is not None and by_email is not None and by_org != by_email:
-        flags.add(FLAG_EMAIL_ORG_CONFLICT)
-    return flags
-
-
-def build_candidates(clusters: list[AuthorCluster],
-                     registry: UniversityRegistry) -> list[StaffCandidate]:
-    """Match clusters to universities and attach coherence flags."""
     out = []
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        matched = match_university(cluster, registry)
-        if matched is None:
+        by_org = registry.match_organization(cluster.organization)
+        by_email = registry.match_email(cluster.email)
+        if by_email is not None:
+            university_id = by_email
+            evidence = "both" if by_org == by_email else "email"
+        elif by_org is not None:
+            university_id, evidence = by_org, "organization"
+        else:
             continue
-        university_id, evidence = matched
-        out.append(StaffCandidate(
-            cluster=cluster,
-            university_id=university_id,
-            evidence=evidence,
-            flags=coherence_check(cluster, registry),
-        ))
+        flags: set[str] = set()
+        if cluster.organization and by_org is None:
+            flags.add(FLAG_INCOHERENT_ORG)
+        if cluster.email and by_email is None:
+            flags.add(FLAG_NON_UNIVERSITY_EMAIL)
+        if by_org not in (None, university_id):
+            flags.add(FLAG_EMAIL_ORG_CONFLICT)
+        out.append(StaffCandidate(cluster=cluster, university_id=university_id,
+                                  evidence=evidence, flags=flags))
     return out
 
 
-def apply_filters(candidates: list[StaffCandidate],
-                  min_clusters: int = 30,
-                  min_age: int = 4,
-                  recency_year: int = 2020) -> list[StaffCandidate]:
+def apply_filters(candidates: list[StaffCandidate], min_clusters: int, min_age: int,
+                  recency_year: int) -> list[StaffCandidate]:
     """Flag candidates failing the robustness filters (in place, returned
     for chaining).
 
@@ -168,29 +153,17 @@ def apply_filters(candidates: list[StaffCandidate],
     return candidates
 
 
-def _unit_from_candidate(cand: StaffCandidate) -> StaffUnit:
+def _unit(clusters: list[AuthorCluster], university_id: str, evidence: str) -> StaffUnit:
+    """The staff unit made of ``clusters``; its id is their smallest cluster_id."""
+    cluster_ids = tuple(sorted(c.cluster_id for c in clusters))
     return StaffUnit(
-        unit_id=cand.cluster_id,
-        university_id=cand.university_id,
-        evidence=cand.evidence,
-        cluster_ids=(cand.cluster_id,),
-        pub_ids=cand.cluster.pub_ids,
-        orcid=cand.cluster.orcid,
-        emails=(cand.cluster.email,) if cand.cluster.email else (),
-    )
-
-
-def _merge_units(a: StaffUnit, b: StaffUnit) -> StaffUnit:
-    first, second = sorted((a, b), key=lambda u: u.unit_id)
-    evidence = a.evidence if a.evidence == b.evidence else "both"
-    return StaffUnit(
-        unit_id=first.unit_id,
-        university_id=first.university_id,
+        unit_id=cluster_ids[0],
+        university_id=university_id,
         evidence=evidence,
-        cluster_ids=tuple(sorted(set(a.cluster_ids) | set(b.cluster_ids))),
-        pub_ids=a.pub_ids | b.pub_ids,
-        orcid=a.orcid or b.orcid,
-        emails=tuple(sorted(set(a.emails) | set(b.emails))),
+        cluster_ids=cluster_ids,
+        pub_ids=frozenset().union(*(c.pub_ids for c in clusters)),
+        orcid=next((c.orcid for c in clusters if c.orcid), None),
+        emails=tuple(sorted({c.email for c in clusters if c.email})),
     )
 
 
@@ -202,11 +175,13 @@ def resolve_conflicts(candidates: list[StaffCandidate]) -> DerivedStaff:
     not merged, the smaller one is queued instead. Different universities:
     the unit with more publications survives, the rest are queued with
     orcid_conflict/email_conflict; ties keep the smaller cluster_id.
-    Flagged candidates go to the review queue untouched.
+    Flagged candidates go to the review queue untouched. A merged unit's
+    evidence is its parts' when they agree, else ``both``.
     """
     review = [c for c in candidates if not c.accepted]
     units: dict[str, StaffUnit] = {
-        c.cluster_id: _unit_from_candidate(c) for c in candidates if c.accepted}
+        c.cluster_id: _unit([c.cluster], c.university_id, c.evidence)
+        for c in candidates if c.accepted}
     by_candidate = {c.cluster_id: c for c in candidates}
 
     def drop(unit: StaffUnit, flag: str) -> None:
@@ -239,7 +214,11 @@ def resolve_conflicts(candidates: list[StaffCandidate]) -> DerivedStaff:
                 else:
                     units.pop(survivor.unit_id, None)
                     units.pop(other.unit_id, None)
-                    survivor = _merge_units(survivor, other)
+                    evidence = (survivor.evidence if survivor.evidence == other.evidence
+                                else "both")
+                    survivor = _unit([by_candidate[cid].cluster for cid in
+                                      survivor.cluster_ids + other.cluster_ids],
+                                     survivor.university_id, evidence)
                     units[survivor.unit_id] = survivor
 
     resolve_identifier(lambda u: [u.orcid] if u.orcid else [], FLAG_ORCID_CONFLICT)
@@ -254,10 +233,16 @@ def resolve_conflicts(candidates: list[StaffCandidate]) -> DerivedStaff:
 
 def derive_staff(clusters: list[AuthorCluster],
                  registry: UniversityRegistry,
-                 min_clusters: int = 30,
-                 min_age: int = 4,
-                 recency_year: int = 2020) -> DerivedStaff:
-    """Full unsupervised staff derivation: match, check, filter, resolve."""
+                 min_clusters: int = DEFAULT_MIN_CLUSTERS,
+                 min_age: int = DEFAULT_MIN_AGE,
+                 *, recency_year: int) -> DerivedStaff:
+    """Full unsupervised staff derivation: match, check, filter, resolve.
+
+    ``recency_year`` has no default: a cluster last active before it is
+    flagged stale, and the right year is the last year of the corpus's
+    observation window (the CLI's ``--recency`` default). A fixed year
+    later than that window flags every cluster.
+    """
     candidates = build_candidates(clusters, registry)
     apply_filters(candidates, min_clusters=min_clusters, min_age=min_age,
                   recency_year=recency_year)
@@ -284,22 +269,17 @@ def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedSt
     by_id = {c.cluster_id: c for c in clusters}
     members: dict[str, list[StaffUnit]] = {}
     required = tuple(c for c in STAFF_COLUMNS if c != "n_pubs")
-    for _, row in read_csv(path, required, ("n_pubs",)):
-        ids = tuple((row["member_cluster_ids"] or "").split(";"))
+    for where, row in read_csv(path, required, ("n_pubs",)):
+        ids = row["member_cluster_ids"].split(";")
         for cid in ids:
             if cid not in by_id:
                 raise CorpusError(f"{Path(path).name} references unknown cluster "
                                   f"{cid}; run `disambiguate` first")
-        member_clusters = [by_id[cid] for cid in ids]
-        members.setdefault(row["university_id"], []).append(StaffUnit(
-            unit_id=row["cluster_id"],
-            university_id=row["university_id"],
-            evidence=row["evidence"],
-            cluster_ids=ids,
-            pub_ids=frozenset().union(*(c.pub_ids for c in member_clusters)),
-            orcid=next((c.orcid for c in member_clusters if c.orcid), None),
-            emails=tuple(sorted({c.email for c in member_clusters if c.email})),
-        ))
+        unit = _unit([by_id[cid] for cid in ids], row["university_id"], row["evidence"])
+        if unit.unit_id != row["cluster_id"]:
+            raise CorpusError(f"{where}: cluster_id {row['cluster_id']} is not the "
+                              f"smallest of member_cluster_ids")
+        members.setdefault(row["university_id"], []).append(unit)
     return DerivedStaff(members=members, review_queue=[])
 
 

@@ -176,6 +176,19 @@ def test_load_publications_keeps_lookback_years_only(tmp_path):
     assert sorted(corpus.by_id) == ["W1", "W3"]
 
 
+def test_load_publications_records_its_lookback(tmp_path):
+    rows = [
+        pub("W1", 2009, [mention("Rossi, M")], ["SC1"]),   # before a 10-year lookback
+        pub("W2", 2010, [mention("Rossi, M")], ["SC1"]),
+        pub("W3", 2019, [mention("Rossi, M")], ["SC1"]),
+    ]
+    corpus = load_publications(write_jsonl(tmp_path / "p.jsonl", rows), WINDOW,
+                               sc_lookback=10)
+    assert corpus.lookback == YearWindow(2010, 2019)
+    assert sorted(corpus.by_id) == ["W2", "W3"]
+    assert cm.Corpus([], WINDOW).lookback == cm.lookback_window(WINDOW)
+
+
 def test_load_publications_duplicate_pub_id_names_both_lines(tmp_path):
     path = write_jsonl(tmp_path / "p.jsonl", [_one_pub(), _one_pub()])
     with pytest.raises(CorpusError, match=r"line 2.*duplicate pub_id.*line 1"):
@@ -442,3 +455,23 @@ def test_write_csv_round_trips_through_read_csv(tmp_path):
         ("t.csv line 2", {"a": "x, y", "b": "1"}),
         ("t.csv line 3", {"a": "", "b": 'q"uote'})]
 
+
+
+@pytest.mark.parametrize("text,line", [
+    ("sc_id,area_id\nSC1,A1\n\nSC2\n", 4),           # after a blank line
+    ('sc_id,area_id\n"SC\n1",A1\nSC2\n', 4),         # after a quoted line break
+    ('sc_id,area_id\nSC1,A1\n"SC\n2"\n', 3),         # the short row's first line
+])
+def test_read_csv_error_names_the_line_the_row_starts_on(tmp_path, text, line):
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        list(cm.read_csv(path, ("sc_id", "area_id")))
+    assert str(exc.value) == f"s.csv line {line}: expected 2 fields, got 1"
+
+
+def test_read_csv_rows_name_their_lines_past_blank_and_multiline_rows(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text('sc_id,area_id\n\n"SC\n1",A1\nSC2,A2\n', encoding="utf-8")
+    assert [where for where, _ in cm.read_csv(path, ("sc_id", "area_id"))] == [
+        "s.csv line 3", "s.csv line 5"]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fssbench.corpus import SCScheme, SubjectCategory, YearWindow
+from fssbench.corpus import Corpus, SCScheme, SubjectCategory, YearWindow
 from fssbench.fss import (
     LEVEL_AREA,
     LEVEL_OVERALL,
@@ -235,6 +235,15 @@ def test_prevailing_sc_supervised_no_pubs_fallbacks():
                                 corpus, 1, incidence=incidence) == "SC5"
     with pytest.raises(ScoreError, match="P1"):
         assign_prevailing_sc(sup("P1", [], [2016]), corpus, 1)
+
+
+def test_prevailing_sc_supervised_reads_the_corpus_lookback():
+    records = _sc_corpus().records
+    subject = sup("P1", ["W1", "W2", "W3", "W4"], [2016], hint="SC2")
+    # the default 19 years count W4 (2005, SC2): a tie the hint settles
+    assert assign_prevailing_sc(subject, Corpus(records, WINDOW), 1) == "SC2"
+    short = Corpus(records, WINDOW, lookback=YearWindow(2015, 2019))
+    assert assign_prevailing_sc(subject, short, 1) == "SC1"
 
 
 def test_prevailing_sc_unsupervised_without_pubs_raises():

@@ -1,6 +1,8 @@
 import csv
 
-from fssbench.corpus import University, UniversityRegistry
+import pytest
+
+from fssbench.corpus import CorpusError, University, UniversityRegistry
 from fssbench.disambig import AuthorCluster
 from fssbench.staff import (
     FLAG_BELOW_AGE,
@@ -13,10 +15,8 @@ from fssbench.staff import (
     FLAG_STALE,
     apply_filters,
     build_candidates,
-    coherence_check,
     derive_staff,
     load_staff_csv,
-    match_university,
     resolve_conflicts,
     write_review_queue_csv,
     write_staff_csv,
@@ -54,42 +54,45 @@ REGISTRY = UniversityRegistry([
 # ---------------------------------------------------------------------------
 # matching and coherence
 
+def candidate(cluster):
+    """(university_id, evidence, flags) of the cluster's candidate, or None."""
+    cands = build_candidates([cluster], REGISTRY)
+    return (cands[0].university_id, cands[0].evidence, cands[0].flags) if cands else None
+
+
 def test_match_by_organization_only():
     c = make_cluster("C1", org="univ one")
-    assert match_university(c, REGISTRY) == ("U1", "organization")
+    assert candidate(c) == ("U1", "organization", set())
 
 
 def test_match_by_email_only():
     c = make_cluster("C1", email="m.rossi@unione.it")
-    assert match_university(c, REGISTRY) == ("U1", "email")
+    assert candidate(c) == ("U1", "email", set())
 
 
 def test_match_both_in_agreement():
     c = make_cluster("C1", org="univ one", email="m.rossi@unione.it")
-    assert match_university(c, REGISTRY) == ("U1", "both")
+    assert candidate(c) == ("U1", "both", set())
 
 
 def test_match_disagreement_email_wins():
     c = make_cluster("C1", org="univ one", email="m.rossi@unitwo.it")
-    assert match_university(c, REGISTRY) == ("U2", "email")
-    assert FLAG_EMAIL_ORG_CONFLICT in coherence_check(c, REGISTRY)
+    assert candidate(c) == ("U2", "email", {FLAG_EMAIL_ORG_CONFLICT})
 
 
 def test_match_nothing():
-    c = make_cluster("C1", org="research hospital")
-    assert match_university(c, REGISTRY) is None
+    assert candidate(make_cluster("C1", org="research hospital")) is None
+    assert candidate(make_cluster("C1", org="research hospital",
+                                  email="m@gmail.com")) is None
 
 
 def test_coherence_flags():
-    assert coherence_check(make_cluster("C1", org="natl res council",
-                                        email="m@unione.it"),
-                           REGISTRY) == {FLAG_INCOHERENT_ORG}
-    assert coherence_check(make_cluster("C1", org="univ one",
-                                        email="m@gmail.com"),
-                           REGISTRY) == {FLAG_NON_UNIVERSITY_EMAIL}
-    assert coherence_check(make_cluster("C1", org="univ one",
-                                        email="m@unione.it"),
-                           REGISTRY) == set()
+    c = make_cluster("C1", org="natl res council", email="m@unione.it")
+    assert candidate(c) == ("U1", "email", {FLAG_INCOHERENT_ORG})
+    c = make_cluster("C1", org="univ one", email="m@gmail.com")
+    assert candidate(c) == ("U1", "organization", {FLAG_NON_UNIVERSITY_EMAIL})
+    c = make_cluster("C1", org="univ one", email="m@unione.it")
+    assert candidate(c) == ("U1", "both", set())
 
 
 def test_build_candidates_skips_unmatched_and_sorts():
@@ -268,3 +271,44 @@ def test_derive_staff_end_to_end(tmp_path):
         qrows = list(csv.DictReader(fh))
     assert [r["cluster_id"] for r in qrows] == ["C4", "C6"]
     assert qrows[0]["flags"] == FLAG_SMALL_UNIVERSITY
+
+
+def test_staff_csv_round_trips_a_merge_over_one_orcid_with_distinct_emails(tmp_path):
+    orcid = "0000-0001-2345-6789"
+    clusters = [
+        make_cluster("C2", org="univ one", email="b@unione.it", orcid=orcid, n_pubs=2),
+        make_cluster("C1", email="a@unione.it", orcid=orcid, n_pubs=3),
+        make_cluster("C3", org="univ one"),
+    ]
+    derived = derive_staff(clusters, REGISTRY, min_clusters=1, recency_year=2020)
+    merged, single = derived.members["U1"]
+    assert merged.unit_id == "C1"
+    assert merged.cluster_ids == ("C1", "C2")
+    assert merged.evidence == "both"        # the survivor C1 has email evidence
+    assert merged.emails == ("a@unione.it", "b@unione.it")
+    assert merged.orcid == orcid
+    assert merged.n_pubs == 5
+    assert single.cluster_ids == ("C3",)
+    path = tmp_path / "staff.csv"
+    write_staff_csv(derived, path)
+    assert load_staff_csv(path, clusters).all_units() == derived.all_units()
+
+
+def test_load_staff_csv_refuses_unit_id_not_smallest_member(tmp_path):
+    clusters = [make_cluster("C1", org="univ one"), make_cluster("C2", org="univ one")]
+    path = tmp_path / "staff.csv"
+    path.write_text("university_id,cluster_id,evidence,n_pubs,member_cluster_ids\n"
+                    "U1,C2,organization,4,C1;C2\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^staff.csv line 2: cluster_id C2 is not the "
+                                          "smallest of member_cluster_ids$"):
+        load_staff_csv(path, clusters)
+
+
+def test_derive_staff_requires_recency_year():
+    clusters = [make_cluster("C1", org="univ one")]
+    with pytest.raises(TypeError, match="recency_year"):
+        derive_staff(clusters, REGISTRY)
+    with pytest.raises(TypeError):
+        derive_staff(clusters, REGISTRY, 1, 4, 2020)
+    with pytest.raises(TypeError):
+        apply_filters(build_candidates(clusters, REGISTRY))
