@@ -443,19 +443,22 @@ def researcher_distributions(supervised: list[ResearcherScore],
     return stats
 
 
+#: Fewest researchers an SC needs in each mode to enter the deviation correlations.
+SC_DEVIATION_MIN_OBS = 2
+
+
 def sc_deviation_correlations(supervised: list[ResearcherScore],
-                              unsupervised: list[ResearcherScore],
-                              min_obs: int = 2) -> dict[str, float]:
+                              unsupervised: list[ResearcherScore]) -> dict[str, float]:
     """Per-SC percentage deviations of researcher counts against the
     deviations of mean and median scores (Pearson, across SCs present in
-    both modes)."""
+    both modes with at least ``SC_DEVIATION_MIN_OBS`` researchers in each)."""
     import numpy as np
 
     sup, unsup = _fss_r_by_sc(supervised), _fss_r_by_sc(unsupervised)
     obs_dev, mean_dev, median_dev = [], [], []
     for sc in sorted(set(sup) & set(unsup)):
         a, b = sup[sc], unsup[sc]
-        if len(a) < min_obs or len(b) < min_obs:
+        if len(a) < SC_DEVIATION_MIN_OBS or len(b) < SC_DEVIATION_MIN_OBS:
             continue
         mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
         med_a, med_b = float(np.median(a)), float(np.median(b))

@@ -92,7 +92,7 @@ def load_rules(path: str | Path) -> ScoringRules:
     return replace(DEFAULT_RULES, **overrides)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MentionContext:
     """One byline mention with the publication context scoring needs."""
 
@@ -121,7 +121,7 @@ class MentionContext:
 
     def __post_init__(self) -> None:
         token = self.first_name.split(" ", 1)[0] if self.first_name else ""
-        object.__setattr__(self, "full_first", token if len(token) >= 2 else None)
+        self.full_first = token if len(token) >= 2 else None
 
 
 def mention_contexts(record: PublicationRecord) -> list[MentionContext]:

@@ -16,6 +16,7 @@ merge or a row of staff.csv, is built from its member clusters by
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,60 +171,60 @@ def _unit(clusters: list[AuthorCluster], university_id: str, evidence: str) -> S
 def resolve_conflicts(candidates: list[StaffCandidate]) -> DerivedStaff:
     """Resolve accepted clusters sharing an orcid or email.
 
-    Same university: merged into one staff unit (union of publications);
-    two clusters claiming one identifier but carrying distinct orcids are
-    not merged, the smaller one is queued instead. Different universities:
-    the unit with more publications survives, the rest are queued with
-    orcid_conflict/email_conflict; ties keep the smaller cluster_id.
-    Flagged candidates go to the review queue untouched. A merged unit's
-    evidence is its parts' when they agree, else ``both``.
+    The smallest identifier held by two or more units goes next, every
+    orcid before any email. Its holder with the most publications (then
+    the smallest unit_id) survives; each other holder, in that order, is
+    queued with orcid_conflict/email_conflict if it is of another
+    university or has a distinct orcid, else merged into the survivor
+    (evidence kept when equal, else ``both``). Flagged candidates go to
+    the review queue untouched. With an identifier index and a heap, the
+    cost is linear in clusters plus one rebuild of the survivor per merge.
     """
     review = [c for c in candidates if not c.accepted]
-    units: dict[str, StaffUnit] = {
-        c.cluster_id: _unit([c.cluster], c.university_id, c.evidence)
-        for c in candidates if c.accepted}
     by_candidate = {c.cluster_id: c for c in candidates}
+    units: dict[str, StaffUnit] = {}
+    holders: dict[tuple[int, str], set[str]] = {}
+    pending: list[tuple[int, str]] = []
 
-    def drop(unit: StaffUnit, flag: str) -> None:
-        units.pop(unit.unit_id, None)
-        for cid in unit.cluster_ids:
-            cand = by_candidate[cid]
-            cand.flags.add(flag)
-            review.append(cand)
+    def keys(unit: StaffUnit) -> list[tuple[int, str]]:
+        return ([(0, unit.orcid)] if unit.orcid else []) + [(1, e) for e in unit.emails]
 
-    def conflicted(key_of) -> dict[str, list[StaffUnit]]:
-        groups: dict[str, dict[str, StaffUnit]] = {}
-        for unit in units.values():
-            for key in key_of(unit):
-                groups.setdefault(key, {})[unit.unit_id] = unit
-        return {k: sorted(g.values(), key=lambda u: (-u.n_pubs, u.unit_id))
-                for k, g in groups.items() if len(g) > 1}
+    def hold(unit: StaffUnit) -> None:
+        units[unit.unit_id] = unit
+        for key in keys(unit):
+            held = holders.setdefault(key, set())
+            held.add(unit.unit_id)
+            if len(held) == 2:
+                heapq.heappush(pending, key)
 
-    def resolve_identifier(key_of, flag: str) -> None:
-        # one group per pass: merging can chain identifiers, so regroup
-        # after every mutation; each pass strictly shrinks the unit set
-        while groups := conflicted(key_of):
-            survivor, *rest = groups[min(groups)]
-            for other in rest:
-                if other.university_id != survivor.university_id:
-                    drop(other, flag)
-                elif len({survivor.orcid, other.orcid} - {None}) > 1:
-                    # one address shared by two distinct identities: never
-                    # merge across orcids, queue the smaller unit instead
-                    drop(other, flag)
-                else:
-                    units.pop(survivor.unit_id, None)
-                    units.pop(other.unit_id, None)
-                    evidence = (survivor.evidence if survivor.evidence == other.evidence
-                                else "both")
-                    survivor = _unit([by_candidate[cid].cluster for cid in
-                                      survivor.cluster_ids + other.cluster_ids],
-                                     survivor.university_id, evidence)
-                    units[survivor.unit_id] = survivor
+    def release(unit: StaffUnit) -> None:
+        del units[unit.unit_id]
+        for key in keys(unit):
+            holders[key].discard(unit.unit_id)
 
-    resolve_identifier(lambda u: [u.orcid] if u.orcid else [], FLAG_ORCID_CONFLICT)
-    resolve_identifier(lambda u: list(u.emails), FLAG_EMAIL_CONFLICT)
-
+    for cand in candidates:
+        if cand.accepted:
+            hold(_unit([cand.cluster], cand.university_id, cand.evidence))
+    while pending:
+        key = heapq.heappop(pending)
+        if len(holders[key]) < 2:
+            continue
+        survivor, *rest = sorted(map(units.get, holders[key]), key=lambda u: (-u.n_pubs, u.unit_id))
+        flag = FLAG_EMAIL_CONFLICT if key[0] else FLAG_ORCID_CONFLICT
+        for other in rest:
+            release(other)
+            if (other.university_id != survivor.university_id
+                    or len({survivor.orcid, other.orcid} - {None}) > 1):
+                for cid in other.cluster_ids:
+                    by_candidate[cid].flags.add(flag)
+                    review.append(by_candidate[cid])
+            else:
+                release(survivor)
+                evidence = survivor.evidence if survivor.evidence == other.evidence else "both"
+                survivor = _unit([by_candidate[cid].cluster for cid in
+                                  survivor.cluster_ids + other.cluster_ids],
+                                 survivor.university_id, evidence)
+                hold(survivor)
     members: dict[str, list[StaffUnit]] = {}
     for unit in sorted(units.values(), key=lambda u: u.unit_id):
         members.setdefault(unit.university_id, []).append(unit)
@@ -263,10 +264,12 @@ def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedSt
     """Read staff.csv back into staff units.
 
     Each unit's publications, orcid and emails come from its member
-    clusters, so the clusters must be those the staff was derived from. The
-    review queue is not stored in staff.csv and comes back empty.
+    clusters, so the clusters must be those the staff was derived from; a
+    cluster listed twice, in two rows or in one, is refused. The review
+    queue is not stored in staff.csv and comes back empty.
     """
     by_id = {c.cluster_id: c for c in clusters}
+    listed: dict[str, str] = {}                 # cluster id -> line number of its row
     members: dict[str, list[StaffUnit]] = {}
     required = tuple(c for c in STAFF_COLUMNS if c != "n_pubs")
     for where, row in read_csv(path, required, ("n_pubs",)):
@@ -275,6 +278,9 @@ def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedSt
             if cid not in by_id:
                 raise CorpusError(f"{Path(path).name} references unknown cluster "
                                   f"{cid}; run `disambiguate` first")
+            if cid in listed:
+                raise CorpusError(f"{where}: cluster {cid} already listed on line {listed[cid]}")
+            listed[cid] = where.rsplit(" ", 1)[1]
         unit = _unit([by_id[cid] for cid in ids], row["university_id"], row["evidence"])
         if unit.unit_id != row["cluster_id"]:
             raise CorpusError(f"{where}: cluster_id {row['cluster_id']} is not the "

@@ -223,6 +223,21 @@ def test_score_refuses_staff_naming_unknown_cluster(tmp_path, capsys):
         "run `disambiguate` first\n")
 
 
+def test_score_refuses_a_cluster_listed_twice(tmp_path, capsys):
+    out = run_to_staff(tmp_path)
+    staff_path = out / "staff.csv"
+    with staff_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with staff_path.open("a", newline="") as fh:
+        csv.writer(fh).writerow(rows[0].values())
+    first = rows[0]["member_cluster_ids"].split(";")[0]
+    capsys.readouterr()
+    assert run_pipeline(["score", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: score: staff.csv line {len(rows) + 2}: cluster {first} "
+        "already listed on line 2\n")
+
+
 def test_score_refuses_staff_without_member_column(tmp_path, capsys):
     out = run_to_staff(tmp_path)
     staff_path = out / "staff.csv"

@@ -1,6 +1,10 @@
 import csv
+import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fssbench.corpus import CorpusError, University, UniversityRegistry
 from fssbench.disambig import AuthorCluster
@@ -21,6 +25,8 @@ from fssbench.staff import (
     write_review_queue_csv,
     write_staff_csv,
 )
+
+from reference_staff import reference_resolve_conflicts
 
 
 def make_cluster(cid, org=None, email=None, orcid=None, n_pubs=2,
@@ -235,6 +241,59 @@ def test_orcid_conflict_across_universities():
     assert staff.review_queue[0].flags == {FLAG_ORCID_CONFLICT}
 
 
+_POOL_ORCIDS = [None, "0000-0001-0000-0001", "0000-0002-0000-0002", "0000-0003-0000-0003"]
+_POOL_EMAILS = [None, "a@unione.it", "b@unione.it", "a@unitwo.it", "b@unitwo.it", "a@gmail.com"]
+_POOL_ORGS = [None, "univ one", "univ one", "univ two", "inst of stuff"]
+
+
+@st.composite
+def _derivations(draw):
+    """Clusters from small pools of orcids, emails over three domains and
+    organizations, on overlapping publications so that unit sizes tie,
+    with or without the robustness filters."""
+    clusters = []
+    for i in range(draw(st.integers(0, 14))):
+        pubs = draw(st.sets(st.sampled_from("pqrstu"), min_size=1, max_size=3))
+        cluster = make_cluster(f"C{i:02d}", org=draw(st.sampled_from(_POOL_ORGS)),
+                               email=draw(st.sampled_from(_POOL_EMAILS)),
+                               orcid=draw(st.sampled_from(_POOL_ORCIDS)),
+                               first=draw(st.sampled_from([2005, 2017])),
+                               last=draw(st.sampled_from([2018, 2020])))
+        clusters.append(replace(cluster, n_pubs=len(pubs),
+                                mention_refs=tuple((p, 0) for p in sorted(pubs))))
+    filters = draw(st.none() | st.fixed_dictionaries({
+        "min_clusters": st.integers(1, 3), "min_age": st.sampled_from([0, 4]),
+        "recency_year": st.sampled_from([2018, 2019])}))
+    return draw(st.permutations(clusters)), filters
+
+
+@settings(max_examples=600)
+@given(derivation=_derivations())
+def test_resolve_conflicts_equals_the_two_phase_reference(derivation):
+    clusters, filters = derivation
+    ours, theirs = build_candidates(clusters, REGISTRY), build_candidates(clusters, REGISTRY)
+    if filters is not None:
+        apply_filters(ours, **filters)
+        apply_filters(theirs, **filters)
+    got, want = resolve_conflicts(ours), reference_resolve_conflicts(theirs)
+    assert got.members == want.members
+    assert ([(c.cluster_id, c.flags) for c in got.review_queue]
+            == [(c.cluster_id, c.flags) for c in want.review_queue])
+    assert [c.flags for c in ours] == [c.flags for c in theirs]
+
+
+def test_resolve_conflicts_scales_to_many_email_pairs():
+    # the two-phase form regroups every unit after each of the 5,000 pairs
+    clusters = [make_cluster(f"C{i:05d}", org="univ one", email=f"p{i // 2}@unione.it")
+                for i in range(10_000)]
+    started = time.perf_counter()
+    staff = derive_staff(clusters, REGISTRY, recency_year=2020)
+    assert time.perf_counter() - started < 5
+    assert [u.cluster_ids for u in staff.members["U1"]] == [
+        (f"C{i:05d}", f"C{i + 1:05d}") for i in range(0, 10_000, 2)]
+    assert staff.review_queue == []
+
+
 # ---------------------------------------------------------------------------
 # end to end + writers
 
@@ -301,6 +360,21 @@ def test_load_staff_csv_refuses_unit_id_not_smallest_member(tmp_path):
                     "U1,C2,organization,4,C1;C2\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="^staff.csv line 2: cluster_id C2 is not the "
                                           "smallest of member_cluster_ids$"):
+        load_staff_csv(path, clusters)
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("U1,C1,organization,2,C1\nU1,C2,organization,2,C2\nU1,C1,organization,2,C1\n", 4),
+    ("U1,C1,organization,2,C1\nU1,C2,organization,4,C2;C1\n", 3),
+    ("U1,C1,organization,4,C1;C1\n", 2),
+])
+def test_load_staff_csv_refuses_a_cluster_listed_twice(tmp_path, rows, line):
+    clusters = [make_cluster("C1", org="univ one"), make_cluster("C2", org="univ one")]
+    path = tmp_path / "staff.csv"
+    path.write_text("university_id,cluster_id,evidence,n_pubs,member_cluster_ids\n" + rows,
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^staff.csv line {line}: cluster C1 already "
+                                          "listed on line 2$"):
         load_staff_csv(path, clusters)
 
 
