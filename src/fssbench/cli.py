@@ -1,7 +1,7 @@
 """Pipeline front end.
 
-One subcommand per stage, handing artifacts off through the output
-directory:
+One subcommand per stage, each an entry of ``STAGES``, handing artifacts
+off through the output directory:
 
     synth         -> publications.jsonl roster.csv registry.csv scheme.csv
                      ground_truth.csv
@@ -92,8 +92,6 @@ SETTINGS = {
                     stage="score"),
 }
 
-_PATH_KEYS = ("publications", "roster", "registry", "scheme", "rules", "incidence")
-
 #: World-generator knobs a config file may set; the window and seed come
 #: from the settings above.
 _SYNTH_KNOBS = {name: hint for name, hint in typing.get_type_hints(synthmod.SynthConfig).items()
@@ -116,12 +114,7 @@ class RunConfig:
     obs_rule: str
     sc_lookback: int
     mode: str
-    publications: Path | None
-    roster: Path | None
-    registry: Path | None
-    scheme: Path | None
-    rules: Path | None
-    incidence: Path | None
+    paths: dict[str, Path | None]   # each input-file flag of ``STAGES``: its file, if given
     extra: dict[str, str]        # world-generator knobs from the config file, as written
 
     def __post_init__(self):
@@ -136,6 +129,7 @@ class RunConfig:
         set, then the world knobs as written in the config file."""
         config = dataclasses.asdict(self)
         extra = config.pop("extra")
+        config.update(config.pop("paths"))
         config["window"] = f"{self.window.start}:{self.window.end}"
         config = {key: str(value) if isinstance(value, Path) else value
                   for key, value in config.items() if value is not None}
@@ -179,7 +173,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in _PATH_KEYS:
         value = getattr(args, key, None) or file_values.get(key)
         paths[key] = Path(value) if value else None
-    return RunConfig(**settings, **paths,
+    return RunConfig(**settings, paths=paths,
                      extra={k: v for k, v in file_values.items() if k in _SYNTH_KNOBS})
 
 
@@ -191,35 +185,31 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(cfg: RunConfig, subcommand: str, outputs: list[Path]) -> None:
+def write_manifest(cfg: RunConfig, subcommand: str) -> None:
     config = cfg.digestable()
     config_hash = hashlib.sha256(
         "\n".join(f"{k}={config[k]}" for k in sorted(config)).encode()).hexdigest()
-    inputs = (getattr(cfg, key) for key in _PATH_KEYS)
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "config_hash": config_hash,
         "seed": cfg.seed,
-        "inputs": {p.name: _sha256(p) for p in inputs if p and p.exists()},
-        "outputs": [p.name for p in outputs],
+        "inputs": {p.name: _sha256(p) for p in cfg.paths.values() if p and p.exists()},
+        "outputs": list(STAGES[subcommand].outputs),
     }
     (cfg.out / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _require(cfg: RunConfig, name: str, producer: str) -> Path:
-    path = cfg.out / name
+def _artifact(cfg: RunConfig, name: str) -> Path:
+    """Artifact ``name`` in the output directory, or the file passed by the
+    flag named after it; a missing one names its producer in ``STAGES``."""
+    flag = Path(name).stem
+    path = cfg.paths.get(flag) or cfg.out / name
     if not path.exists():
-        raise StageError(f"missing {name}; run `{producer}` first")
-    return path
-
-
-def _input(cfg: RunConfig, key: str, name: str) -> Path:
-    """The input file passed as ``--<key>``, else ``name`` in the output directory."""
-    path = getattr(cfg, key) or cfg.out / name
-    if not path.exists():
-        raise StageError(f"missing {name}; pass --{key} or run `synth` first")
+        producer = next(stage for stage, entry in STAGES.items() if name in entry.outputs)
+        how = f"pass --{flag} or run" if flag in cfg.paths else "run"
+        raise StageError(f"missing {name}; {how} `{producer}` first")
     return path
 
 
@@ -227,63 +217,57 @@ def _load_corpus(cfg: RunConfig, path: Path) -> corpusmod.Corpus:
     return corpusmod.load_publications(path, cfg.window, sc_lookback=cfg.sc_lookback)
 
 
-def cmd_synth(cfg: RunConfig) -> list[Path]:
+def cmd_synth(cfg: RunConfig) -> None:
     config = synthmod.SynthConfig(seed=cfg.seed, window_start=cfg.window.start,
                                   window_end=cfg.window.end,
                                   **{key: _cast(key, raw) for key, raw in cfg.extra.items()})
     files, truth = synthmod.generate(config, cfg.out)
     log.info("synthesized %d persons, %s", len(truth.persons), files["publications"])
-    return list(files.values())
 
 
-def cmd_ingest(cfg: RunConfig) -> list[Path]:
-    corpus = _load_corpus(cfg, _input(cfg, "publications", "publications.jsonl"))
-    out = cfg.out / "corpus.jsonl"
-    corpus.write_jsonl(out)
+def cmd_ingest(cfg: RunConfig) -> None:
+    corpus = _load_corpus(cfg, _artifact(cfg, "publications.jsonl"))
+    corpus.write_jsonl(cfg.out / "corpus.jsonl")
     log.info("ingested %d publications, %d mentions", len(corpus), corpus.mention_count())
-    return [out]
 
 
-def cmd_disambiguate(cfg: RunConfig) -> list[Path]:
-    corpus = _load_corpus(cfg, _require(cfg, "corpus.jsonl", "ingest"))
-    rules = disambig.load_rules(cfg.rules) if cfg.rules else disambig.DEFAULT_RULES
+def cmd_disambiguate(cfg: RunConfig) -> None:
+    corpus = _load_corpus(cfg, _artifact(cfg, "corpus.jsonl"))
+    rules = (disambig.load_rules(cfg.paths["rules"]) if cfg.paths["rules"]
+             else disambig.DEFAULT_RULES)
     clusters = disambig.cluster_corpus(corpus, rules)
-    out = cfg.out / "clusters.jsonl"
-    disambig.write_clusters_jsonl(clusters, out)
+    disambig.write_clusters_jsonl(clusters, cfg.out / "clusters.jsonl")
     log.info("clustered %d mentions into %d clusters",
              corpus.mention_count(), len(clusters))
-    return [out]
 
 
-def cmd_derive_staff(cfg: RunConfig) -> list[Path]:
-    clusters = disambig.load_clusters_jsonl(_require(cfg, "clusters.jsonl", "disambiguate"))
-    registry = corpusmod.load_registry(_input(cfg, "registry", "registry.csv"))
+def cmd_derive_staff(cfg: RunConfig) -> None:
+    clusters = disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl"))
+    registry = corpusmod.load_registry(_artifact(cfg, "registry.csv"))
     derived = staffmod.derive_staff(clusters, registry,
                                     min_clusters=cfg.min_clusters,
                                     min_age=cfg.min_age,
                                     recency_year=cfg.recency)
-    staff_out = cfg.out / "staff.csv"
-    queue_out = cfg.out / "review_queue.csv"
     if not derived.members:
         # an earlier run's staff would otherwise be scored as if derived now
-        staff_out.unlink(missing_ok=True)
-        queue_out.unlink(missing_ok=True)
+        for name in STAGES["derive-staff"].outputs:
+            (cfg.out / name).unlink(missing_ok=True)
         flags = Counter(f for cand in derived.review_queue for f in cand.flags)
         per_flag = ", ".join(f"{flag} {n}" for flag, n in
                              sorted(flags.items(), key=lambda kv: (-kv[1], kv[0])))
         raise StageError(f"accepted no staff unit out of {len(derived.review_queue)} "
                          f"candidates" + (f"; flags: {per_flag}" if per_flag else ""))
-    staffmod.write_staff_csv(derived, staff_out)
-    staffmod.write_review_queue_csv(derived, queue_out)
+    staffmod.write_staff_csv(derived, cfg.out / "staff.csv")
+    staffmod.write_review_queue_csv(derived, cfg.out / "review_queue.csv")
     log.info("accepted %d staff units over %d universities; %d queued",
              len(derived.all_units()), len(derived.members), len(derived.review_queue))
-    return [staff_out, queue_out]
 
 
-def cmd_score(cfg: RunConfig) -> list[Path]:
-    corpus = _load_corpus(cfg, _require(cfg, "corpus.jsonl", "ingest"))
-    scheme = corpusmod.load_scheme(_input(cfg, "scheme", "scheme.csv"))
-    incidence = corpusmod.load_incidence(cfg.incidence) if cfg.incidence else None
+def cmd_score(cfg: RunConfig) -> None:
+    corpus = _load_corpus(cfg, _artifact(cfg, "corpus.jsonl"))
+    scheme = corpusmod.load_scheme(_artifact(cfg, "scheme.csv"))
+    incidence = (corpusmod.load_incidence(cfg.paths["incidence"]) if cfg.paths["incidence"]
+                 else None)
     cells = fss.build_citation_cells(corpus)
 
     def score(subjects: list[fss.Subject]) -> list[fss.ResearcherScore]:
@@ -291,12 +275,12 @@ def cmd_score(cfg: RunConfig) -> list[Path]:
 
     by_mode: dict[str, list[fss.ResearcherScore]] = {}
     if cfg.mode in ("both", fss.MODE_SUPERVISED):
-        roster = corpusmod.load_roster(_input(cfg, "roster", "roster.csv"), cfg.window)
+        roster = corpusmod.load_roster(_artifact(cfg, "roster.csv"), cfg.window)
         by_mode[fss.MODE_SUPERVISED] = score(fss.subjects_from_roster(roster, corpus))
     if cfg.mode in ("both", fss.MODE_UNSUPERVISED):
         derived = staffmod.load_staff_csv(
-            _require(cfg, "staff.csv", "derive-staff"),
-            disambig.load_clusters_jsonl(_require(cfg, "clusters.jsonl", "disambiguate")))
+            _artifact(cfg, "staff.csv"),
+            disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
         by_mode[fss.MODE_UNSUPERVISED] = score(fss.subjects_from_staff(derived, corpus))
     by_mode = fss.apply_exclusions(by_mode, scheme, min_obs=cfg.min_obs, rule=cfg.obs_rule)
 
@@ -309,18 +293,15 @@ def cmd_score(cfg: RunConfig) -> list[Path]:
             for uscore in fss.compute_fss_u(scores, baselines, level, scheme):
                 university_rows.append((mode, uscore))
 
-    res_out = cfg.out / "scores_researchers.csv"
-    uni_out = cfg.out / "scores_universities.csv"
-    fss.write_researcher_scores_csv(researcher_rows, res_out)
-    fss.write_university_scores_csv(university_rows, uni_out)
+    fss.write_researcher_scores_csv(researcher_rows, cfg.out / "scores_researchers.csv")
+    fss.write_university_scores_csv(university_rows, cfg.out / "scores_universities.csv")
     log.info("scored %d researcher rows, %d university rows",
              len(researcher_rows), len(university_rows))
-    return [res_out, uni_out]
 
 
-def cmd_compare(cfg: RunConfig) -> list[Path]:
-    uni_path = _require(cfg, "scores_universities.csv", "score")
-    res_path = _require(cfg, "scores_researchers.csv", "score")
+def cmd_compare(cfg: RunConfig) -> None:
+    uni_path = _artifact(cfg, "scores_universities.csv")
+    res_path = _artifact(cfg, "scores_researchers.csv")
     by_mode: dict[str, list[fss.UniversityScore]] = {"supervised": [], "unsupervised": []}
     for mode, score in fss.load_university_scores_csv(uni_path):
         if score.level == fss.LEVEL_OVERALL and mode in by_mode:
@@ -337,8 +318,7 @@ def cmd_compare(cfg: RunConfig) -> list[Path]:
     report = comparemod.comparison_report(table,
                                           supervised_researchers=sup_res,
                                           unsupervised_researchers=unsup_res)
-    report_out = cfg.out / "report.json"
-    comparemod.write_report_json(report, report_out)
+    comparemod.write_report_json(report, cfg.out / "report.json")
     comparemod.write_rank_table_csv(table, cfg.out / "rank_table.csv")
     comparemod.write_quartile_matrix_csv(comparemod.quartile_confusion(table),
                                          cfg.out / "quartile_matrix.csv")
@@ -346,13 +326,10 @@ def cmd_compare(cfg: RunConfig) -> list[Path]:
         comparemod.researcher_distributions(sup_res, unsup_res),
         cfg.out / "distribution_stats.csv")
     log.info("compared %d universities", table.n)
-    return [report_out, cfg.out / "rank_table.csv", cfg.out / "quartile_matrix.csv",
-            cfg.out / "distribution_stats.csv"]
 
 
-def cmd_report(cfg: RunConfig) -> list[Path]:
-    report_path = _require(cfg, "report.json", "compare")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+def cmd_report(cfg: RunConfig) -> None:
+    report = json.loads(_artifact(cfg, "report.json").read_text(encoding="utf-8"))
     lines = [f"universities compared: {report['n_universities']}"]
     for mode in ("supervised", "unsupervised"):
         unranked = report.get(f"universities_only_{mode}")
@@ -386,25 +363,41 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
                      "vs rank movement: "
                      f"pearson={_fmt(dev.get('obs_vs_delta_rank'))}")
     text = "\n".join(lines) + "\n"
-    out = cfg.out / "report.txt"
-    out.write_text(text, encoding="utf-8")
+    (cfg.out / "report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return [out]
 
 
 def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
-_COMMANDS = {
-    "synth": (cmd_synth, []),
-    "ingest": (cmd_ingest, ["publications"]),
-    "disambiguate": (cmd_disambiguate, ["rules"]),
-    "derive-staff": (cmd_derive_staff, ["registry"]),
-    "score": (cmd_score, ["roster", "scheme", "incidence"]),
-    "compare": (cmd_compare, []),
-    "report": (cmd_report, []),
+class Stage(typing.NamedTuple):
+    """A subcommand: its computation, the artifacts it writes to ``--out``
+    (in the manifest's order), and its input-file flags."""
+
+    run: typing.Callable[[RunConfig], None]
+    outputs: tuple[str, ...]
+    flags: tuple[str, ...] = ()
+
+
+#: Every subcommand, in pipeline order. An artifact's producer is the stage
+#: that lists it; a ``synth`` output may come from the flag named after it.
+STAGES = {
+    "synth": Stage(cmd_synth, ("publications.jsonl", "roster.csv", "registry.csv",
+                               "scheme.csv", "ground_truth.csv")),
+    "ingest": Stage(cmd_ingest, ("corpus.jsonl",), ("publications",)),
+    "disambiguate": Stage(cmd_disambiguate, ("clusters.jsonl",), ("rules",)),
+    "derive-staff": Stage(cmd_derive_staff, ("staff.csv", "review_queue.csv"),
+                          ("registry",)),
+    "score": Stage(cmd_score, ("scores_researchers.csv", "scores_universities.csv"),
+                   ("roster", "scheme", "incidence")),
+    "compare": Stage(cmd_compare, ("report.json", "rank_table.csv", "quartile_matrix.csv",
+                                   "distribution_stats.csv")),
+    "report": Stage(cmd_report, ("report.txt",)),
 }
+
+#: Every input-file flag; each is a key of ``RunConfig.paths`` and a config key.
+_PATH_KEYS = tuple(flag for stage in STAGES.values() for flag in stage.flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fssbench",
         description="Supervised vs unsupervised research-organization scoring.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, path_flags) in _COMMANDS.items():
+    for name, stage in STAGES.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value settings file")
         for key, setting in SETTINGS.items():
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                                type=int if setting.type is int else None,
                                choices=setting.choices, help=setting.help)
-        for flag in path_flags:
+        for flag in stage.flags:
             p.add_argument(f"--{flag}")
     return parser
 
@@ -439,8 +432,8 @@ def run_pipeline(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        handler, _ = _COMMANDS[subcommand]
-        write_manifest(cfg, subcommand, handler(cfg))
+        STAGES[subcommand].run(cfg)
+        write_manifest(cfg, subcommand)
         return 0
     except (StageError, corpusmod.CorpusError, fss.ScoreError, ValueError,
             OSError) as exc:

@@ -1,6 +1,7 @@
 """Data model and ingestion for publication corpora, staff rosters, the
-university registry, and the subject-category scheme, plus the one CSV
-reader, CSV writer and ``key = value`` reader the whole package uses.
+university registry, and the subject-category scheme, plus the one reader
+and writer of CSV and of JSON Lines (``read_csv``, ``write_csv``,
+``read_jsonl``, ``write_jsonl``) and ``key = value`` reader the package uses.
 
 Input formats (documented in the README); required columns first, then
 the optional ones:
@@ -24,8 +25,9 @@ The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
 ``scores_universities.csv``) require every column their loader reads.
 
 An empty CSV file or one whose header lacks a required column is refused
-with a ``CorpusError`` naming the file and the column, and a row with
-fewer fields than the header with one naming the file and the line.
+with a ``CorpusError`` naming the file and the column, a row with fewer
+fields than the header, or a JSON Lines line that is not a JSON object,
+with one naming the file and the line.
 Unknown columns and JSON fields are ignored with one warning each. Loading
 is a pure function of the file bytes: the same input yields an identical
 in-memory corpus, and downstream code treats it as read-only.
@@ -333,45 +335,41 @@ class Corpus:
     def mention_count(self) -> int:
         return sum(len(r.mentions) for r in self.records)
 
-    def to_jsonl(self) -> str:
-        """Deterministic serialized form (used for purity checks and the
-        ``ingest`` stage output)."""
-        lines = [json.dumps(_record_to_dict(r), sort_keys=True, ensure_ascii=False)
-                 for r in self.records]
-        return "\n".join(lines) + "\n" if lines else ""
-
     def write_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        """The ``ingest`` stage output: one record a line, in pub_id order."""
+        write_jsonl(path, map(_record_to_dict, self.records))
 
 
 def _record_to_dict(r: PublicationRecord) -> dict:
+    """The record as a JSON object, every object's keys in sorted order."""
     return {
-        "pub_id": r.pub_id,
-        "year": r.year,
-        "doc_type": r.doc_type,
-        "source_index": r.source_index,
-        "subject_categories": list(r.subject_categories),
-        "journal": r.journal,
-        "citation_count": r.citation_count,
         "census_date": r.census_date.isoformat(),
+        "citation_count": r.citation_count,
+        "doc_type": r.doc_type,
+        "journal": r.journal,
         "mentions": [
             {
-                "full_name": m.raw_full_name,
-                "email": m.email,
-                "orcid": m.orcid,
-                "researcher_id": m.researcher_id,
                 "affiliation": m.affiliation_raw,
-                "organization": m.organization,
                 "city": m.city,
                 "country": m.country,
+                "email": m.email,
+                "full_name": m.raw_full_name,
+                "orcid": m.orcid,
+                "organization": m.organization,
+                "researcher_id": m.researcher_id,
             }
             for m in r.mentions
         ],
+        "pub_id": r.pub_id,
+        "source_index": r.source_index,
+        "subject_categories": list(r.subject_categories),
+        "year": r.year,
     }
 
 
 # ---------------------------------------------------------------------------
-# text formats: every CSV and ``key = value`` file is read and written here
+# text formats: every CSV, JSON Lines and ``key = value`` file is read and
+# written here
 
 def read_csv(path: str | Path, required: Sequence[str],
              optional: Sequence[str] = ()) -> Iterator[tuple[str, dict[str, str]]]:
@@ -416,6 +414,34 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable])
         writer.writerows(rows)
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Yield ``("<file> line <n>", object)`` for each non-blank line of a JSON
+    Lines file; a line that is not a JSON object raises ``CorpusError``.
+    Unlike ``str.splitlines``, no line ends at U+0085, U+2028 or U+2029,
+    which ``write_jsonl`` writes raw."""
+    path = Path(path)
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path.name} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise CorpusError(f"{where}: not a JSON object")
+            yield where, obj
+
+
+def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
+    """Write each object as one line of utf-8 JSON, non-ASCII text as is."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
 def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str]]:
     """Yield ``(lineno, key, value)`` for each line of a ``key = value`` file;
     ``#`` starts a comment and blank lines are skipped."""
@@ -448,6 +474,8 @@ def _warn_unknown(kind: str, obj: dict, known: set[str], warned: set[str]) -> No
 
 
 def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{where}: mention is not a JSON object")
     _warn_unknown("mention", obj, _MENTION_FIELDS, warned)
     raw = obj.get("full_name")
     if not raw or not isinstance(raw, str):
@@ -539,34 +567,20 @@ def load_publications(path: str | Path,
     window or the SC-assignment lookback range, which the corpus records as
     ``lookback``. Records come back sorted by pub_id.
     """
-    path = Path(path)
     lookback = lookback_window(window, sc_lookback)
     accepted_years = set(window.years()) | set(lookback.years())
     warned: set[str] = set()
     records: list[PublicationRecord] = []
-    seen: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path.name} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: invalid JSON: {exc}") from exc
-            rec = _parse_record(obj, where, warned)
-            if rec.pub_id in seen:
-                raise CorpusError(
-                    f"{where}: duplicate pub_id {rec.pub_id!r} "
-                    f"(first seen on line {seen[rec.pub_id]})")
-            seen[rec.pub_id] = lineno
-            if rec.doc_type not in DEFAULT_DOC_FILTER:
-                continue
-            if rec.source_index != "core":
-                continue
-            if rec.year not in accepted_years:
-                continue
+    seen: dict[str, str] = {}                   # pub_id -> line number of its record
+    for where, obj in read_jsonl(path):
+        rec = _parse_record(obj, where, warned)
+        if rec.pub_id in seen:
+            raise CorpusError(
+                f"{where}: duplicate pub_id {rec.pub_id!r} "
+                f"(first seen on line {seen[rec.pub_id]})")
+        seen[rec.pub_id] = where.rsplit(" ", 1)[1]
+        if (rec.doc_type in DEFAULT_DOC_FILTER and rec.source_index == "core"
+                and rec.year in accepted_years):
             records.append(rec)
     return Corpus(records, window, lookback)
 

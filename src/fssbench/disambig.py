@@ -27,7 +27,6 @@ No repair pass is attempted; precision is favoured over recall.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import math
 from collections import Counter
@@ -36,7 +35,8 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .corpus import Corpus, CorpusError, PublicationRecord, first_initial, read_key_values
+from .corpus import (Corpus, CorpusError, PublicationRecord, first_initial, read_jsonl,
+                     read_key_values, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -417,17 +417,13 @@ def cluster_corpus(corpus: Corpus,
 
 
 def write_clusters_jsonl(clusters: list[AuthorCluster], path: str | Path) -> None:
-    lines = [json.dumps(c.to_dict(), ensure_ascii=False) for c in clusters]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (c.to_dict() for c in clusters))
 
 
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
     clusters = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for where, obj in read_jsonl(path):
         try:
-            obj = json.loads(line)
             clusters.append(AuthorCluster(
                 cluster_id=obj["cluster_id"],
                 mention_refs=tuple((r[0], int(r[1])) for r in obj["mention_refs"]),
@@ -445,8 +441,8 @@ def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
                 orcid=obj.get("orcid"),
                 researcher_id=obj.get("researcherid"),
             ))
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CorpusError(f"{Path(path).name} line {lineno}: bad cluster record: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{where}: bad cluster record: {exc}") from exc
     return clusters
 
 

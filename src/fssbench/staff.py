@@ -168,6 +168,22 @@ def _unit(clusters: list[AuthorCluster], university_id: str, evidence: str) -> S
     )
 
 
+@dataclass(eq=False)
+class _Growing:
+    """A unit that merges grow in place; hashed by identity, as its unit_id changes."""
+
+    unit_id: str
+    university_id: str
+    evidence: str
+    candidates: list[StaffCandidate]
+    pub_ids: set[str]
+    orcid: str | None
+    emails: set[str]
+
+    def keys(self) -> list[tuple[int, str]]:
+        return ([(0, self.orcid)] if self.orcid else []) + [(1, e) for e in self.emails]
+
+
 def resolve_conflicts(candidates: list[StaffCandidate]) -> DerivedStaff:
     """Resolve accepted clusters sharing an orcid or email.
 
@@ -177,57 +193,56 @@ def resolve_conflicts(candidates: list[StaffCandidate]) -> DerivedStaff:
     queued with orcid_conflict/email_conflict if it is of another
     university or has a distinct orcid, else merged into the survivor
     (evidence kept when equal, else ``both``). Flagged candidates go to
-    the review queue untouched. With an identifier index and a heap, the
-    cost is linear in clusters plus one rebuild of the survivor per merge.
+    the review queue untouched. An identifier index, a heap and survivors
+    grown in place make the cost linear in clusters, plus sorting holders.
     """
     review = [c for c in candidates if not c.accepted]
-    by_candidate = {c.cluster_id: c for c in candidates}
-    units: dict[str, StaffUnit] = {}
-    holders: dict[tuple[int, str], set[str]] = {}
+    live: set[_Growing] = set()
+    holders: dict[tuple[int, str], set[_Growing]] = {}
     pending: list[tuple[int, str]] = []
-
-    def keys(unit: StaffUnit) -> list[tuple[int, str]]:
-        return ([(0, unit.orcid)] if unit.orcid else []) + [(1, e) for e in unit.emails]
-
-    def hold(unit: StaffUnit) -> None:
-        units[unit.unit_id] = unit
-        for key in keys(unit):
-            held = holders.setdefault(key, set())
-            held.add(unit.unit_id)
-            if len(held) == 2:
-                heapq.heappush(pending, key)
-
-    def release(unit: StaffUnit) -> None:
-        del units[unit.unit_id]
-        for key in keys(unit):
-            holders[key].discard(unit.unit_id)
-
     for cand in candidates:
         if cand.accepted:
-            hold(_unit([cand.cluster], cand.university_id, cand.evidence))
+            c = cand.cluster
+            unit = _Growing(c.cluster_id, cand.university_id, cand.evidence, [cand],
+                            set(c.pub_ids), c.orcid, {c.email} if c.email else set())
+            live.add(unit)
+            for key in unit.keys():
+                held = holders.setdefault(key, set())
+                held.add(unit)
+                if len(held) == 2:
+                    heapq.heappush(pending, key)
+    # a merge only moves keys from the absorbed unit to the survivor, so no
+    # key gains a holder after this point and none needs pushing again
     while pending:
         key = heapq.heappop(pending)
         if len(holders[key]) < 2:
             continue
-        survivor, *rest = sorted(map(units.get, holders[key]), key=lambda u: (-u.n_pubs, u.unit_id))
+        survivor, *rest = sorted(holders[key], key=lambda u: (-len(u.pub_ids), u.unit_id))
         flag = FLAG_EMAIL_CONFLICT if key[0] else FLAG_ORCID_CONFLICT
         for other in rest:
-            release(other)
-            if (other.university_id != survivor.university_id
-                    or len({survivor.orcid, other.orcid} - {None}) > 1):
-                for cid in other.cluster_ids:
-                    by_candidate[cid].flags.add(flag)
-                    review.append(by_candidate[cid])
+            live.remove(other)
+            merge = (other.university_id == survivor.university_id
+                     and len({survivor.orcid, other.orcid} - {None}) < 2)
+            for other_key in other.keys():
+                holders[other_key].discard(other)
+                if merge:
+                    holders[other_key].add(survivor)
+            if merge:
+                survivor.unit_id = min(survivor.unit_id, other.unit_id)
+                if survivor.evidence != other.evidence:
+                    survivor.evidence = "both"
+                survivor.candidates += other.candidates
+                survivor.pub_ids |= other.pub_ids
+                survivor.orcid = survivor.orcid or other.orcid
+                survivor.emails |= other.emails
             else:
-                release(survivor)
-                evidence = survivor.evidence if survivor.evidence == other.evidence else "both"
-                survivor = _unit([by_candidate[cid].cluster for cid in
-                                  survivor.cluster_ids + other.cluster_ids],
-                                 survivor.university_id, evidence)
-                hold(survivor)
+                for cand in other.candidates:
+                    cand.flags.add(flag)
+                review += other.candidates
     members: dict[str, list[StaffUnit]] = {}
-    for unit in sorted(units.values(), key=lambda u: u.unit_id):
-        members.setdefault(unit.university_id, []).append(unit)
+    for unit in sorted(live, key=lambda u: u.unit_id):
+        members.setdefault(unit.university_id, []).append(
+            _unit([c.cluster for c in unit.candidates], unit.university_id, unit.evidence))
     review.sort(key=lambda c: c.cluster_id)
     return DerivedStaff(members=members, review_queue=review)
 

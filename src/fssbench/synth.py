@@ -24,14 +24,13 @@ imports this module through the package, and only ``synth`` needs it.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, YearWindow, write_csv
+from .corpus import Corpus, YearWindow, write_csv, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -357,36 +356,17 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
             for j in range(count):
                 raw_pubs.append(_make_pub(config, universities, sc_ids, cite_mult,
                                           persons, external_pools, lead_index, year, j))
-    pub_lines = []
+    publications = []
     for number, record in enumerate(raw_pubs):
         pub_id = f"W{number:06d}"
-        record["pub_id"] = pub_id
-        byline = record.pop("_byline")
-        for position, member in enumerate(byline):
+        for position, member in enumerate(record.pop("_byline")):
             member.pubs.append(pub_id)
             member.mention_refs.append((pub_id, position))
-        ordered = {
-            "pub_id": pub_id,
-            "year": record["year"],
-            "doc_type": record["doc_type"],
-            "source_index": record["source_index"],
-            "subject_categories": record["subject_categories"],
-            "journal": record["journal"],
-            "citation_count": record["citation_count"],
-            "census_date": record["census_date"],
-            "mentions": record["mentions"],
-        }
-        pub_lines.append(json.dumps(ordered, ensure_ascii=False))
+        publications.append({"pub_id": pub_id, **record})
 
-    files = {
-        "publications": out_dir / "publications.jsonl",
-        "roster": out_dir / "roster.csv",
-        "registry": out_dir / "registry.csv",
-        "scheme": out_dir / "scheme.csv",
-        "ground_truth": out_dir / "ground_truth.csv",
-    }
-    files["publications"].write_text(
-        "\n".join(pub_lines) + ("\n" if pub_lines else ""), encoding="utf-8")
+    files = {name.split(".")[0]: out_dir / name for name in (
+        "publications.jsonl", "roster.csv", "registry.csv", "scheme.csv", "ground_truth.csv")}
+    write_jsonl(files["publications"], publications)
 
     write_csv(files["roster"], ("person_id", "full_name", "university_id", "field_code",
                                 "sc_hint", "active_years", "linked_pub_ids"),

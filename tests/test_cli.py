@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from fssbench.cli import SETTINGS, load_config_file, run_pipeline
+from fssbench import synth
+from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
 
 SMALL_WORLD = """\
 # generator knobs for a quick world
@@ -75,6 +76,45 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
     for name in ["publications.jsonl", "corpus.jsonl", "clusters.jsonl",
                  "staff.csv", "scores_researchers.csv", "report.json"]:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_each_stage_writes_exactly_its_stages_entry(tmp_path):
+    steps = chain_steps(tmp_path)
+    assert [argv[0] for argv in steps] == list(STAGES)
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in steps:
+        # what the stage writes or replaces gets a fresh mtime
+        for path in out.iterdir():
+            os.utime(path, ns=(0, 0))
+        assert run_pipeline(argv) == 0, argv
+        written = sorted(p.name for p in out.iterdir() if p.stat().st_mtime_ns)
+        assert written == sorted([*STAGES[argv[0]].outputs, "run_manifest.json"]), argv[0]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["outputs"] == list(STAGES[argv[0]].outputs)
+
+
+def test_synth_generate_returns_the_files_of_the_synth_entry(tmp_path):
+    files, _ = synth.generate(synth.SynthConfig(n_universities=2, n_researchers=4, n_scs=2),
+                              tmp_path)
+    assert [p.name for p in files.values()] == list(STAGES["synth"].outputs)
+    assert all(p == tmp_path / p.name for p in files.values())
+
+
+@pytest.mark.parametrize("line,refusal", [
+    ("[1, 2]", "line 2: not a JSON object"),
+    ('{"pub_id": "W9", "mentions": ["Rossi, M"]}', "line 2: mention is not a JSON object"),
+])
+def test_ingest_refuses_json_that_is_not_an_object(tmp_path, capsys, line, refusal):
+    out = tmp_path / "out"
+    assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    first = (out / "publications.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    if line.startswith("{"):
+        line = json.dumps({**json.loads(first), **json.loads(line)})
+    (out / "publications.jsonl").write_text(f"{first}\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_pipeline(["ingest", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: ingest: publications.jsonl {refusal}\n"
 
 
 def test_missing_upstream_artifact_names_producer(tmp_path, capsys):

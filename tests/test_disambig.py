@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import time
@@ -11,6 +12,7 @@ from fssbench.corpus import Corpus, CorpusError, YearWindow, load_publications
 from fssbench.disambig import (
     DEFAULT_RULES,
     NEVER_MERGE,
+    AuthorCluster,
     MentionContext,
     ScoringRules,
     block_key,
@@ -300,6 +302,36 @@ def test_clusters_jsonl_round_trip(tmp_path):
     write_clusters_jsonl(clusters, path)
     back = load_clusters_jsonl(path)
     assert [c.to_dict() for c in back] == [c.to_dict() for c in clusters]
+
+
+def _cluster(**kw) -> AuthorCluster:
+    fields = dict(cluster_id="W1:0", mention_refs=(("W1", 0),), n_pubs=1, first_year=2016,
+                  last_year=2016, academic_age=0, full_name="Rossi, Maria",
+                  last_name="rossi", first_name="maria", email=None, organization=None,
+                  city=None, country=None, orcid=None, researcher_id=None)
+    return AuthorCluster(**{**fields, **kw})
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_clusters_jsonl_round_trips_characters_splitlines_breaks_at(tmp_path, char):
+    # json.dumps writes these raw, and str.splitlines breaks lines at them
+    clusters = [_cluster(email=f"m{char}r@x.it"), _cluster(researcher_id=f"R{char}1"),
+                _cluster(cluster_id=f"W{char}2:0", mention_refs=((f"W{char}2", 0),))]
+    path = tmp_path / "clusters.jsonl"
+    write_clusters_jsonl(clusters, path)
+    assert load_clusters_jsonl(path) == clusters
+
+
+@pytest.mark.parametrize("field", ["mention_refs", "n_pubs", "first_year"])
+def test_load_clusters_jsonl_refuses_a_null_field(tmp_path, field):
+    path = tmp_path / "clusters.jsonl"
+    write_clusters_jsonl([_cluster(), _cluster()], path)
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(second)
+    obj[field] = None
+    path.write_text(f"{first}\n{json.dumps(obj)}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^clusters.jsonl line 2: bad cluster record"):
+        load_clusters_jsonl(path)
 
 
 def test_pairwise_metrics_hand_example():

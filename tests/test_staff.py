@@ -294,6 +294,19 @@ def test_resolve_conflicts_scales_to_many_email_pairs():
     assert staff.review_queue == []
 
 
+def test_resolve_conflicts_scales_to_one_email_over_many_clusters():
+    # a shared mailbox: rebuilding the survivor at every merge costs n^2
+    clusters = [make_cluster(f"C{i:05d}", org="univ one", email="office@unione.it")
+                for i in range(10_000)]
+    started = time.perf_counter()
+    staff = derive_staff(clusters, REGISTRY, recency_year=2020)
+    assert time.perf_counter() - started < 5
+    [unit] = staff.members["U1"]
+    assert unit.cluster_ids == tuple(c.cluster_id for c in clusters)
+    assert unit.n_pubs == 20_000
+    assert staff.review_queue == []
+
+
 # ---------------------------------------------------------------------------
 # end to end + writers
 
