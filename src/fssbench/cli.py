@@ -14,9 +14,10 @@ off through the output directory:
     report        -> report.txt (and a summary on stdout)
 
 Each stage overwrites run_manifest.json with its own resolved config,
-config hash and seed, its output names, and the sha256 digests of the
-input files passed by flag (--publications, --roster, ...); artifacts a
-stage reads from the output directory are not digested.
+config hash and seed, its output names, and the sha256 digest of each
+input file passed by flag (--publications, --roster, ...), keyed by the
+flag's name; artifacts a stage reads from the output directory are not
+digested.
 Settings come from an optional ``key = value`` config file; command-line
 flags override it. Each is one entry of ``SETTINGS``:
 
@@ -194,7 +195,7 @@ def write_manifest(cfg: RunConfig, subcommand: str) -> None:
         "config": config,
         "config_hash": config_hash,
         "seed": cfg.seed,
-        "inputs": {p.name: _sha256(p) for p in cfg.paths.values() if p and p.exists()},
+        "inputs": {flag: _sha256(p) for flag, p in cfg.paths.items() if p and p.exists()},
         "outputs": list(STAGES[subcommand].outputs),
     }
     (cfg.out / "run_manifest.json").write_text(

@@ -444,15 +444,17 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str]]:
     """Yield ``(lineno, key, value)`` for each line of a ``key = value`` file;
-    ``#`` starts a comment and blank lines are skipped."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CorpusError(f"{what} line {lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        yield lineno, key.strip(), value.strip()
+    ``#`` starts a comment and blank lines are skipped. As in ``read_jsonl``,
+    a line ends only at LF, CR LF or CR, never at U+0085, U+2028 or U+2029."""
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise CorpusError(f"{what} line {lineno}: expected key = value, got {line!r}")
+            key, _, value = line.partition("=")
+            yield lineno, key.strip(), value.strip()
 
 
 # ---------------------------------------------------------------------------

@@ -420,20 +420,27 @@ def write_clusters_jsonl(clusters: list[AuthorCluster], path: str | Path) -> Non
     write_jsonl(path, (c.to_dict() for c in clusters))
 
 
+def _text(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} is not a string")
+    return value
+
+
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
     clusters = []
     for where, obj in read_jsonl(path):
         try:
             clusters.append(AuthorCluster(
-                cluster_id=obj["cluster_id"],
+                cluster_id=_text(obj, "cluster_id"),
                 mention_refs=tuple((r[0], int(r[1])) for r in obj["mention_refs"]),
                 n_pubs=int(obj["n_pubs"]),
                 first_year=int(obj["first_year"]),
                 last_year=int(obj["last_year"]),
                 academic_age=int(obj["academic_age"]),
-                full_name=obj["full_name"],
-                last_name=obj["last_name"],
-                first_name=obj["first_name"],
+                full_name=_text(obj, "full_name"),
+                last_name=_text(obj, "last_name"),
+                first_name=_text(obj, "first_name"),
                 email=obj.get("email"),
                 organization=obj.get("organization"),
                 city=obj.get("city"),

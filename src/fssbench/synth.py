@@ -7,7 +7,10 @@ external co-authors, then emits the exact input files the ingestion
 module reads, plus a ground-truth file labeling every byline mention.
 
 Every random draw is keyed on (seed, entity), so output is deterministic
-for a fixed seed no matter the generation order or thread count. The
+for a fixed seed no matter the generation order or thread count. Draws go
+through ``_rng``, which seeds a generator from a ``uint32`` array, and
+``_pick``, which draws one item of a list; never call ``rng.choice`` on a
+list, because it converts the list to an array on every call. The
 contamination knobs encode the hypothesis under test: non-faculty
 personnel publish less (productivity multiplier below 1), and their
 share differs between universities, so staff inflation should depress
@@ -119,6 +122,8 @@ class SynthConfig:
             raise ValueError(f"at most {len(_CITIES)} universities supported")
         if self.n_scs > len(_SC_NAMES):
             raise ValueError(f"at most {len(_SC_NAMES)} subject categories supported")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.homonym_rate > 0 and self.n_researchers < 2:
             raise ValueError("homonyms need at least 2 researchers")
 
@@ -128,9 +133,33 @@ class SynthConfig:
 
 
 def _rng(config: SynthConfig, *key: int) -> np.random.Generator:
+    """A generator in the state ``np.random.default_rng([config.seed, *key])``
+    gives. Each int is split into its 32-bit words, least significant first,
+    as numpy splits a list; handing numpy a ``uint32`` array skips its
+    conversion of the list, which costs about as much as the seeding itself."""
     import numpy as np
 
-    return np.random.default_rng([config.seed, *key])
+    words = []
+    for value in (config.seed, *key):
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    seed_seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seed_seq))
+
+
+def _pick(rng: np.random.Generator, seq: list[str]) -> str:
+    """``rng.choice(seq)``: the same item, and the same stream afterwards,
+    without converting ``seq`` to an array on every draw."""
+    return seq[int(rng.integers(0, len(seq)))]
+
+
+def _draw_name(rng: np.random.Generator) -> tuple[str, str]:
+    """A random (last, first) name: two or three syllables and a first name."""
+    last = "".join(_pick(rng, _SYLLABLES) for _ in range(int(rng.integers(2, 4))))
+    return last.capitalize(), _pick(rng, _FIRST_NAMES)
 
 
 @dataclass(frozen=True)
@@ -213,14 +242,12 @@ def _largest_remainder(weights: list[float], total: int) -> list[int]:
 def _person_names(config: SynthConfig, index: int,
                   assigned: list[tuple[str, str]]) -> tuple[str, str]:
     rng = _rng(config, _NS_PERSON, index, 0)
-    last = "".join(rng.choice(_SYLLABLES) for _ in range(int(rng.integers(2, 4))))
-    last = last.capitalize()
-    first = str(rng.choice(_FIRST_NAMES))
+    last, first = _draw_name(rng)
     if index > 0 and rng.random() < config.homonym_rate:
         target_last, target_first = assigned[int(rng.integers(0, index))]
         same_initial = [n for n in _FIRST_NAMES
                         if n[0] == target_first[0] and n != target_first]
-        first = str(rng.choice(same_initial)) if same_initial else target_first
+        first = _pick(rng, same_initial) if same_initial else target_first
         last = target_last
     return last, first
 
@@ -327,10 +354,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
     for lead_index in range(len(persons)):
         pool = []
         for k in range(pool_size):
-            rng = _rng(config, _NS_PERSON, 10_000 + lead_index * 100 + k, 0)
-            last = "".join(rng.choice(_SYLLABLES) for _ in range(int(rng.integers(2, 4))))
-            last = last.capitalize()
-            first = str(rng.choice(_FIRST_NAMES))
+            index = 10_000 + lead_index * 100 + k
+            last, first = _draw_name(_rng(config, _NS_PERSON, index, 0))
             pool.append(_Person(
                 person_id=f"X{lead_index:04d}K{k:02d}",
                 kind="external",
@@ -340,7 +365,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
                 career_end=window.end,
                 last_name=last,
                 first_name=first,
-                orcid=_orcid_for(config, 10_000 + lead_index * 100 + k),
+                orcid=_orcid_for(config, index),
                 researcher_id=f"RID-X{lead_index:04d}K{k:02d}",
                 email=f"{last.lower()}.{k}@inst{lead_index:04d}.example",
                 external_org=f"inst {last.lower()} res ctr",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -159,6 +160,30 @@ def test_manifest_records_inputs_and_hash(tmp_path):
     assert manifest["outputs"] == ["report.txt"]
 
 
+def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
+    out = tmp_path / "out"
+    assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert run_pipeline(["ingest", "--out", str(out)]) == 0
+    roster, scheme = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+    for path, name in [(roster, "roster.csv"), (scheme, "scheme.csv")]:
+        path.parent.mkdir()
+        path.write_bytes((out / name).read_bytes())
+    assert run_pipeline(["score", "--out", str(out), "--mode", "supervised",
+                         "--roster", str(roster), "--scheme", str(scheme)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {
+        "roster": hashlib.sha256(roster.read_bytes()).hexdigest(),
+        "scheme": hashlib.sha256(scheme.read_bytes()).hexdigest(),
+    }
+
+
+def test_synth_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_pipeline(["synth", "--out", str(out), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: synth: seed must be non-negative, got -3\n"
+    assert not (out / "publications.jsonl").exists()
+
+
 def test_bad_obs_rule_in_config_file(tmp_path, capsys):
     for key, value in [("obs_rule", "sometimes"), ("mode", "sometimes"),
                        ("window", "lots"), ("n_researchers", "lots")]:
@@ -201,6 +226,23 @@ def test_malformed_config_line(tmp_path, capsys):
                          "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "error: synth: config line 2: expected key = value, got 'just words'\n")
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_config_line_does_not_end_at_a_unicode_line_separator(tmp_path, capsys, char):
+    cfg = tmp_path / "world.cfg"
+    cfg.write_text(f"n_universities = 3\nn_researchers = 36 {char} n_scs = 2\n",
+                   encoding="utf-8")
+    assert run_pipeline(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    value = f"36 {char} n_scs = 2"
+    assert capsys.readouterr().err == (
+        f"error: synth: config key n_researchers: bad value {value!r}\n")
+
+
+def test_config_lines_end_at_lf_crlf_and_cr(tmp_path):
+    cfg = tmp_path / "world.cfg"
+    cfg.write_bytes(b"a = 1\r\nb = 2\rc = 3\n")
+    assert load_config_file(cfg) == {"a": "1", "b": "2", "c": "3"}
 
 
 def test_load_config_file_strips_comments(tmp_path):

@@ -322,7 +322,8 @@ def test_clusters_jsonl_round_trips_characters_splitlines_breaks_at(tmp_path, ch
     assert load_clusters_jsonl(path) == clusters
 
 
-@pytest.mark.parametrize("field", ["mention_refs", "n_pubs", "first_year"])
+@pytest.mark.parametrize("field", ["mention_refs", "n_pubs", "first_year", "cluster_id",
+                                   "full_name", "last_name", "first_name"])
 def test_load_clusters_jsonl_refuses_a_null_field(tmp_path, field):
     path = tmp_path / "clusters.jsonl"
     write_clusters_jsonl([_cluster(), _cluster()], path)

@@ -1,7 +1,12 @@
 import csv
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import reference_synth as reference
+from fssbench import synth
 from fssbench.corpus import load_publications, load_roster
 from fssbench.fss import (
     MODE_SUPERVISED,
@@ -9,7 +14,7 @@ from fssbench.fss import (
     score_subjects,
     subjects_from_roster,
 )
-from fssbench.synth import SynthConfig, generate, oracle_scores
+from fssbench.synth import SynthConfig, _pick, _rng, generate, oracle_scores
 
 
 def small_config(**kw):
@@ -53,6 +58,46 @@ def test_different_seed_differs(tmp_path):
     files_a, _ = generate(small_config(seed=5), tmp_path / "a")
     files_b, _ = generate(small_config(seed=6), tmp_path / "b")
     assert files_a["publications"].read_bytes() != files_b["publications"].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# draws equal the reference draws (tests/reference_synth.py)
+
+@given(seed=st.integers(0, 2 ** 70), key=st.lists(st.integers(0, 2 ** 64), max_size=4))
+@example(seed=0, key=[])
+@example(seed=2 ** 32 - 1, key=[0, 2 ** 32 - 1])
+@example(seed=2 ** 32, key=[2 ** 32, 2 ** 64])
+@example(seed=2 ** 70, key=[3, 2 ** 64 - 1, 0])
+def test_rng_state_equals_default_rng(seed, key):
+    config = SynthConfig(seed=seed)
+    assert (_rng(config, *key).bit_generator.state
+            == reference._rng(config, *key).bit_generator.state)
+
+
+@given(seed=st.integers(0, 2 ** 64),
+       seq=st.sampled_from([synth._SYLLABLES, synth._FIRST_NAMES, ["Maria"], ["Marco", "Maria"]]),
+       draws=st.integers(1, 5))
+def test_pick_equals_choice_and_leaves_the_same_stream(seed, seq, draws):
+    picked, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert _pick(picked, seq) == chosen.choice(seq)
+        assert picked.bit_generator.state == chosen.bit_generator.state
+
+
+@pytest.mark.parametrize("kw", [
+    dict(seed=3, n_universities=8, n_researchers=120, n_scs=6, non_faculty_share=0.35,
+         non_faculty_productivity_multiplier=0.5),
+    dict(seed=2 ** 32 + 1, n_universities=4, n_researchers=80, n_scs=4, homonym_rate=1.0,
+         orcid_missing_rate=0.5, email_missing_rate=0.5),
+], ids=["contamination", "homonym"])
+def test_generate_writes_the_bytes_of_the_reference_draws(tmp_path, monkeypatch, kw):
+    config = SynthConfig(**kw)
+    files, _ = generate(config, tmp_path / "package")
+    monkeypatch.setattr(synth, "_rng", reference._rng)
+    monkeypatch.setattr(synth, "_person_names", reference._person_names)
+    monkeypatch.setattr(synth, "_draw_name", reference.draw_name)
+    reference_files, _ = generate(config, tmp_path / "reference")
+    assert read_bytes(files) == read_bytes(reference_files)
 
 
 # ---------------------------------------------------------------------------
