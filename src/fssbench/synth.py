@@ -136,11 +136,14 @@ def _rng(config: SynthConfig, *key: int) -> np.random.Generator:
     """A generator in the state ``np.random.default_rng([config.seed, *key])``
     gives. Each int is split into its 32-bit words, least significant first,
     as numpy splits a list; handing numpy a ``uint32`` array skips its
-    conversion of the list, which costs about as much as the seeding itself."""
+    conversion of the list, which costs about as much as the seeding itself.
+    A negative int is refused as numpy refuses it: its words never run out."""
     import numpy as np
 
     words = []
     for value in (config.seed, *key):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
         words.append(value & 0xFFFFFFFF)
         value >>= 32
         while value:

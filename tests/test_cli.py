@@ -184,6 +184,22 @@ def test_synth_refuses_a_negative_seed(tmp_path, capsys):
     assert not (out / "publications.jsonl").exists()
 
 
+@pytest.mark.parametrize("setting", [["--window", "0001:0003"],
+                                     ["--config", "career_lookback_max = 3000\n"]],
+                         ids=["window-0001", "lookback-3000"])
+def test_synth_refuses_a_career_start_before_year_zero(tmp_path, capsys, setting):
+    # a career may start up to career_lookback_max years before the window;
+    # a start below year 0 keys a negative draw, which synth must refuse
+    flag, value = setting
+    if flag == "--config":
+        value = write_config(tmp_path, SMALL_WORLD + value)
+    args = ["synth", "--out", str(tmp_path / "o"), flag, value]
+    if flag != "--config":
+        args += ["--config", write_config(tmp_path)]
+    assert run_pipeline(args) == 1
+    assert capsys.readouterr().err == "error: synth: expected non-negative integer\n"
+
+
 def test_bad_obs_rule_in_config_file(tmp_path, capsys):
     for key, value in [("obs_rule", "sometimes"), ("mode", "sometimes"),
                        ("window", "lots"), ("n_researchers", "lots")]:

@@ -74,6 +74,15 @@ def test_rng_state_equals_default_rng(seed, key):
             == reference._rng(config, *key).bit_generator.state)
 
 
+@pytest.mark.parametrize("seed, key", [(-1, ()), (0, (-1,)), (7, (4, 3, -(2 ** 40)))])
+def test_rng_refuses_a_negative_int_as_default_rng_does(seed, key):
+    config = SynthConfig()
+    object.__setattr__(config, "seed", seed)     # past the seed check of SynthConfig
+    for rng in (_rng, reference._rng):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            rng(config, *key)
+
+
 @given(seed=st.integers(0, 2 ** 64),
        seq=st.sampled_from([synth._SYLLABLES, synth._FIRST_NAMES, ["Maria"], ["Marco", "Maria"]]),
        draws=st.integers(1, 5))
