@@ -287,12 +287,11 @@ def cmd_score(cfg: RunConfig) -> None:
 
     researcher_rows = []
     university_rows = []
-    for mode, scores in by_mode.items():
+    for scores in by_mode.values():
         researcher_rows.extend(scores)
         baselines = fss.compute_sc_baselines(scores)
         for level in (fss.LEVEL_SC, fss.LEVEL_AREA, fss.LEVEL_OVERALL):
-            for uscore in fss.compute_fss_u(scores, baselines, level, scheme):
-                university_rows.append((mode, uscore))
+            university_rows.extend(fss.compute_fss_u(scores, baselines, level, scheme))
 
     fss.write_researcher_scores_csv(researcher_rows, cfg.out / "scores_researchers.csv")
     fss.write_university_scores_csv(university_rows, cfg.out / "scores_universities.csv")
@@ -300,22 +299,24 @@ def cmd_score(cfg: RunConfig) -> None:
              len(researcher_rows), len(university_rows))
 
 
+def _split_modes(scores: list) -> tuple[list, list]:
+    """The supervised and the unsupervised rows of ``scores``, by ``.mode``."""
+    return ([s for s in scores if s.mode == fss.MODE_SUPERVISED],
+            [s for s in scores if s.mode == fss.MODE_UNSUPERVISED])
+
+
 def cmd_compare(cfg: RunConfig) -> None:
     uni_path = _artifact(cfg, "scores_universities.csv")
     res_path = _artifact(cfg, "scores_researchers.csv")
-    by_mode: dict[str, list[fss.UniversityScore]] = {"supervised": [], "unsupervised": []}
-    for mode, score in fss.load_university_scores_csv(uni_path):
-        if score.level == fss.LEVEL_OVERALL and mode in by_mode:
-            by_mode[mode].append(score)
-    if not by_mode["supervised"] or not by_mode["unsupervised"]:
+    sup_u, unsup_u = _split_modes([s for s in fss.load_university_scores_csv(uni_path)
+                                   if s.level == fss.LEVEL_OVERALL])
+    if not sup_u or not unsup_u:
         raise StageError(
             "scores_universities.csv lacks one of the modes; run `score` with "
             "mode=both first")
-    researchers = fss.load_researcher_scores_csv(res_path)
-    sup_res = [s for s in researchers if s.mode == fss.MODE_SUPERVISED]
-    unsup_res = [s for s in researchers if s.mode == fss.MODE_UNSUPERVISED]
+    sup_res, unsup_res = _split_modes(fss.load_researcher_scores_csv(res_path))
 
-    table = comparemod.rank_universities(by_mode["supervised"], by_mode["unsupervised"])
+    table = comparemod.rank_universities(sup_u, unsup_u)
     report = comparemod.comparison_report(table,
                                           supervised_researchers=sup_res,
                                           unsupervised_researchers=unsup_res)
@@ -330,9 +331,22 @@ def cmd_compare(cfg: RunConfig) -> None:
 
 
 def cmd_report(cfg: RunConfig) -> None:
-    report = json.loads(_artifact(cfg, "report.json").read_text(encoding="utf-8"))
+    path = _artifact(cfg, "report.json")
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(report, dict):
+            raise TypeError("not a JSON object")
+        text = "\n".join(_report_lines(report)) + "\n"
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StageError(f"{path.name}: bad report: {exc}") from exc
+    (cfg.out / "report.txt").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+
+
+def _report_lines(report: dict) -> list[str]:
+    """The summary of ``report``, the dictionary ``compare`` writes."""
     lines = [f"universities compared: {report['n_universities']}"]
-    for mode in ("supervised", "unsupervised"):
+    for mode in (fss.MODE_SUPERVISED, fss.MODE_UNSUPERVISED):
         unranked = report.get(f"universities_only_{mode}")
         if unranked:
             lines.append(f"scored {mode} only, not compared: {', '.join(unranked)}")
@@ -363,9 +377,7 @@ def cmd_report(cfg: RunConfig) -> None:
                      f"pearson={_fmt(dev.get('obs_vs_fss_u'))}; "
                      "vs rank movement: "
                      f"pearson={_fmt(dev.get('obs_vs_delta_rank'))}")
-    text = "\n".join(lines) + "\n"
-    (cfg.out / "report.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    return lines
 
 
 def _fmt(value) -> str:

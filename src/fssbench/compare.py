@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .corpus import read_csv, write_csv
-from .fss import ResearcherScore, UniversityScore
+from .fss import MODE_SUPERVISED, MODE_UNSUPERVISED, ResearcherScore, UniversityScore
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,17 +124,19 @@ def assign_quartile(rank: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class RankRow:
+    """One row of rank_table.csv, fields in its column order."""
+
     university_id: str
-    sup_obs: int
-    sup_fss_u: float
-    sup_rank: int
-    sup_percentile: int
-    sup_quartile: int
     unsup_obs: int
     unsup_fss_u: float
     unsup_rank: int
     unsup_percentile: int
     unsup_quartile: int
+    sup_obs: int
+    sup_fss_u: float
+    sup_rank: int
+    sup_percentile: int
+    sup_quartile: int
     delta_rank: int              # sup_rank - unsup_rank
 
 
@@ -380,29 +382,20 @@ def _correlation(test, x: list, y: list) -> float:
     return test(x, y)
 
 
-def correlation_battery(table: RankTable,
-                        groups: dict[str, list[str]] | None = None,
-                        ) -> dict[str, GroupCorrelation]:
-    """Pearson on scores and Spearman on ranks (average-rank ties), per
-    group of universities; default is one overall group. Groups with
-    fewer than 3 members are skipped with a warning."""
-    if groups is None:
-        groups = {"overall": [r.university_id for r in table.rows]}
-    out: dict[str, GroupCorrelation] = {}
-    for name in sorted(groups):
-        rows = [table.row(u) for u in groups[name]]
-        if len(rows) < 3:
-            log.warning("group %r has %d universities, need 3; skipped",
-                        name, len(rows))
-            continue
-        sup_scores = [r.sup_fss_u for r in rows]
-        unsup_scores = [r.unsup_fss_u for r in rows]
-        pearson = _correlation(_pearson, sup_scores, unsup_scores)
-        spearman = _correlation(_spearman, [r.sup_rank for r in rows],
-                                [r.unsup_rank for r in rows])
-        out[name] = GroupCorrelation(group=name, n=len(rows),
-                                     pearson_scores=pearson, spearman_ranks=spearman)
-    return out
+def correlation_battery(table: RankTable) -> dict[str, GroupCorrelation]:
+    """Pearson on scores and Spearman on ranks (average-rank ties) over all
+    the table's universities, as the one group ``overall``. A table of
+    fewer than 3 universities gives no group, with a warning."""
+    rows = table.rows
+    if len(rows) < 3:
+        log.warning("group 'overall' has %d universities, need 3; skipped", len(rows))
+        return {}
+    pearson = _correlation(_pearson, [r.sup_fss_u for r in rows],
+                           [r.unsup_fss_u for r in rows])
+    spearman = _correlation(_spearman, [r.sup_rank for r in rows],
+                            [r.unsup_rank for r in rows])
+    return {"overall": GroupCorrelation(group="overall", n=len(rows),
+                                        pearson_scores=pearson, spearman_ranks=spearman)}
 
 
 def percent_deviation(supervised: float, unsupervised: float) -> float:
@@ -436,7 +429,7 @@ def researcher_distributions(supervised: list[ResearcherScore],
     """Distribution statistics of researcher scores per mode, over all
     researchers (group ``<mode>:overall``) and per SC (``<mode>:<sc_id>``)."""
     stats: dict[str, DistributionStats] = {}
-    for mode, scores in (("supervised", supervised), ("unsupervised", unsupervised)):
+    for mode, scores in ((MODE_SUPERVISED, supervised), (MODE_UNSUPERVISED, unsupervised)):
         stats[f"{mode}:overall"] = distribution_stats([s.fss_r for s in scores])
         for sc, values in _fss_r_by_sc(scores).items():
             stats[f"{mode}:{sc}"] = distribution_stats(values)
@@ -489,10 +482,12 @@ def _json_safe(value):
 
 
 def comparison_report(table: RankTable,
-                      supervised_researchers: list[ResearcherScore] | None = None,
-                      unsupervised_researchers: list[ResearcherScore] | None = None,
-                      ) -> dict:
-    """The full battery as one JSON-ready dictionary."""
+                      supervised_researchers: list[ResearcherScore],
+                      unsupervised_researchers: list[ResearcherScore]) -> dict:
+    """The full battery as one JSON-ready dictionary: the table's rank,
+    quartile and correlation figures, and both modes' researcher score
+    distributions and per-SC deviation correlations. Non-finite floats
+    become None."""
     matrix = quartile_confusion(table)
     jumps = rank_jumps(table)
     battery = correlation_battery(table)
@@ -517,30 +512,21 @@ def comparison_report(table: RankTable,
             "max_abs_delta_rank_top": jumps.max_abs_delta_top,
         },
         "university_deviation_correlations": university_deviation_correlations(table),
+        "sc_deviation_correlations": sc_deviation_correlations(
+            supervised_researchers, unsupervised_researchers),
+        "researcher_distributions": {
+            mode: _stats_dict(distribution_stats([s.fss_r for s in scores]))
+            for mode, scores in ((MODE_SUPERVISED, supervised_researchers),
+                                 (MODE_UNSUPERVISED, unsupervised_researchers))
+        },
     }
-    if supervised_researchers is not None and unsupervised_researchers is not None:
-        report["sc_deviation_correlations"] = sc_deviation_correlations(
-            supervised_researchers, unsupervised_researchers)
-        report["researcher_distributions"] = {
-            "supervised": _stats_dict(distribution_stats(
-                [s.fss_r for s in supervised_researchers])),
-            "unsupervised": _stats_dict(distribution_stats(
-                [s.fss_r for s in unsupervised_researchers])),
-        }
     return _json_safe(report)
 
 
 def _stats_dict(stats: DistributionStats) -> dict:
-    return {
-        "obs": stats.obs,
-        "mean": stats.mean,
-        "std_dev": stats.std_dev,
-        "variance": stats.variance,
-        "skewness": stats.skewness,
-        "kurtosis": stats.kurtosis,
-        "percentiles": {str(p): v for p, v in zip(PERCENTILE_POINTS, stats.percentiles)},
-        "max": stats.max,
-    }
+    """``stats`` as a dictionary, its percentiles keyed by point."""
+    return {**asdict(stats), "percentiles": dict(zip(map(str, PERCENTILE_POINTS),
+                                                     stats.percentiles))}
 
 
 def write_report_json(report: dict, path: str | Path) -> None:
@@ -549,16 +535,7 @@ def write_report_json(report: dict, path: str | Path) -> None:
 
 
 def write_rank_table_csv(table: RankTable, path: str | Path) -> None:
-    write_csv(path, ("university_id",
-                     "unsup_obs", "unsup_fss_u", "unsup_rank", "unsup_percentile",
-                     "unsup_quartile",
-                     "sup_obs", "sup_fss_u", "sup_rank", "sup_percentile",
-                     "sup_quartile", "delta_rank"),
-              ([r.university_id,
-                r.unsup_obs, repr(r.unsup_fss_u), r.unsup_rank,
-                r.unsup_percentile, r.unsup_quartile,
-                r.sup_obs, repr(r.sup_fss_u), r.sup_rank,
-                r.sup_percentile, r.sup_quartile, r.delta_rank] for r in table.rows))
+    write_csv(path, (f.name for f in fields(RankRow)), map(astuple, table.rows))
 
 
 def write_quartile_matrix_csv(matrix: QuartileMatrix, path: str | Path) -> None:

@@ -220,6 +220,19 @@ class University:
     organization_variants: tuple[str, ...]
 
 
+def _claims(universities: list[University], attr: str, what: str) -> dict[str, str]:
+    """Each value of ``attr`` (a tuple of strings) of the universities,
+    mapped to the one university that lists it."""
+    owner: dict[str, str] = {}
+    for u in universities:
+        for value in getattr(u, attr):
+            other = owner.setdefault(value, u.university_id)
+            if other != u.university_id:
+                raise CorpusError(f"{what} {value!r} claimed by both "
+                                  f"{other!r} and {u.university_id!r}")
+    return owner
+
+
 class UniversityRegistry:
     """Universities with their normalized name variants and email domains.
 
@@ -228,23 +241,9 @@ class UniversityRegistry:
 
     def __init__(self, universities: list[University]):
         self.universities = {u.university_id: u for u in universities}
-        self._by_variant: dict[str, str] = {}
-        self._by_domain: dict[str, str] = {}
-        for u in universities:
-            for v in u.organization_variants:
-                other = self._by_variant.get(v)
-                if other is not None and other != u.university_id:
-                    raise CorpusError(
-                        f"organization variant {v!r} claimed by both "
-                        f"{other!r} and {u.university_id!r}")
-                self._by_variant[v] = u.university_id
-            for d in u.email_domains:
-                other = self._by_domain.get(d)
-                if other is not None and other != u.university_id:
-                    raise CorpusError(
-                        f"email domain {d!r} claimed by both "
-                        f"{other!r} and {u.university_id!r}")
-                self._by_domain[d] = u.university_id
+        self._by_variant = _claims(universities, "organization_variants",
+                                   "organization variant")
+        self._by_domain = _claims(universities, "email_domains", "email domain")
 
     def __len__(self) -> int:
         return len(self.universities)

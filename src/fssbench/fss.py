@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .corpus import Corpus, PublicationRecord, RosterEntry, SCScheme, read_csv, write_csv
@@ -71,37 +71,25 @@ def build_citation_cells(corpus: Corpus) -> dict[tuple[int, str], CitationCell]:
             for key, (total, count) in sums.items()}
 
 
-def _cell(pub: PublicationRecord, sc_id: str,
-          cells: dict[tuple[int, str], CitationCell]) -> CitationCell:
+def normalized_citation_score(pub: PublicationRecord, sc_id: str,
+                              cells: dict[tuple[int, str], CitationCell]) -> float:
+    """c_i / cbar for one publication against one SC cell; 0 when the cell
+    mean is 0 (then c_i is 0 too)."""
     cell = cells.get((pub.year, sc_id))
     if cell is None:
         raise ScoreError(
             f"no citation cell for year {pub.year}, SC {sc_id!r} "
             f"(publication {pub.pub_id})")
-    return cell
-
-
-def _norm(pub: PublicationRecord, cell: CitationCell) -> float:
     if cell.mean_citations == 0.0:
         return 0.0
     return pub.citation_count / cell.mean_citations
 
 
-def normalized_citation_score(pub: PublicationRecord, sc_id: str,
-                              cells: dict[tuple[int, str], CitationCell]) -> float:
-    """c_i / cbar for one publication against one SC cell; 0 when the cell
-    mean is 0 (then c_i is 0 too)."""
-    return _norm(pub, _cell(pub, sc_id, cells))
-
-
 def publication_norm(pub: PublicationRecord,
-                     cells: dict[tuple[int, str], CitationCell]) -> tuple[float, float]:
-    """(norm, cbar): the normalized citation score and the cell mean
-    citations, each averaged over the publication's SCs, from one lookup
-    per cell."""
-    pub_cells = [_cell(pub, sc, cells) for sc in sorted(set(pub.subject_categories))]
-    return (sum(_norm(pub, cell) for cell in pub_cells) / len(pub_cells),
-            sum(cell.mean_citations for cell in pub_cells) / len(pub_cells))
+                     cells: dict[tuple[int, str], CitationCell]) -> float:
+    """The normalized citation score averaged over the publication's SCs."""
+    scs = sorted(set(pub.subject_categories))
+    return sum(normalized_citation_score(pub, sc, cells) for sc in scs) / len(scs)
 
 
 @dataclass(frozen=True)
@@ -216,8 +204,6 @@ class PublicationTerm:
     """One window publication's contribution: norm * frac joins the sum."""
 
     pub_id: str
-    citations: int
-    mean_citations: float
     frac: float
     norm: float
 
@@ -266,10 +252,9 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
         pub = corpus.by_id.get(pub_id)
         if pub is None or pub.year not in window:
             continue
-        norm, cbar = publication_norm(pub, cells)
+        norm = publication_norm(pub, cells)
         frac = 1.0 / pub.byline_size
-        terms.append(PublicationTerm(pub_id=pub.pub_id, citations=pub.citation_count,
-                                     mean_citations=cbar, frac=frac, norm=norm))
+        terms.append(PublicationTerm(pub_id=pub.pub_id, frac=frac, norm=norm))
         total += norm * frac
     return ResearcherScore(
         subject_id=subject.subject_id,
@@ -356,7 +341,10 @@ LEVEL_OVERALL = "overall"
 
 @dataclass(frozen=True)
 class UniversityScore:
+    """One row of scores_universities.csv, fields in its column order."""
+
     university_id: str
+    mode: str
     level: str
     level_key: str
     rs_u: int
@@ -367,17 +355,19 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
                   baselines: dict[str, SCBaseline],
                   level: str = LEVEL_OVERALL,
                   scheme: SCScheme | None = None) -> list[UniversityScore]:
-    """Aggregate researcher scores per university at one level.
+    """Aggregate researcher scores per (mode, university) at one level.
 
     Every member's score is scaled by their prevailing-SC baseline before
     any aggregation, whichever the level; rs_u counts unproductive members
-    too (they are a research cost).
+    too (they are a research cost). Each row carries the mode of the
+    scores it averages; ``baselines`` must be those of that mode, so a
+    caller passes one mode's scores at a time.
     """
     if level not in (LEVEL_SC, LEVEL_AREA, LEVEL_OVERALL):
         raise ValueError(f"unknown aggregation level {level!r}")
     if level == LEVEL_AREA and scheme is None:
         raise ValueError("area-level aggregation needs the SC scheme")
-    groups: dict[tuple[str, str], list[ResearcherScore]] = {}
+    groups: dict[tuple[str, str, str], list[ResearcherScore]] = {}
     for score in staff_scores:
         if score.university_id is None:
             raise ScoreError(f"subject {score.subject_id!r} has no university")
@@ -387,9 +377,9 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
             key = scheme.area_of(score.sc_id)
         else:
             key = LEVEL_OVERALL
-        groups.setdefault((score.university_id, key), []).append(score)
+        groups.setdefault((score.mode, score.university_id, key), []).append(score)
     out = []
-    for (university_id, key), members in sorted(groups.items()):
+    for (mode, university_id, key), members in sorted(groups.items()):
         total = 0.0
         for member in members:
             baseline = baselines.get(member.sc_id)
@@ -400,6 +390,7 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
             total += member.fss_r / baseline.mean_fss_over_productive
         out.append(UniversityScore(
             university_id=university_id,
+            mode=mode,
             level=level,
             level_key=key,
             rs_u=len(members),
@@ -438,20 +429,16 @@ def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
     ) for _, row in read_csv(path, RESEARCHER_COLUMNS)]
 
 
-def write_university_scores_csv(rows: list[tuple[str, UniversityScore]],
-                                path: str | Path) -> None:
-    """Rows of (mode, score), the shape load_university_scores_csv returns."""
-    write_csv(path, UNIVERSITY_COLUMNS,
-              ([s.university_id, mode, s.level, s.level_key, s.rs_u, repr(s.fss_u)]
-               for mode, s in rows))
+def write_university_scores_csv(scores: list[UniversityScore], path: str | Path) -> None:
+    write_csv(path, UNIVERSITY_COLUMNS, map(astuple, scores))
 
 
-def load_university_scores_csv(path: str | Path) -> list[tuple[str, UniversityScore]]:
-    """Rows of (mode, score)."""
-    return [(row["mode"], UniversityScore(
+def load_university_scores_csv(path: str | Path) -> list[UniversityScore]:
+    return [UniversityScore(
         university_id=row["university_id"],
+        mode=row["mode"],
         level=row["level"],
         level_key=row["key"],
         rs_u=int(row["rs_u"]),
         fss_u=float(row["fss_u"]),
-    )) for _, row in read_csv(path, UNIVERSITY_COLUMNS)]
+    ) for _, row in read_csv(path, UNIVERSITY_COLUMNS)]

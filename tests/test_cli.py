@@ -469,6 +469,19 @@ def test_report_prints_a_null_correlation_as_na(tmp_path, capsys):
         "correlation [overall]: pearson(scores)=n/a spearman(ranks)=n/a (n=3)\n")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "not a JSON object"),
+    ('{"correlations": {}}', "'n_universities'"),
+])
+def test_report_refuses_a_malformed_report(tmp_path, capsys, text, reason):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text(text)
+    assert run_pipeline(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: report: report.json: bad report: {reason}\n"
+    assert not (out / "report.txt").exists()
+
+
 NINETY_RESEARCHERS = "n_universities = 3\nn_researchers = 90\nn_scs = 2\n"
 
 

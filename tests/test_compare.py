@@ -32,9 +32,9 @@ from fssbench.compare import (
 from fssbench.fss import MODE_SUPERVISED, MODE_UNSUPERVISED, ResearcherScore, UniversityScore
 
 
-def uscore(uid, fss_u, rs_u=10, mode_level="overall"):
-    return UniversityScore(university_id=uid, level=mode_level,
-                           level_key=mode_level, rs_u=rs_u, fss_u=fss_u)
+def uscore(uid, fss_u, rs_u=10, mode=MODE_SUPERVISED):
+    return UniversityScore(university_id=uid, mode=mode, level="overall",
+                           level_key="overall", rs_u=rs_u, fss_u=fss_u)
 
 
 def rscore(sid, sc, fss, mode=MODE_SUPERVISED):
@@ -168,7 +168,8 @@ def test_rank_universities_ranks_the_shared_set():
     assert [(r.university_id, r.sup_rank, r.unsup_rank) for r in table.rows] == [
         ("B", 2, 1), ("C", 1, 2)]
     assert (table.only_supervised, table.only_unsupervised) == (("A",), ("D",))
-    report = comparison_report(table)
+    report = comparison_report(table, [rscore("P1", "SC1", 1.0)],
+                               [rscore("C1", "SC1", 1.0, MODE_UNSUPERVISED)])
     assert report["universities_only_supervised"] == ["A"]
     assert report["universities_only_unsupervised"] == ["D"]
 
@@ -262,12 +263,11 @@ def test_correlation_battery_perfect_agreement():
 
 
 def test_correlation_battery_skips_tiny_groups(caplog):
-    table = _small_table()
-    battery = correlation_battery(table, {"tiny": ["A", "B"],
-                                          "ok": ["A", "B", "C", "D"]})
-    assert "tiny" not in battery
-    assert battery["ok"].n == 4
-    assert any("tiny" in r.getMessage() for r in caplog.records)
+    table = rank_universities([uscore("A", 2.0), uscore("B", 1.0)],
+                              [uscore("A", 1.0), uscore("B", 2.0)])
+    assert correlation_battery(table) == {}
+    assert [r.getMessage() for r in caplog.records] == [
+        "group 'overall' has 2 universities, need 3; skipped"]
 
 
 def test_correlation_needs_two_pairs():
@@ -400,10 +400,12 @@ def test_comparison_report_json_round_trip(tmp_path):
 def test_rank_table_and_matrix_csv(tmp_path):
     table = _small_table()
     write_rank_table_csv(table, tmp_path / "rank.csv")
-    text = (tmp_path / "rank.csv").read_text()
-    header = text.splitlines()[0]
-    assert header.startswith("university_id,unsup_obs")
-    assert "delta_rank" in header
+    lines = (tmp_path / "rank.csv").read_text().splitlines()
+    assert lines[0] == ("university_id,unsup_obs,unsup_fss_u,unsup_rank,unsup_percentile,"
+                        "unsup_quartile,sup_obs,sup_fss_u,sup_rank,sup_percentile,"
+                        "sup_quartile,delta_rank")
+    assert lines[1] == "A,10,8.0,1,100,1,10,8.0,1,100,1,0"
+    assert len(lines) == 1 + table.n
     write_quartile_matrix_csv(quartile_confusion(table), tmp_path / "matrix.csv")
     lines = (tmp_path / "matrix.csv").read_text().strip().splitlines()
     assert len(lines) == 5

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -80,7 +81,7 @@ def test_publication_norm_averages_over_subject_categories():
     ])
     cells = build_citation_cells(corpus)
     # SC1 cell mean (4+4)/2=4 -> 1.0; SC2 cell mean (4+0)/2=2 -> 2.0
-    assert publication_norm(corpus.by_id["W1"], cells) == pytest.approx((1.5, 3.0))
+    assert publication_norm(corpus.by_id["W1"], cells) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +389,28 @@ def test_researcher_scores_csv_round_trip(tmp_path):
         assert a.fss_r == b.fss_r         # repr round-trip is exact
 
 
+def _university_rows(scores, mode):
+    """compute_fss_u over ``scores`` recast as ``mode``'s, at SC and overall level."""
+    scores = [replace(s, mode=mode) for s in scores]
+    baselines = compute_sc_baselines(scores)
+    return [u for level in (LEVEL_SC, LEVEL_OVERALL)
+            for u in compute_fss_u(scores, baselines, level)]
+
+
+def test_compute_fss_u_stamps_the_mode_of_its_scores():
+    _, scores = _scored_world()
+    for mode in (MODE_SUPERVISED, MODE_UNSUPERVISED):
+        rows = _university_rows(scores, mode)
+        assert len(rows) == 4
+        assert {u.mode for u in rows} == {mode}
+
+
 def test_university_scores_csv_round_trip(tmp_path):
     _, scores = _scored_world()
-    baselines = compute_sc_baselines(scores)
-    rows = [(mode, u) for mode in (MODE_SUPERVISED, MODE_UNSUPERVISED)
-            for level in (LEVEL_SC, LEVEL_OVERALL)
-            for u in compute_fss_u(scores, baselines, level)]
+    rows = [u for mode in (MODE_SUPERVISED, MODE_UNSUPERVISED)
+            for u in _university_rows(scores, mode)]
     path = tmp_path / "u.csv"
     write_university_scores_csv(rows, path)
-    assert load_university_scores_csv(path) == rows   # repr round-trip is exact
+    back = load_university_scores_csv(path)
+    assert back == rows          # each row keeps its mode; repr round-trip is exact
+    assert [u.mode for u in back] == [MODE_SUPERVISED] * 4 + [MODE_UNSUPERVISED] * 4
