@@ -164,9 +164,11 @@ class YearWindow:
         return cls(int(m.group(1)), int(m.group(2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorMention:
-    """One name on one byline, with its affiliation and identifier evidence."""
+    """One name on one byline, with its affiliation and identifier evidence.
+
+    Slotted, with no ``__dict__``: a national corpus holds about a million."""
 
     raw_full_name: str
     last_name: str
@@ -182,7 +184,9 @@ class AuthorMention:
 
 @dataclass(frozen=True)
 class PublicationRecord:
-    """One indexed publication; byline order is the mention order."""
+    """One indexed publication; byline order is the mention order.
+
+    Not slotted: the acceptance tests rebuild records from ``__dict__``."""
 
     pub_id: str
     year: int

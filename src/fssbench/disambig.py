@@ -8,6 +8,9 @@ clears the threshold, dropping stale entries as they surface. Two clusters
 that share a publication or carry distinct ORCIDs never merge. Beyond
 scoring every pair of a block once, a block costs about O(P log P) for P
 nonzero pair sums, not the O(n^3) of rescanning all pairs after each merge.
+A complete block, one whose every pair clears the threshold under
+whole-number weights, is one cluster without any agglomeration. Most
+blocks of a national corpus hold one person and are complete.
 
 Each resulting cluster is a proto-individual summarized in the
 same field layout as the reference cluster schema (cluster_id, n_pubs,
@@ -32,6 +35,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -310,6 +314,17 @@ def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
     )
 
 
+#: Below this total, sums of whole-number scores are exact in floating point.
+_EXACT_SUMS = 2.0 ** 53
+
+
+@cache
+def _whole_weights(rules: ScoringRules) -> bool:
+    """Every evidence weight is a whole number, so every pair score is one."""
+    return all(float(getattr(rules, f.name)).is_integer()
+               for f in fields(rules) if f.name != "merge_threshold")
+
+
 def _distinct(x: str | None, y: str | None) -> bool:
     """Both identifiers present and different: a hard conflict for ORCIDs."""
     return x is not None and y is not None and x != y
@@ -347,17 +362,37 @@ def cluster_block(block: list[MentionContext],
       A never-merge score that comes from overflowing weights is kept as a
       pair sum instead, and no sum it enters can clear the threshold.
 
+    A complete block skips the loop and comes back as one cluster. It is
+    complete when every one of its n(n-1)/2 pairs was seeded, every
+    evidence weight is a whole number, and the seeds total below 2**53
+    (which also turns away a score that overflowed to +inf). The loop
+    would then end in that same one cluster:
+
+    - No two mentions share a publication or carry distinct ORCIDs, or
+      their pair would not have been seeded, so no two clusters conflict.
+    - Every score is a whole number, and the seeds total below 2**53, so
+      every cluster pair's sum, a sum of seeds, is exact. It covers
+      size_a * size_b seeds, each at or above the threshold, so the
+      average, rounded once, stays at or above the threshold too. Each
+      merge leaves every pair of live clusters in the heap at its current
+      average, and each valid pop merges, down to one cluster.
+    - ``summarize_cluster`` sorts its members, so the merge order cannot
+      show.
+
+    Under fractional weights the sums round (0.7 + 0.7 + 0.7 gives
+    2.0999999999999996, whose average falls below a threshold of 0.7), so
+    such a block takes the loop.
+
     Cost: the n(n-1)/2 calls to ``score_pair``, then O(log P) per heap
     entry, where P counts the nonzero pair sums. At most one entry goes in
     per nonzero sum at the seed and per neighbour of each merge's survivor:
     about O(P log P) per block, not the O(n^3) of rescanning every live
-    pair after each merge.
+    pair after each merge. A complete block costs one O(P) pass over its
+    seeds instead of the heap.
     """
     ctxs = sorted(block, key=_BY_REF)
-    ids = list(range(len(ctxs)))            # dict keys share these, not one int per pair
-    members = [[c] for c in ctxs]           # emptied when the cluster dies
-    pubs = [{c.pub_id} for c in ctxs]
-    orcids = [c.orcid for c in ctxs]
+    n = len(ctxs)
+    ids = list(range(n))                    # dict keys share these, not one int per pair
     sums: list[dict[int, float]] = [{} for _ in ctxs]
     threshold = rules.merge_threshold
     heap = []
@@ -375,6 +410,13 @@ def cluster_block(block: list[MentionContext],
             sums_a[b] = sums[b][a] = s
             if s >= threshold:
                 heap.append((-s, a, b))
+    # a complete block: every pair was seeded, and its sums are exact
+    if (n and len(heap) == n * (n - 1) // 2 and _whole_weights(rules)
+            and -sum(entry[0] for entry in heap) < _EXACT_SUMS):
+        return [summarize_cluster(ctxs)]
+    members = [[c] for c in ctxs]           # emptied when the cluster dies
+    pubs = [{c.pub_id} for c in ctxs]
+    orcids = [c.orcid for c in ctxs]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:

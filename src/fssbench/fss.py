@@ -35,7 +35,8 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .corpus import Corpus, PublicationRecord, RosterEntry, SCScheme, read_csv, write_csv
+from .corpus import (Corpus, CorpusError, PublicationRecord, RosterEntry, SCScheme, read_csv,
+                     write_csv)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -416,17 +417,34 @@ def write_researcher_scores_csv(scores: list[ResearcherScore], path: str | Path)
                for s in sorted(scores, key=lambda s: (s.mode, s.subject_id))))
 
 
+def _mode(where: str, row: dict[str, str]) -> str:
+    mode = row["mode"]
+    if mode not in (MODE_SUPERVISED, MODE_UNSUPERVISED):
+        raise CorpusError(f"{where}: mode {mode!r} is neither {MODE_SUPERVISED!r} "
+                          f"nor {MODE_UNSUPERVISED!r}")
+    return mode
+
+
+def _number(where: str, row: dict[str, str], column: str,
+            kind: type[int] | type[float]) -> int | float:
+    try:
+        return kind(row[column])
+    except ValueError:
+        raise CorpusError(f"{where}: {column} {row[column]!r} is not "
+                          f"{'an integer' if kind is int else 'a number'}") from None
+
+
 def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
     return [ResearcherScore(
         subject_id=row["subject_id"],
-        mode=row["mode"],
+        mode=_mode(where, row),
         university_id=row["university_id"] or None,
         sc_id=row["sc"],
-        t=float(row["t"]),
-        n_pubs=int(row["n"]),
-        fss_r=float(row["fss_r"]),
+        t=_number(where, row, "t", float),
+        n_pubs=_number(where, row, "n", int),
+        fss_r=_number(where, row, "fss_r", float),
         terms=(),
-    ) for _, row in read_csv(path, RESEARCHER_COLUMNS)]
+    ) for where, row in read_csv(path, RESEARCHER_COLUMNS)]
 
 
 def write_university_scores_csv(scores: list[UniversityScore], path: str | Path) -> None:
@@ -436,9 +454,9 @@ def write_university_scores_csv(scores: list[UniversityScore], path: str | Path)
 def load_university_scores_csv(path: str | Path) -> list[UniversityScore]:
     return [UniversityScore(
         university_id=row["university_id"],
-        mode=row["mode"],
+        mode=_mode(where, row),
         level=row["level"],
         level_key=row["key"],
-        rs_u=int(row["rs_u"]),
-        fss_u=float(row["fss_u"]),
-    ) for _, row in read_csv(path, UNIVERSITY_COLUMNS)]
+        rs_u=_number(where, row, "rs_u", int),
+        fss_u=_number(where, row, "fss_u", float),
+    ) for where, row in read_csv(path, UNIVERSITY_COLUMNS)]

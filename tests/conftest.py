@@ -7,6 +7,7 @@ plumbing out of the test bodies.
 from __future__ import annotations
 
 import json
+import os
 from datetime import date
 from pathlib import Path
 
@@ -75,6 +76,15 @@ def record(pub_id: str, year: int, names: list[str], scs: list[str],
         citation_count=citations,
         census_date=date.fromisoformat(CENSUS),
     )
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this fssbench."""
+    import fssbench
+
+    src = str(Path(fssbench.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def corpus_of(records: list[PublicationRecord], window: YearWindow = WINDOW) -> Corpus:

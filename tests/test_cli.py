@@ -3,14 +3,16 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from fssbench import synth
 from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
+
+from conftest import package_env
 
 SMALL_WORLD = """\
 # generator knobs for a quick world
@@ -50,12 +52,7 @@ def run_chain(tmp_path, out_name="out", seed="42"):
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """``python -c code`` in a new interpreter that imports this fssbench."""
-    import fssbench
-
-    src = str(Path(fssbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True)
 
 
@@ -441,6 +438,52 @@ def test_compare_refuses_short_row(tmp_path, capsys):
     assert run_pipeline(["compare", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: compare: scores_universities.csv line 2: expected 6 fields, got 3\n")
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The out directory of one full chain, for tests to copy and spoil."""
+    return run_chain(tmp_path_factory.mktemp("chain"))
+
+
+def set_cell(path, line, column, value):
+    """Replace the ``column`` field of the row on ``line`` of a CSV file."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = value
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_compare_refuses_an_unknown_mode(tmp_path, capsys, finished_run):
+    # skipped unnoticed, the row would take U00 off the supervised side
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    path = out / "scores_universities.csv"
+    line = 1 + next(i for i, row in enumerate(path.read_text().splitlines())
+                    if row.startswith("U00,supervised,overall,"))
+    set_cell(path, line, "mode", "Supervised")
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: compare: scores_universities.csv line {line}: mode 'Supervised' "
+        "is neither 'supervised' nor 'unsupervised'\n")
+
+
+@pytest.mark.parametrize("name, column, value, refusal", [
+    ("scores_researchers.csv", "mode", "", "mode '' is neither 'supervised' nor 'unsupervised'"),
+    ("scores_universities.csv", "rs_u", "x", "rs_u 'x' is not an integer"),
+    ("scores_universities.csv", "fss_u", "high", "fss_u 'high' is not a number"),
+    ("scores_researchers.csv", "t", "", "t '' is not a number"),
+    ("scores_researchers.csv", "n", "2.0", "n '2.0' is not an integer"),
+    ("scores_researchers.csv", "fss_r", "x", "fss_r 'x' is not a number"),
+])
+def test_compare_refuses_a_bad_score_field(tmp_path, capsys, finished_run, name, column,
+                                           value, refusal):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    set_cell(out / name, 3, column, value)
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: compare: {name} line 3: {refusal}\n"
 
 
 def test_compare_refuses_a_single_university(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import string
@@ -29,6 +30,26 @@ from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
 from fssbench.staff import load_staff_csv
 
 from conftest import WINDOW, mention, pub, write_jsonl
+
+
+# ---------------------------------------------------------------------------
+# mentions
+
+def test_author_mention_is_slotted_frozen_and_hashed_by_its_fields():
+    m = cm.AuthorMention(raw_full_name="Rossi, M", last_name="rossi", first_name="m",
+                         email="m@x.it", orcid="0000-0001-0000-0001")
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.email = "other@x.it"
+    # a name that is not a field is refused too; Python 3.11 raises TypeError,
+    # as its frozen __setattr__ names the class from before slots were added
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        m.nickname = "mimi"
+    twin = dataclasses.replace(m)
+    assert twin == m and twin is not m
+    assert hash(twin) == hash(m) == hash(dataclasses.astuple(m))
+    assert dataclasses.replace(m, email=None) != m
+    assert len({m, twin, dataclasses.replace(m, email=None)}) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -485,6 +486,89 @@ def test_mention_contexts_coauthors_are_the_other_surnames(names):
     contexts = mention_contexts(record("W1", 2016, [f"{n}, m" for n in names], ["SC1"]))
     for pos, c in enumerate(contexts):
         assert c.coauthor_last_names == frozenset(n for i, n in enumerate(names) if i != pos)
+
+
+# ---------------------------------------------------------------------------
+# complete blocks, which skip the agglomeration loop
+
+def _one_weight(name: str, weight: float) -> ScoringRules:
+    """Every weight 0 but ``name``'s, and a threshold equal to it."""
+    zeros = {f.name: 0.0 for f in fields(ScoringRules) if f.name != "merge_threshold"}
+    return ScoringRules(**{**zeros, name: weight}, merge_threshold=weight)
+
+
+@pytest.mark.parametrize("rules", [
+    # 0.7 + 0.7 + 0.7 rounds to 2.0999999999999996: a fractional weight
+    _one_weight("journal", 0.7),
+    # 3 * (2**52 - 1) rounds to 3 * 2**52 - 4: seeds totalling 2**53 or more
+    _one_weight("orcid", 2.0 ** 52 - 1),
+], ids=["fractional", "large"])
+def test_rounded_sums_keep_a_complete_block_apart_like_the_reference(rules):
+    # every pair scores the threshold, but the sum of the three pairs
+    # between the first three mentions and the fourth rounds down, and
+    # their average falls below the threshold
+    block = [ctx(f"W{i}", ["rossi, m"], orcid="0000-0001-0000-0001") for i in range(4)]
+    assert {score_pair(a, b, rules) for a in block for b in block if a is not b} == {
+        rules.merge_threshold}
+    clusters = cluster_block(block, rules)
+    assert clusters == reference_cluster_block(block, rules)
+    assert [c.mention_refs for c in clusters] == [
+        (("W0", 0), ("W1", 0), ("W2", 0)), (("W3", 0),)]
+
+
+# mostly positive, so that many drawn blocks are complete; 2**52 - 1 and
+# 1e308 make seeds that total 2**53 or more, or overflow
+_WHOLE_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 10.0, 25.0, 100.0, -10.0, 2.0 ** 52 - 1, 1e308]),
+    st.integers(-20, 200).map(float))
+_FRACTIONAL_WEIGHTS = st.one_of(st.sampled_from([0.1, 0.3, 0.7, 12.5]),
+                                st.floats(-120, 120, allow_nan=False))
+_ANY_THRESHOLDS = st.one_of(st.sampled_from([0.7, 1.0, 10.0, 50.0, 2.0 ** 52 - 1]),
+                            st.floats(0.01, 150, allow_nan=False))
+
+
+@st.composite
+def _complete_rules(draw):
+    """Whole-number weights, or now and then one fractional weight."""
+    weights = {f.name: draw(_WHOLE_WEIGHTS) for f in fields(ScoringRules)
+               if f.name != "merge_threshold"}
+    if draw(st.booleans()):
+        weights[draw(st.sampled_from(sorted(weights)))] = draw(_FRACTIONAL_WEIGHTS)
+    return ScoringRules(**weights, merge_threshold=draw(_ANY_THRESHOLDS))
+
+
+@st.composite
+def _complete_blocks(draw):
+    """One person's block: every mention on its own publication, all
+    sharing an ORCID or an email, so every pair can clear the threshold.
+    In a uniform block the mentions differ only in publication, so every
+    pair has the same score."""
+    by_orcid, uniform = draw(st.booleans()), draw(st.booleans())
+
+    def mention(pub_id):
+        c = draw(_mentions(pub_id))
+        c.last_name = "rossi"
+        if by_orcid:
+            c.orcid = _POOL_ORCIDS[2]
+        else:
+            c.email = "m@x.it"
+            c.orcid = draw(st.sampled_from([None, _POOL_ORCIDS[2]]))
+        return c
+
+    first = mention("W0")
+    return [first] + [replace(first, pub_id=f"W{i}") if uniform else mention(f"W{i}")
+                      for i in range(1, draw(st.integers(1, 12)))]
+
+
+@settings(max_examples=300)
+@given(block=_complete_blocks(), rules=_complete_rules(), tight=st.booleans())
+def test_cluster_block_on_a_complete_block_equals_the_reference(block, rules, tight):
+    lowest = min((score_pair(a, b, rules) for a in block for b in block if a is not b),
+                 default=0.0)
+    if tight and 0 < lowest < math.inf:
+        # averages land on the threshold, where a sum rounded down shows
+        rules = replace(rules, merge_threshold=lowest)
+    assert cluster_block(block, rules) == reference_cluster_block(block, rules)
 
 
 def test_overflowing_score_is_a_hard_conflict_like_the_reference():
