@@ -40,17 +40,30 @@ as ``config key <key>: bad value '<value>'``.
 Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing. A
-warning from the package prints as ``warning: <stage>: <message>`` on
-stderr and does not change the exit status.
+refused stage after ``synth`` removes its own outputs from the output
+directory, so that no later stage reads an earlier run's; a file passed by
+flag is never removed. A warning from the package prints as
+``warning: <stage>: <message>`` on stderr and does not change the exit
+status.
+
+Each stage runs with the cyclic garbage collector off, and the ``fssbench``
+command starts numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; a library caller keeps
+its own settings of both. A stage's data hold no reference cycles, and its
+arrays no more than a few thousand numbers: a full collection of a national
+corpus walks millions of objects for nothing, and OpenBLAS's thread pool
+costs more to start than it could save.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
+import os
 import sys
 import typing
 from collections import Counter
@@ -250,9 +263,6 @@ def cmd_derive_staff(cfg: RunConfig) -> None:
                                     min_age=cfg.min_age,
                                     recency_year=cfg.recency)
     if not derived.members:
-        # an earlier run's staff would otherwise be scored as if derived now
-        for name in STAGES["derive-staff"].outputs:
-            (cfg.out / name).unlink(missing_ok=True)
         flags = Counter(f for cand in derived.review_queue for f in cand.flags)
         per_flag = ", ".join(f"{flag} {n}" for flag, n in
                              sorted(flags.items(), key=lambda kv: (-kv[1], kv[0])))
@@ -432,6 +442,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _remove_outputs(cfg: RunConfig, subcommand: str) -> None:
+    """Remove refused stage ``subcommand``'s outputs from ``cfg.out``: a later
+    stage would otherwise take an earlier run's for this one's. ``synth``'s
+    may be a user's own corpus, and a file passed by flag is an input."""
+    if subcommand == "synth" or not cfg.out.is_dir():
+        return
+    inputs = {path.resolve() for path in cfg.paths.values() if path}
+    for name in STAGES[subcommand].outputs:
+        path = cfg.out / name
+        if path.resolve() not in inputs:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as exc:
+                log.warning("could not remove %s: %s", path, exc.strerror)
+
+
 def run_pipeline(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     subcommand = args.subcommand
@@ -442,6 +468,9 @@ def run_pipeline(argv: list[str] | None = None) -> int:
     warn_handler.setFormatter(logging.Formatter(f"warning: {subcommand}: %(message)s"))
     package_log = logging.getLogger(__package__)
     package_log.addHandler(warn_handler)
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    cfg = None
     try:
         cfg = resolve_config(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -450,14 +479,25 @@ def run_pipeline(argv: list[str] | None = None) -> int:
         return 0
     except (StageError, corpusmod.CorpusError, fss.ScoreError, ValueError,
             OSError) as exc:
+        if cfg is not None:
+            _remove_outputs(cfg, subcommand)
         message = str(exc).replace("\n", " ")
         sys.stderr.write(f"error: {subcommand}: {message}\n")
         return 1
     finally:
+        if gc_enabled:
+            gc.enable()
         package_log.removeHandler(warn_handler)
 
 
+#: The variables OpenBLAS reads its thread count from.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main() -> None:
+    # before anything imports numpy, which starts its BLAS threads on import
+    if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run_pipeline())
 
 

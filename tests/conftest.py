@@ -79,12 +79,16 @@ def record(pub_id: str, year: int, names: list[str], scs: list[str],
 
 
 def package_env() -> dict[str, str]:
-    """The environment for a child interpreter that imports this fssbench."""
+    """The environment for a child interpreter that imports this fssbench,
+    with none of the BLAS thread counts the caller's shell may set."""
     import fssbench
+    from fssbench.cli import BLAS_THREAD_VARIABLES
 
     src = str(Path(fssbench.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
 
 
 def corpus_of(records: list[PublicationRecord], window: YearWindow = WINDOW) -> Corpus:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from fssbench import synth
+from fssbench import cli, synth
 from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
 
 from conftest import package_env
@@ -29,9 +30,9 @@ def write_config(tmp_path, text=SMALL_WORLD, name="world.cfg"):
     return str(path)
 
 
-def chain_steps(tmp_path, out_name="out", seed="42"):
+def chain_steps(tmp_path, out_name="out", seed="42", world=SMALL_WORLD):
     out = str(tmp_path / out_name)
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, world)
     return [
         ["synth", "--config", cfg, "--out", out, "--seed", seed],
         ["ingest", "--out", out],
@@ -467,6 +468,20 @@ def test_compare_refuses_an_unknown_mode(tmp_path, capsys, finished_run):
     assert capsys.readouterr().err == (
         f"error: compare: scores_universities.csv line {line}: mode 'Supervised' "
         "is neither 'supervised' nor 'unsupervised'\n")
+    # the finished run's report would otherwise be printed as this one's
+    assert not any((out / name).exists() for name in STAGES["compare"].outputs)
+    assert run_pipeline(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: report: missing report.json; run `compare` first\n")
+
+
+def test_refused_stage_keeps_an_input_passed_by_flag(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    corpus = out / "corpus.jsonl"
+    corpus.write_text("[1, 2]\n", encoding="utf-8")
+    assert run_pipeline(["ingest", "--out", str(out), "--publications", str(corpus)]) == 1
+    assert capsys.readouterr().err == "error: ingest: corpus.jsonl line 1: not a JSON object\n"
+    assert corpus.read_text(encoding="utf-8") == "[1, 2]\n"
 
 
 @pytest.mark.parametrize("name, column, value, refusal", [
@@ -613,3 +628,70 @@ def test_readme_flow_with_default_filters(tmp_path):
         assert run_pipeline(argv) == 0, argv
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["n_universities"] == 3
+
+
+def test_stages_leave_no_garbage_that_grows_with_the_world(tmp_path):
+    # the collector is off while a stage runs; a cycle per record would be
+    # kept until the process ends
+    garbage = {}
+    for n in (60, 60, 240):          # the first run imports numpy's lazy modules
+        world = f"n_universities = 3\nn_researchers = {n}\nn_scs = 2\n"
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        for argv in chain_steps(tmp_path, world=world):
+            gc.collect()
+            assert run_pipeline(argv) == 0, argv
+            assert gc.isenabled()
+            garbage[n, argv[0]] = gc.collect()
+    for stage in STAGES:
+        assert garbage[240, stage] <= garbage[60, stage], stage
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_stage_runs_without_the_collector_and_gives_its_state_back(tmp_path, monkeypatch,
+                                                                 enabled):
+    seen = []
+    monkeypatch.setitem(STAGES, "report", cli.Stage(lambda cfg: seen.append(gc.isenabled()),
+                                                    STAGES["report"].outputs))
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run_pipeline(["report", "--out", str(tmp_path)]) == 0
+        assert run_pipeline(["compare", "--out", str(tmp_path)]) == 1    # refused
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def run_main(monkeypatch, **env):
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(cli, "run_pipeline", lambda: 0)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 0
+    return {name: os.environ.get(name) for name in cli.BLAS_THREAD_VARIABLES}
+
+
+def test_main_starts_numpy_with_one_blas_thread(monkeypatch):
+    assert run_main(monkeypatch) == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                                     "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_main_keeps_the_users_blas_threads(monkeypatch, name):
+    threads = run_main(monkeypatch, **{name: "3"})
+    assert threads == {var: "3" if var == name else None for var in cli.BLAS_THREAD_VARIABLES}
+
+
+def test_compare_writes_the_same_bytes_with_any_blas_threads(tmp_path, finished_run):
+    written = []
+    for threads in ("1", "2"):
+        out = shutil.copytree(finished_run, tmp_path / threads)
+        done = subprocess.run([sys.executable, "-m", "fssbench", "compare", "--out", str(out)],
+                              env={**package_env(), "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        written.append([(out / name).read_bytes() for name in STAGES["compare"].outputs])
+    assert written[0] == written[1]
