@@ -41,8 +41,10 @@ Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing. A
 refused stage after ``synth`` removes its own outputs from the output
-directory, so that no later stage reads an earlier run's; a file passed by
-flag is never removed. A warning from the package prints as
+directory, so that no later stage reads an earlier run's, also when one of
+its settings is refused; a file passed by flag is never removed. A config
+file that cannot be read removes nothing: its ``out`` and inputs are
+unknown. A warning from the package prints as
 ``warning: <stage>: <message>`` on stderr and does not change the exit
 status.
 
@@ -166,28 +168,36 @@ def _cast(key: str, raw: str) -> object:
     return value
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else {}
+def _pick(args: argparse.Namespace, file_values: dict[str, str], key: str) -> object:
+    """Setting ``key``: its flag, else its config-file value, else its default."""
+    setting = SETTINGS[key]
+    flag = getattr(args, key, None)
+    if flag is not None:
+        return setting.type(flag)
+    if key in file_values:
+        return _cast(key, file_values[key])
+    return setting.default
+
+
+def _paths(args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, Path | None]:
+    """Each input-file flag's file: the flag, else its config-file value."""
+    paths = {}
+    for key in _PATH_KEYS:
+        value = getattr(args, key, None) or file_values.get(key)
+        paths[key] = Path(value) if value else None
+    return paths
+
+
+def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> RunConfig:
+    """The run's settings from its flags and the config file's ``file_values``."""
     for key in ("window_start", "window_end"):
         if key in file_values:
             raise StageError(f"config key {key} is not a setting; use window = START:END")
     for key in sorted(file_values.keys() - SETTINGS.keys() - set(_PATH_KEYS)
                       - _SYNTH_KNOBS.keys()):
         log.warning("ignoring unknown config key %r", key)
-    settings = {}
-    for key, setting in SETTINGS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = setting.type(flag)
-        elif key in file_values:
-            settings[key] = _cast(key, file_values[key])
-        else:
-            settings[key] = setting.default
-    paths = {}
-    for key in _PATH_KEYS:
-        value = getattr(args, key, None) or file_values.get(key)
-        paths[key] = Path(value) if value else None
-    return RunConfig(**settings, paths=paths,
+    return RunConfig(**{key: _pick(args, file_values, key) for key in SETTINGS},
+                     paths=_paths(args, file_values),
                      extra={k: v for k, v in file_values.items() if k in _SYNTH_KNOBS})
 
 
@@ -442,15 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _remove_outputs(cfg: RunConfig, subcommand: str) -> None:
-    """Remove refused stage ``subcommand``'s outputs from ``cfg.out``: a later
+def _remove_outputs(out: Path, paths: dict[str, Path | None], subcommand: str) -> None:
+    """Remove refused stage ``subcommand``'s outputs from ``out``: a later
     stage would otherwise take an earlier run's for this one's. ``synth``'s
-    may be a user's own corpus, and a file passed by flag is an input."""
-    if subcommand == "synth" or not cfg.out.is_dir():
+    may be a user's own corpus, and a file of ``paths``, passed by flag or
+    config key, is an input."""
+    if subcommand == "synth" or not out.is_dir():
         return
-    inputs = {path.resolve() for path in cfg.paths.values() if path}
+    inputs = {path.resolve() for path in paths.values() if path}
     for name in STAGES[subcommand].outputs:
-        path = cfg.out / name
+        path = out / name
         if path.resolve() not in inputs:
             try:
                 path.unlink(missing_ok=True)
@@ -470,17 +481,21 @@ def run_pipeline(argv: list[str] | None = None) -> int:
     package_log.addHandler(warn_handler)
     gc_enabled = gc.isenabled()
     gc.disable()
-    cfg = None
+    paths = None
     try:
-        cfg = resolve_config(args)
+        file_values = load_config_file(args.config) if args.config else {}
+        # known before any setting can be refused; an unreadable config
+        # file leaves them unknown, and so removes nothing
+        out, paths = _pick(args, file_values, "out"), _paths(args, file_values)
+        cfg = resolve_config(args, file_values)
         cfg.out.mkdir(parents=True, exist_ok=True)
         STAGES[subcommand].run(cfg)
         write_manifest(cfg, subcommand)
         return 0
     except (StageError, corpusmod.CorpusError, fss.ScoreError, ValueError,
             OSError) as exc:
-        if cfg is not None:
-            _remove_outputs(cfg, subcommand)
+        if paths is not None:
+            _remove_outputs(out, paths, subcommand)
         message = str(exc).replace("\n", " ")
         sys.stderr.write(f"error: {subcommand}: {message}\n")
         return 1

@@ -12,6 +12,11 @@ A complete block, one whose every pair clears the threshold under
 whole-number weights, is one cluster without any agglomeration. Most
 blocks of a national corpus hold one person and are complete.
 
+Blocks hold their mentions as (record, position) references. A mention's
+scoring context is built only while its block is clustered, so memory
+holds the corpus, one block's contexts and that block's nonzero pair sums,
+and the clusters made so far: never every mention's context at once.
+
 Each resulting cluster is a proto-individual summarized in the
 same field layout as the reference cluster schema (cluster_id, n_pubs,
 first_year, last_year, academic_age, full_name, last_name, first_name,
@@ -30,6 +35,7 @@ No repair pass is attempted; precision is favoured over recall.
 from __future__ import annotations
 
 import heapq
+import json
 import logging
 import math
 from collections import Counter
@@ -128,51 +134,50 @@ class MentionContext:
         self.full_first = token if len(token) >= 2 else None
 
 
-def mention_contexts(record: PublicationRecord) -> list[MentionContext]:
-    last_names = [m.last_name for m in record.mentions]
-    byline = frozenset(last_names)
-    scs = frozenset(record.subject_categories)
-    out = []
-    for pos, m in enumerate(record.mentions):
-        # a surname shared with another author on the byline stays a co-author
-        name = m.last_name
-        shared = len(byline) < len(last_names) and last_names.count(name) > 1
-        others = byline if shared else byline - {name}
-        out.append(MentionContext(
-            pub_id=record.pub_id,
-            position=pos,
-            last_name=name,
-            first_name=m.first_name,
-            email=m.email,
-            orcid=m.orcid,
-            researcher_id=m.researcher_id,
-            organization=m.organization,
-            city=m.city,
-            country=m.country,
-            journal=record.journal,
-            year=record.year,
-            subject_categories=scs,
-            coauthor_last_names=others,
-        ))
-    return out
+def mention_context(record: PublicationRecord, position: int) -> MentionContext:
+    """The context of the mention at ``position`` on ``record``'s byline.
+
+    Its co-authors are the surnames of the byline's other mentions: a
+    surname shared with another author on the byline stays a co-author.
+    """
+    m = record.mentions[position]
+    others = [o.last_name for o in record.mentions]
+    del others[position]
+    return MentionContext(
+        pub_id=record.pub_id,
+        position=position,
+        last_name=m.last_name,
+        first_name=m.first_name,
+        email=m.email,
+        orcid=m.orcid,
+        researcher_id=m.researcher_id,
+        organization=m.organization,
+        city=m.city,
+        country=m.country,
+        journal=record.journal,
+        year=record.year,
+        subject_categories=frozenset(record.subject_categories),
+        coauthor_last_names=frozenset(others),
+    )
 
 
 def block_key(last_name: str, first_name: str) -> str:
     return f"{last_name}|{first_initial(first_name)}"
 
 
-def block_mentions(corpus: Corpus) -> dict[str, list[MentionContext]]:
+def block_mentions(corpus: Corpus) -> dict[str, list[tuple[PublicationRecord, int]]]:
     """Partition all mentions into blocks keyed by last name + first initial.
 
-    Mentions in different blocks are never compared. Each block comes back
-    in canonical (pub_id, position) order.
+    Mentions in different blocks are never compared. Each block lists its
+    mentions as (record, position) references, in canonical (pub_id,
+    position) order: the corpus keeps its records in pub_id order. A
+    reference holds no context of its own, so the blocks cost one small
+    tuple per mention on top of the corpus.
     """
-    blocks: dict[str, list[MentionContext]] = {}
+    blocks: dict[str, list[tuple[PublicationRecord, int]]] = {}
     for record in corpus:
-        for ctx in mention_contexts(record):
-            blocks.setdefault(block_key(ctx.last_name, ctx.first_name), []).append(ctx)
-    for members in blocks.values():
-        members.sort(key=_BY_REF)
+        for pos, m in enumerate(record.mentions):
+            blocks.setdefault(block_key(m.last_name, m.first_name), []).append((record, pos))
     return blocks
 
 
@@ -452,9 +457,16 @@ def cluster_block(block: list[MentionContext],
 def cluster_corpus(corpus: Corpus,
                    rules: ScoringRules = DEFAULT_RULES) -> list[AuthorCluster]:
     """Cluster every block of the corpus. Blocks are independent; the
-    clusters come back sorted by first mention ref, which no two share."""
-    clusters = [c for block in block_mentions(corpus).values()
-                for c in cluster_block(block, rules)]
+    clusters come back sorted by first mention ref, which no two share.
+
+    One block is clustered at a time, and its mentions' contexts are built
+    just before its ``cluster_block`` call and dropped after it. So beside
+    the corpus and its block references, memory holds one block's contexts
+    and that block's nonzero pair sums, and the clusters made so far.
+    """
+    clusters = []
+    for refs in block_mentions(corpus).values():
+        clusters += cluster_block([mention_context(record, pos) for record, pos in refs], rules)
     return sorted(clusters, key=lambda c: c.mention_refs[0])
 
 
@@ -469,13 +481,33 @@ def _text(obj: dict, key: str) -> str:
     return value
 
 
+def _text_or_none(obj: dict, key: str) -> str | None:
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key} is neither a string nor null")
+    return value
+
+
+def _refs(obj: dict) -> tuple[tuple[str, int], ...]:
+    """``mention_refs``: a list of [pub_id, position] pairs, a string and a
+    non-negative integer each."""
+    refs = obj["mention_refs"]
+    if not isinstance(refs, list):
+        raise TypeError("mention_refs is not a list")
+    for ref in refs:
+        if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)
+                and type(ref[1]) is int and ref[1] >= 0):
+            raise TypeError(f"mention ref {json.dumps(ref)} is not [pub_id, position]")
+    return tuple(map(tuple, refs))
+
+
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
     clusters = []
     for where, obj in read_jsonl(path):
         try:
             clusters.append(AuthorCluster(
                 cluster_id=_text(obj, "cluster_id"),
-                mention_refs=tuple((r[0], int(r[1])) for r in obj["mention_refs"]),
+                mention_refs=_refs(obj),
                 n_pubs=int(obj["n_pubs"]),
                 first_year=int(obj["first_year"]),
                 last_year=int(obj["last_year"]),
@@ -483,12 +515,12 @@ def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
                 full_name=_text(obj, "full_name"),
                 last_name=_text(obj, "last_name"),
                 first_name=_text(obj, "first_name"),
-                email=obj.get("email"),
-                organization=obj.get("organization"),
-                city=obj.get("city"),
-                country=obj.get("country"),
-                orcid=obj.get("orcid"),
-                researcher_id=obj.get("researcherid"),
+                email=_text_or_none(obj, "email"),
+                organization=_text_or_none(obj, "organization"),
+                city=_text_or_none(obj, "city"),
+                country=_text_or_none(obj, "country"),
+                orcid=_text_or_none(obj, "orcid"),
+                researcher_id=_text_or_none(obj, "researcherid"),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: bad cluster record: {exc}") from exc

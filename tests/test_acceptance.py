@@ -31,7 +31,8 @@ from fssbench.corpus import (
     load_registry,
     load_roster,
 )
-from fssbench.disambig import DEFAULT_RULES, block_mentions, cluster_block, cluster_corpus
+from fssbench.disambig import (DEFAULT_RULES, block_mentions, cluster_block, cluster_corpus,
+                               mention_context)
 from fssbench.fss import (
     MODE_SUPERVISED,
     MODE_UNSUPERVISED,
@@ -384,7 +385,8 @@ def _suite_block_independence(rng):
         corpus = _random_mention_corpus(rng)
         blocks = list(block_mentions(corpus).values())
         union = [c for i in rng.permutation(len(blocks))
-                 for c in cluster_block(blocks[i], DEFAULT_RULES)]
+                 for c in cluster_block([mention_context(*ref) for ref in blocks[i]],
+                                        DEFAULT_RULES)]
         assert cluster_corpus(corpus, DEFAULT_RULES) == sorted(
             union, key=lambda c: c.mention_refs[0])
         cases += corpus.mention_count()

@@ -391,6 +391,20 @@ def test_refused_derive_staff_removes_earlier_staff(tmp_path, capsys):
         "error: score: missing staff.csv; run `derive-staff` first\n")
 
 
+def test_derive_staff_refuses_a_malformed_mention_ref(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    path = out / "clusters.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    obj = json.loads(first)
+    obj["mention_refs"] = [["W1"]]
+    path.write_text(json.dumps(obj) + "\n" + "".join(rest), encoding="utf-8")
+    capsys.readouterr()
+    assert run_pipeline(["derive-staff", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: derive-staff: clusters.jsonl line 1: bad cluster record: "
+        'mention ref ["W1"] is not [pub_id, position]\n')
+
+
 def test_recency_after_window_end_refused(tmp_path, capsys):
     assert run_pipeline(["derive-staff", "--out", str(tmp_path / "o"),
                          "--recency", "2020"]) == 1
@@ -473,6 +487,28 @@ def test_compare_refuses_an_unknown_mode(tmp_path, capsys, finished_run):
     assert run_pipeline(["report", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: report: missing report.json; run `compare` first\n")
+
+
+def test_compare_refused_by_a_setting_removes_its_outputs(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out), "--recency", "2020"]) == 1
+    assert capsys.readouterr().err == (
+        "error: compare: recency 2020 is after the window's last year 2019; "
+        "no cluster can be active then\n")
+    assert not any((out / name).exists() for name in STAGES["compare"].outputs)
+    assert run_pipeline(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: report: missing report.json; run `compare` first\n")
+
+
+def test_unreadable_config_removes_nothing(tmp_path, capsys, finished_run):
+    # the file would name out and the inputs; unread, both are unknown
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    assert run_pipeline(["compare", "--out", str(out),
+                         "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("error: compare: ")
+    assert all((out / name).exists() for name in STAGES["compare"].outputs)
 
 
 def test_refused_stage_keeps_an_input_passed_by_flag(tmp_path, capsys, finished_run):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import struct
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fssbench import disambig
 from fssbench.corpus import Corpus, CorpusError, YearWindow, load_publications
 from fssbench.disambig import (
     DEFAULT_RULES,
@@ -22,7 +24,7 @@ from fssbench.disambig import (
     cluster_corpus,
     load_clusters_jsonl,
     load_rules,
-    mention_contexts,
+    mention_context,
     pairwise_metrics,
     score_pair,
     summarize_cluster,
@@ -37,7 +39,12 @@ from reference_clustering import reference_cluster_block
 
 def ctx(pub_id, names, pos=0, year=2016, scs=("SC1",), journal="j", **kw):
     rec = record(pub_id, year, names, list(scs), journal=journal, **kw)
-    return mention_contexts(rec)[pos]
+    return mention_context(rec, pos)
+
+
+def contexts(rec):
+    """Every mention's context on ``rec``'s byline, in byline order."""
+    return [mention_context(rec, pos) for pos in range(len(rec.mentions))]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +66,7 @@ def test_score_pair_distinct_orcids_never_merge():
 
 def test_score_pair_same_publication_raises():
     rec = record("W1", 2016, ["rossi, m", "rossi, maria"], ["SC1"])
-    a, b = mention_contexts(rec)
+    a, b = contexts(rec)
     with pytest.raises(ValueError, match="same byline"):
         score_pair(a, b)
 
@@ -135,7 +142,9 @@ def test_block_mentions_groups_and_orders():
     ])
     blocks = block_mentions(corpus)
     assert sorted(blocks) == ["rossi|m", "verdi|a"]
-    assert [c.ref for c in blocks["rossi|m"]] == [("W1", 0), ("W2", 0)]
+    assert [(rec.pub_id, pos) for rec, pos in blocks["rossi|m"]] == [("W1", 0), ("W2", 0)]
+    assert all(rec is corpus.by_id[rec.pub_id] for block in blocks.values()
+               for rec, _ in block)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +195,7 @@ def test_summarize_cluster_unique_identifiers_only():
 def test_summarize_cluster_rejects_same_pub_and_mixed_orcids():
     rec = record("W1", 2016, ["rossi, m", "rossi, maria"], ["SC1"])
     with pytest.raises(CorpusError, match="same|one publication"):
-        summarize_cluster(mention_contexts(rec))
+        summarize_cluster(contexts(rec))
     members = [ctx("W1", ["rossi, m"], orcid="0000-0001-2345-6789"),
                ctx("W2", ["rossi, m"], orcid="0000-0002-2345-6781")]
     with pytest.raises(CorpusError, match="orcid"):
@@ -209,7 +218,7 @@ def test_cluster_block_merges_strong_pair_and_respects_threshold():
 def test_cluster_block_same_publication_is_a_hard_wall():
     # identical metadata, same byline: still two people
     rec = record("W1", 2016, ["rossi, m", "rossi, m"], ["SC1"], orcid=None)
-    a, b = mention_contexts(rec)
+    a, b = contexts(rec)
     clusters = cluster_block([a, b])
     assert len(clusters) == 2
 
@@ -219,7 +228,7 @@ def test_cluster_block_publication_overlap_blocks_transitive_merge():
     # pull z into the merged cluster
     shared = record("W1", 2016, ["rossi, m", "rossi, maria"], ["SC1"],
                     email="m@x.it")
-    x, z = mention_contexts(shared)
+    x, z = contexts(shared)
     y = ctx("W2", ["rossi, maria"], email="m@x.it")
     clusters = cluster_block([x, y, z])
     for c in clusters:
@@ -288,6 +297,28 @@ def test_raising_threshold_never_reduces_cluster_count():
         assert counts == sorted(counts)
 
 
+def test_cluster_corpus_holds_one_block_of_contexts_at_a_time(monkeypatch):
+    # a few hundred blocks: when each is clustered, the only live contexts
+    # are its own, not every mention's
+    rng = np.random.default_rng(303)
+    records = [record(f"W{i:04d}", 2016,
+                      [f"s{int(k):03d}, {'ab'[int(k) % 2]}"
+                       for k in rng.integers(0, 300, int(rng.integers(1, 5)))], ["SC1"])
+               for i in range(300)]
+    corpus = corpus_of(records)
+    live = []
+
+    def counting(block, rules=DEFAULT_RULES):
+        live.append((sum(type(o) is MentionContext for o in gc.get_objects()), len(block)))
+        return cluster_block(block, rules)
+
+    monkeypatch.setattr(disambig, "cluster_block", counting)
+    clusters = cluster_corpus(corpus)
+    assert len(live) == len(block_mentions(corpus)) >= 200
+    assert [(n, size) for n, size in live if n > size] == []
+    assert sum(len(c.mention_refs) for c in clusters) == corpus.mention_count()
+
+
 # ---------------------------------------------------------------------------
 # serialization and metrics
 
@@ -334,6 +365,30 @@ def test_load_clusters_jsonl_refuses_a_null_field(tmp_path, field):
     path.write_text(f"{first}\n{json.dumps(obj)}\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="^clusters.jsonl line 2: bad cluster record"):
         load_clusters_jsonl(path)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("mention_refs", [["W1"]], 'mention ref ["W1"] is not [pub_id, position]'),
+    ("mention_refs", "W1", "mention_refs is not a list"),
+    ("mention_refs", [[1, 0]], "mention ref [1, 0] is not [pub_id, position]"),
+    ("mention_refs", [[None, 0]], "mention ref [null, 0] is not [pub_id, position]"),
+    ("mention_refs", [["W1", 1.5]], 'mention ref ["W1", 1.5] is not [pub_id, position]'),
+    ("mention_refs", [["W1", True]], 'mention ref ["W1", true] is not [pub_id, position]'),
+    ("mention_refs", [["W1", 0, 5]], 'mention ref ["W1", 0, 5] is not [pub_id, position]'),
+    ("mention_refs", [["W1", -1]], 'mention ref ["W1", -1] is not [pub_id, position]'),
+    ("mention_refs", [["W1", 0], "W2"], 'mention ref "W2" is not [pub_id, position]'),
+    *((name, 5, f"{name} is neither a string nor null")
+      for name in ("email", "organization", "city", "country", "orcid", "researcherid")),
+])
+def test_load_clusters_jsonl_refuses_a_malformed_field(tmp_path, field, value, reason):
+    path = tmp_path / "clusters.jsonl"
+    write_clusters_jsonl([_cluster()], path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj[field] = value
+    path.write_text(f"{json.dumps(obj)}\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as refused:
+        load_clusters_jsonl(path)
+    assert str(refused.value) == f"clusters.jsonl line 1: bad cluster record: {reason}"
 
 
 def test_pairwise_metrics_hand_example():
@@ -482,9 +537,11 @@ def test_summarize_cluster_equals_the_reference(members):
 
 
 @given(names=st.lists(st.sampled_from(["rossi", "verdi", "neri"]), min_size=1, max_size=6))
-def test_mention_contexts_coauthors_are_the_other_surnames(names):
-    contexts = mention_contexts(record("W1", 2016, [f"{n}, m" for n in names], ["SC1"]))
-    for pos, c in enumerate(contexts):
+def test_mention_context_coauthors_are_the_other_surnames(names):
+    rec = record("W1", 2016, [f"{n}, m" for n in names], ["SC1"])
+    for pos, c in enumerate(contexts(rec)):
+        assert (c.ref, c.last_name, c.subject_categories) == (("W1", pos), names[pos],
+                                                              frozenset(["SC1"]))
         assert c.coauthor_last_names == frozenset(n for i, n in enumerate(names) if i != pos)
 
 
@@ -592,7 +649,7 @@ def test_cluster_block_scales_to_a_large_homonym_block(tmp_path):
                          homonym_rate=1.0, orcid_missing_rate=0.5, email_missing_rate=0.5)
     files, _ = generate(config, tmp_path)
     blocks = block_mentions(load_publications(files["publications"], config.window))
-    block = max(blocks.values(), key=len)[:1600]
+    block = [mention_context(*ref) for ref in max(blocks.values(), key=len)[:1600]]
     assert len(block) == 1600
     started = time.perf_counter()
     clusters = cluster_block(block)
