@@ -25,7 +25,7 @@ def world(seed, out_dir, **noise):
 def evaluate(corpus, truth, rules=ScoringRules()):
     clusters = cluster_corpus(corpus, rules)
     predicted = [c.mention_refs for c in clusters]
-    actual = truth.mention_clusters(corpus)
+    actual = truth.mention_clusters(corpus).values()
     return len(clusters), pairwise_metrics(predicted, actual)
 
 

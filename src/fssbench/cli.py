@@ -111,7 +111,7 @@ SETTINGS = {
 #: World-generator knobs a config file may set; the window and seed come
 #: from the settings above.
 _SYNTH_KNOBS = {name: hint for name, hint in typing.get_type_hints(synthmod.SynthConfig).items()
-                if name not in SETTINGS and name not in ("window_start", "window_end")}
+                if name not in SETTINGS}
 
 
 class StageError(RuntimeError):
@@ -242,8 +242,7 @@ def _load_corpus(cfg: RunConfig, path: Path) -> corpusmod.Corpus:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
-    config = synthmod.SynthConfig(seed=cfg.seed, window_start=cfg.window.start,
-                                  window_end=cfg.window.end,
+    config = synthmod.SynthConfig(seed=cfg.seed, window=cfg.window,
                                   **{key: _cast(key, raw) for key, raw in cfg.extra.items()})
     files, truth = synthmod.generate(config, cfg.out)
     log.info("synthesized %d persons, %s", len(truth.persons), files["publications"])

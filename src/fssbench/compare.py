@@ -50,10 +50,6 @@ class DistributionStats:
     percentiles: tuple[float, ...]   # at PERCENTILE_POINTS
     max: float
 
-    @property
-    def median(self) -> float:
-        return self.percentiles[PERCENTILE_POINTS.index(50)]
-
 
 def distribution_stats(values) -> DistributionStats:
     """Descriptive statistics of one score distribution.
@@ -324,7 +320,6 @@ def rank_jumps(table: RankTable, threshold_quartiles: int = 2,
 
 @dataclass(frozen=True)
 class GroupCorrelation:
-    group: str
     n: int
     pearson_scores: float
     spearman_ranks: float
@@ -394,8 +389,8 @@ def correlation_battery(table: RankTable) -> dict[str, GroupCorrelation]:
                            [r.unsup_fss_u for r in rows])
     spearman = _correlation(_spearman, [r.sup_rank for r in rows],
                             [r.unsup_rank for r in rows])
-    return {"overall": GroupCorrelation(group="overall", n=len(rows),
-                                        pearson_scores=pearson, spearman_ranks=spearman)}
+    return {"overall": GroupCorrelation(n=len(rows), pearson_scores=pearson,
+                                        spearman_ranks=spearman)}
 
 
 def percent_deviation(supervised: float, unsupervised: float) -> float:

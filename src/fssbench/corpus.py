@@ -8,7 +8,9 @@ the optional ones:
 
 * ``publications.jsonl`` - one JSON object per line, fields ``pub_id``,
   ``year``, ``doc_type``, ``source_index``, ``subject_categories``,
-  ``journal``, ``citation_count``, ``census_date``, ``mentions``.
+  ``journal``, ``citation_count``, ``census_date``, ``mentions``. Ids and
+  subject categories are strings, ``year`` and ``citation_count`` whole
+  numbers; a mention's optional text fields are strings or null.
 * ``roster.csv`` - required ``person_id, active_years``; optional
   ``full_name, university_id, field_code, sc_hint, linked_pub_ids``
   (years and pub ids joined with ";", year ranges like "2015-2019"
@@ -20,6 +22,9 @@ the optional ones:
   excluded_area, is_multidisciplinary``.
 * the incidence table (``--incidence``) - required ``field_code, sc_id,
   incidence``.
+
+The roster's ``full_name``, the registry's ``official_name`` and the
+scheme's ``name`` are accepted and not read.
 
 The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
 ``scores_universities.csv``) require every column their loader reads.
@@ -208,7 +213,6 @@ class RosterEntry:
     """Ground-truth staff member for the supervised path."""
 
     person_id: str
-    full_name: str
     university_id: str
     field_code: str
     sc_hint: str | None
@@ -219,7 +223,6 @@ class RosterEntry:
 @dataclass(frozen=True)
 class University:
     university_id: str
-    official_name: str
     email_domains: tuple[str, ...]
     organization_variants: tuple[str, ...]
 
@@ -279,7 +282,6 @@ class UniversityRegistry:
 @dataclass(frozen=True)
 class SubjectCategory:
     sc_id: str
-    name: str
     area_id: str
     excluded_area: bool = False
     is_multidisciplinary: bool = False
@@ -478,6 +480,28 @@ def _warn_unknown(kind: str, obj: dict, known: set[str], warned: set[str]) -> No
             log.warning("ignoring unknown %s field %r", kind, name)
 
 
+def text_or_none(obj: dict, key: str) -> str | None:
+    """``obj[key]``, a string or null (or absent); any other value raises
+    ``TypeError`` naming ``key``."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key} is neither a string nor null")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _whole_number(value) -> int:
+    """``int(value)``, refusing a bool and a number with a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: mention is not a JSON object")
@@ -492,18 +516,25 @@ def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
     if orcid is not None and not _ORCID_RE.match(str(orcid)):
         raise CorpusError(f"{where}: invalid orcid {orcid!r}")
     rid = obj.get("researcher_id") or None
-    org = obj.get("organization")
+    try:
+        email = text_or_none(obj, "email")
+        affiliation = text_or_none(obj, "affiliation")
+        org = text_or_none(obj, "organization")
+        city = text_or_none(obj, "city")
+        country = text_or_none(obj, "country")
+    except TypeError as exc:
+        raise CorpusError(f"{where}: mention {exc}") from exc
     return AuthorMention(
         raw_full_name=raw,
         last_name=last,
         first_name=first,
-        email=normalize_email(obj.get("email")),
+        email=normalize_email(email),
         orcid=orcid,
         researcher_id=str(rid) if rid is not None else None,
-        affiliation_raw=obj.get("affiliation") or "",
+        affiliation_raw=affiliation or "",
         organization=normalize_org(org) if org else None,
-        city=normalize_name(obj["city"]) if obj.get("city") else None,
-        country=normalize_name(obj["country"]) if obj.get("country") else None,
+        city=normalize_name(city) if city else None,
+        country=normalize_name(country) if country else None,
     )
 
 
@@ -519,8 +550,8 @@ def _parse_record(obj: dict, where: str, warned: set[str]) -> PublicationRecord:
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: invalid {fieldname!r}: {value!r}") from exc
 
-    pub_id = str(need("pub_id", str))
-    year = need("year", int)
+    pub_id = need("pub_id", _string)
+    year = need("year", _whole_number)
     doc_type = need("doc_type", str)
     if doc_type not in DOC_TYPES:
         raise CorpusError(f"{where}: invalid doc_type {doc_type!r}")
@@ -530,7 +561,10 @@ def _parse_record(obj: dict, where: str, warned: set[str]) -> PublicationRecord:
     scs = obj.get("subject_categories")
     if not isinstance(scs, list) or not scs:
         raise CorpusError(f"{where}: subject_categories must be a non-empty list")
-    citations = need("citation_count", int)
+    for sc in scs:
+        if not isinstance(sc, str):
+            raise CorpusError(f"{where}: subject category {sc!r} is not a string")
+    citations = need("citation_count", _whole_number)
     if citations < 0:
         raise CorpusError(f"{where}: citation_count must be >= 0, got {citations}")
     census_raw = need("census_date", str)
@@ -544,13 +578,14 @@ def _parse_record(obj: dict, where: str, warned: set[str]) -> PublicationRecord:
     if not isinstance(mention_objs, list) or not mention_objs:
         raise CorpusError(f"{where}: mentions must be a non-empty list")
     mentions = tuple(_parse_mention(m, where, warned) for m in mention_objs)
+    journal = obj.get("journal")                # null or absent: no journal
     return PublicationRecord(
         pub_id=pub_id,
         year=year,
         doc_type=doc_type,
         source_index=source_index,
-        subject_categories=tuple(str(s) for s in scs),
-        journal=normalize_name(str(obj.get("journal", ""))),
+        subject_categories=tuple(scs),
+        journal=normalize_name(str(journal)) if journal is not None else "",
         mentions=mentions,
         citation_count=citations,
         census_date=census,
@@ -631,7 +666,6 @@ def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
         links = tuple(filter(None, (t.strip() for t in (row.get("linked_pub_ids") or "").split(";"))))
         entries.append(RosterEntry(
             person_id=pid,
-            full_name=(row.get("full_name") or "").strip(),
             university_id=(row.get("university_id") or "").strip(),
             field_code=(row.get("field_code") or "").strip(),
             sc_hint=(row.get("sc_hint") or "").strip() or None,
@@ -659,7 +693,6 @@ def load_registry(path: str | Path) -> UniversityRegistry:
             normalize_org(v) for v in (row.get("organization_variants") or "").split(";") if v.strip()))
         universities.append(University(
             university_id=uid,
-            official_name=(row.get("official_name") or uid).strip(),
             email_domains=domains,
             organization_variants=variants,
         ))
@@ -692,7 +725,6 @@ def load_scheme(path: str | Path) -> SCScheme:
             raise CorpusError(f"{where}: SC {sc_id!r} missing area_id")
         categories.append(SubjectCategory(
             sc_id=sc_id,
-            name=(row.get("name") or sc_id).strip(),
             area_id=area,
             excluded_area=_parse_bool(row.get("excluded_area"), where, "excluded_area"),
             is_multidisciplinary=_parse_bool(row.get("is_multidisciplinary"), where,

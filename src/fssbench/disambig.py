@@ -46,7 +46,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .corpus import (Corpus, CorpusError, PublicationRecord, first_initial, read_jsonl,
-                     read_key_values, write_jsonl)
+                     read_key_values, text_or_none, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -481,13 +481,6 @@ def _text(obj: dict, key: str) -> str:
     return value
 
 
-def _text_or_none(obj: dict, key: str) -> str | None:
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"{key} is neither a string nor null")
-    return value
-
-
 def _refs(obj: dict) -> tuple[tuple[str, int], ...]:
     """``mention_refs``: a list of [pub_id, position] pairs, a string and a
     non-negative integer each."""
@@ -515,12 +508,12 @@ def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
                 full_name=_text(obj, "full_name"),
                 last_name=_text(obj, "last_name"),
                 first_name=_text(obj, "first_name"),
-                email=_text_or_none(obj, "email"),
-                organization=_text_or_none(obj, "organization"),
-                city=_text_or_none(obj, "city"),
-                country=_text_or_none(obj, "country"),
-                orcid=_text_or_none(obj, "orcid"),
-                researcher_id=_text_or_none(obj, "researcherid"),
+                email=text_or_none(obj, "email"),
+                organization=text_or_none(obj, "organization"),
+                city=text_or_none(obj, "city"),
+                country=text_or_none(obj, "country"),
+                orcid=text_or_none(obj, "orcid"),
+                researcher_id=text_or_none(obj, "researcherid"),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: bad cluster record: {exc}") from exc
@@ -530,21 +523,18 @@ def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
 def pairwise_metrics(predicted, truth) -> tuple[float, float, float]:
     """Pairwise precision, recall, and F-measure from contingency counts.
 
-    Each argument is a partition of mention refs: either a mapping of group
-    id to refs or a plain iterable of ref collections. A pair is correct
-    when both mentions share a predicted group and a truth group, so the
-    correct pairs number the sum of C(n, 2) over the mentions n shared by
-    each (predicted, truth) group pair; memory grows with the mentions, not
-    the pairs (Menestrina, Whang and Garcia-Molina, PVLDB 2010). Degenerate
-    cases (no pairs at all on either side) score 1.0 by convention.
+    Each argument is a partition of mention refs: an iterable of ref
+    collections, one per group. A pair is correct when both mentions share
+    a predicted group and a truth group, so the correct pairs number the
+    sum of C(n, 2) over the mentions n shared by each (predicted, truth)
+    group pair; memory grows with the mentions, not the pairs (Menestrina,
+    Whang and Garcia-Molina, PVLDB 2010). Degenerate cases (no pairs at all
+    on either side) score 1.0 by convention.
     """
-    def groups(partition):
-        return list(partition.values() if hasattr(partition, "values") else partition)
-
     def pair_count(sizes):
         return sum(n * (n - 1) // 2 for n in sizes)
 
-    pred, true = groups(predicted), groups(truth)
+    pred, true = list(predicted), list(truth)
     label = {ref: i for i, refs in enumerate(pred) for ref in refs}
     overlap = Counter((label[ref], j) for j, refs in enumerate(true)
                       for ref in refs if ref in label)

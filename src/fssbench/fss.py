@@ -52,10 +52,9 @@ class ScoreError(ValueError):
 
 @dataclass(frozen=True)
 class CitationCell:
-    year: int
-    sc_id: str
+    """Mean citations of one (year, SC) cell; the cell is its dict key."""
+
     mean_citations: float
-    pub_count: int
 
 
 def build_citation_cells(corpus: Corpus) -> dict[tuple[int, str], CitationCell]:
@@ -67,8 +66,7 @@ def build_citation_cells(corpus: Corpus) -> dict[tuple[int, str], CitationCell]:
             cell = sums.setdefault((rec.year, sc), [0.0, 0])
             cell[0] += rec.citation_count
             cell[1] += 1
-    return {key: CitationCell(year=key[0], sc_id=key[1],
-                              mean_citations=total / count, pub_count=count)
+    return {key: CitationCell(mean_citations=total / count)
             for key, (total, count) in sums.items()}
 
 
@@ -109,12 +107,14 @@ class Subject:
 
 def subjects_from_roster(roster: list[RosterEntry], corpus: Corpus) -> list[Subject]:
     """Supervised subjects; linked pub ids missing from the corpus (filtered
-    document types, out-of-range years) are dropped."""
+    document types, out-of-range years) are dropped, and a pub id listed
+    twice is kept once, where it was first listed."""
     subjects = []
     missing = 0
     for entry in sorted(roster, key=lambda e: e.person_id):
-        present = tuple(p for p in entry.linked_pub_ids if p in corpus)
-        missing += len(entry.linked_pub_ids) - len(present)
+        linked = tuple(dict.fromkeys(entry.linked_pub_ids))
+        present = tuple(p for p in linked if p in corpus)
+        missing += len(linked) - len(present)
         subjects.append(Subject(
             subject_id=entry.person_id,
             mode=MODE_SUPERVISED,
@@ -281,28 +281,18 @@ def score_subjects(subjects: list[Subject], corpus: Corpus,
 class SCBaseline:
     """National mean score of the productive researchers of one SC."""
 
-    sc_id: str
     mean_fss_over_productive: float
-    productive_count: int
-    total_count: int
 
 
 def compute_sc_baselines(scores: list[ResearcherScore]) -> dict[str, SCBaseline]:
     """Baselines per SC; an SC whose researchers are all unproductive gets
     no baseline (downstream aggregation will refuse it by name)."""
     totals: dict[str, list[float]] = {}
-    counts: dict[str, int] = {}
     for score in scores:
-        counts[score.sc_id] = counts.get(score.sc_id, 0) + 1
         if score.productive:
             totals.setdefault(score.sc_id, []).append(score.fss_r)
-    return {
-        sc: SCBaseline(sc_id=sc,
-                       mean_fss_over_productive=sum(values) / len(values),
-                       productive_count=len(values),
-                       total_count=counts[sc])
-        for sc, values in totals.items()
-    }
+    return {sc: SCBaseline(mean_fss_over_productive=sum(values) / len(values))
+            for sc, values in totals.items()}
 
 
 OBS_RULE_LITERAL = "literal"

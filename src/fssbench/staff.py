@@ -84,9 +84,6 @@ class DerivedStaff:
     members: dict[str, list[StaffUnit]]
     review_queue: list[StaffCandidate]
 
-    def university_ids(self) -> list[str]:
-        return sorted(self.members)
-
     def all_units(self) -> list[StaffUnit]:
         return [u for uid in sorted(self.members) for u in self.members[uid]]
 

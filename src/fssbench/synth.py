@@ -16,6 +16,9 @@ personnel publish less (productivity multiplier below 1), and their
 share differs between universities, so staff inflation should depress
 unsupervised scores where it is largest.
 
+``SynthConfig`` holds the seed, the window and the ten knobs a config file
+may set; every other generator parameter is a fixed module constant.
+
 ``oracle_scores`` evaluates the two scoring formulas by brute force
 (full corpus scan per cell mean, no indexing, no caching) and is the
 independent reference the scoring pipeline is tested against.
@@ -69,6 +72,21 @@ _NS_PERSON = 3
 _NS_PUB = 4
 _NS_ALLOC = 5
 
+# Fixed generator parameters; rates are probabilities.
+_CAREER_LOOKBACK_MAX = 6                 # years a career may start before the window
+_PUBS_PER_YEAR_BASE = 1.5
+_PUBS_SIGMA = 0.6                        # person-level lognormal spread
+_SC_PRODUCTIVITY_SPREAD = 0.25           # SC-level lognormal spread
+_CITATION_MEAN_LOG = 0.7
+_CITATION_SIGMA_LOG = 1.1
+_ZERO_CITATION_RATE = 0.15
+_COAUTHOR_MAX = 5                        # filler co-authors per publication
+_MULTI_SC_RATE = 0.2
+_DOC_TYPE_OTHER_RATE = 0.04
+_ESCI_RATE = 0.04
+_NON_FACULTY_EXTERNAL_ORG_RATE = 0.15
+_RESEARCHERID_MISSING_RATE = 0.4
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -78,25 +96,11 @@ class SynthConfig:
     n_universities: int = 8
     n_researchers: int = 160                 # faculty, spread over universities
     n_scs: int = 6
-    window_start: int = 2015
-    window_end: int = 2019
-    career_lookback_max: int = 6             # years a career may start before the window
-    pubs_per_year_base: float = 1.5
-    pubs_sigma: float = 0.6                  # person-level lognormal spread
-    sc_productivity_spread: float = 0.25     # SC-level lognormal spread
-    citation_mean_log: float = 0.7
-    citation_sigma_log: float = 1.1
-    zero_citation_rate: float = 0.15
-    coauthor_max: int = 5                    # filler co-authors per publication
-    multi_sc_rate: float = 0.2
-    doc_type_other_rate: float = 0.04
-    esci_rate: float = 0.04
+    window: YearWindow = YearWindow(2015, 2019)
     non_faculty_share: float = 0.0           # share of university publishers not on the roster
     non_faculty_productivity_multiplier: float = 0.5
-    non_faculty_external_org_rate: float = 0.15
     orcid_missing_rate: float = 0.0
     email_missing_rate: float = 0.0
-    researcherid_missing_rate: float = 0.4
     homonym_rate: float = 0.0
     affiliation_variant_rate: float = 0.0
     initials_only_rate: float = 0.25
@@ -110,11 +114,7 @@ class SynthConfig:
         for name in ("n_universities", "n_researchers", "n_scs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.window_start > self.window_end:
-            raise ValueError("window_start must not exceed window_end")
-        if self.career_lookback_max < 0 or self.coauthor_max < 0:
-            raise ValueError("career_lookback_max and coauthor_max must be >= 0")
-        if self.non_faculty_share >= 1.0 and self.non_faculty_share > 0:
+        if self.non_faculty_share >= 1.0:
             raise ValueError("non_faculty_share must be below 1")
         if self.non_faculty_productivity_multiplier < 0:
             raise ValueError("non_faculty_productivity_multiplier must be >= 0")
@@ -126,10 +126,6 @@ class SynthConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.homonym_rate > 0 and self.n_researchers < 2:
             raise ValueError("homonyms need at least 2 researchers")
-
-    @property
-    def window(self) -> YearWindow:
-        return YearWindow(self.window_start, self.window_end)
 
 
 def _rng(config: SynthConfig, *key: int) -> np.random.Generator:
@@ -188,17 +184,6 @@ class GroundTruth:
 
     def faculty(self) -> list[GroundTruthPerson]:
         return [p for p in self.persons.values() if p.kind == "faculty"]
-
-    def university_publishers(self) -> list[GroundTruthPerson]:
-        return [p for p in self.persons.values()
-                if p.kind in ("faculty", "non_faculty")]
-
-    def mention_labels(self) -> dict[tuple[str, int], str]:
-        labels: dict[tuple[str, int], str] = {}
-        for person in self.persons.values():
-            for ref in person.mention_refs:
-                labels[ref] = person.person_id
-        return labels
 
     def mention_clusters(self, corpus: Corpus) -> dict[str, set[tuple[str, int]]]:
         """True person -> mention refs, restricted to loaded publications."""
@@ -292,7 +277,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
     cite_mult = []
     for i in range(config.n_scs):
         rng = _rng(config, _NS_SC, i)
-        sc_mult.append(float(np.exp(rng.normal(0.0, config.sc_productivity_spread))))
+        sc_mult.append(float(np.exp(rng.normal(0.0, _SC_PRODUCTIVITY_SPREAD))))
         cite_mult.append(float(np.exp(rng.normal(0.0, 0.3))))
 
     n_faculty = config.n_researchers
@@ -311,14 +296,14 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
         assigned_names.append((last, first))
         rng = _rng(config, _NS_PERSON, index, 1)
         sc = int(rng.integers(0, config.n_scs))
-        start = window.start - int(rng.integers(0, config.career_lookback_max + 1))
+        start = window.start - int(rng.integers(0, _CAREER_LOOKBACK_MAX + 1))
         end = window.end
         if rng.random() < 0.15:
             start = window.start + int(rng.integers(1, max(2, len(window))))
         if rng.random() < 0.10:
             end = window.start + int(rng.integers(0, max(1, len(window) - 1)))
         start = min(start, end)
-        rate = config.pubs_per_year_base * float(np.exp(rng.normal(0.0, config.pubs_sigma)))
+        rate = _PUBS_PER_YEAR_BASE * float(np.exp(rng.normal(0.0, _PUBS_SIGMA)))
         rate *= sc_mult[sc]
         if kind == "non_faculty":
             rate *= config.non_faculty_productivity_multiplier
@@ -340,7 +325,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
             email=email,
             rate=rate,
         )
-        if kind == "non_faculty" and rng.random() < config.non_faculty_external_org_rate:
+        if kind == "non_faculty" and rng.random() < _NON_FACULTY_EXTERNAL_ORG_RATE:
             person.external_org = f"natl inst {last.lower()} res"
         persons.append(person)
         return person
@@ -352,7 +337,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> tuple[dict[str, Path],
             add_person("non_faculty", u)
 
     # external co-author pools, one per lead, stable across that lead's pubs
-    pool_size = max(4, 2 * config.coauthor_max)
+    pool_size = max(4, 2 * _COAUTHOR_MAX)
     external_pools: list[list[_Person]] = []
     for lead_index in range(len(persons)):
         pool = []
@@ -454,7 +439,7 @@ def _make_pub(config, universities, sc_ids, cite_mult, persons, external_pools,
 
     rng = _rng(config, _NS_PUB, lead_index, year, j)
     lead = persons[lead_index]
-    n_fillers = int(rng.integers(0, config.coauthor_max + 1))
+    n_fillers = int(rng.integers(0, _COAUTHOR_MAX + 1))
     pool = external_pools[lead_index]
     filler_idx = sorted(rng.choice(len(pool), size=n_fillers, replace=False).tolist()) \
         if n_fillers else []
@@ -463,25 +448,24 @@ def _make_pub(config, universities, sc_ids, cite_mult, persons, external_pools,
     byline[0], byline[lead_pos] = byline[lead_pos], byline[0]
 
     scs = [sc_ids[lead.sc]]
-    if config.n_scs > 1 and rng.random() < config.multi_sc_rate:
+    if config.n_scs > 1 and rng.random() < _MULTI_SC_RATE:
         scs.append(sc_ids[(lead.sc + 1) % config.n_scs])
     draw = rng.random()
-    if draw < config.doc_type_other_rate:
+    if draw < _DOC_TYPE_OTHER_RATE:
         doc_type = "other"
-    elif draw < config.doc_type_other_rate + 0.10:
+    elif draw < _DOC_TYPE_OTHER_RATE + 0.10:
         doc_type = "review"
-    elif draw < config.doc_type_other_rate + 0.15:
+    elif draw < _DOC_TYPE_OTHER_RATE + 0.15:
         doc_type = "letter"
-    elif draw < config.doc_type_other_rate + 0.20:
+    elif draw < _DOC_TYPE_OTHER_RATE + 0.20:
         doc_type = "proceedings"
     else:
         doc_type = "article"
-    source_index = "esci" if rng.random() < config.esci_rate else "core"
-    if rng.random() < config.zero_citation_rate:
+    source_index = "esci" if rng.random() < _ESCI_RATE else "core"
+    if rng.random() < _ZERO_CITATION_RATE:
         citations = 0
     else:
-        citations = min(int(np.exp(rng.normal(config.citation_mean_log,
-                                              config.citation_sigma_log))
+        citations = min(int(np.exp(rng.normal(_CITATION_MEAN_LOG, _CITATION_SIGMA_LOG))
                             * cite_mult[lead.sc]), 500)
     mentions = []
     for member in byline:
@@ -495,7 +479,7 @@ def _make_pub(config, universities, sc_ids, cite_mult, persons, external_pools,
             email = None
         orcid = member.orcid if rng.random() >= config.orcid_missing_rate else None
         rid = (member.researcher_id
-               if rng.random() >= config.researcherid_missing_rate else None)
+               if rng.random() >= _RESEARCHERID_MISSING_RATE else None)
         if member.kind == "external":
             organization = member.external_org
             city = "harbor point"
@@ -528,7 +512,7 @@ def _make_pub(config, universities, sc_ids, cite_mult, persons, external_pools,
         "journal": f"journal of {sc_ids[lead.sc].lower()} studies "
                    f"{int(rng.integers(1, 4))}",
         "citation_count": citations,
-        "census_date": date(config.window_end + 2, 3, 29).isoformat(),
+        "census_date": date(config.window.end + 2, 3, 29).isoformat(),
         "mentions": mentions,
         "_byline": byline,
     }

@@ -7,13 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fssbench import cli, synth
 from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
 
-from conftest import package_env
+from conftest import mention, package_env, pub, write_jsonl
 
 SMALL_WORLD = """\
 # generator knobs for a quick world
@@ -116,6 +117,34 @@ def test_ingest_refuses_json_that_is_not_an_object(tmp_path, capsys, line, refus
     assert capsys.readouterr().err == f"error: ingest: publications.jsonl {refusal}\n"
 
 
+@pytest.mark.parametrize("field,value,refusal", [
+    ("pub_id", 5, "invalid 'pub_id': 5"),
+    ("year", 2016.9, "invalid 'year': 2016.9"),
+    ("year", True, "invalid 'year': True"),
+    ("citation_count", 3.7, "invalid 'citation_count': 3.7"),
+    ("citation_count", False, "invalid 'citation_count': False"),
+    ("subject_categories", ["SC1", None], "subject category None is not a string"),
+    ("subject_categories", [7], "subject category 7 is not a string"),
+    ("email", 5, "mention email is neither a string nor null"),
+    ("organization", 5, "mention organization is neither a string nor null"),
+    ("city", ["x"], "mention city is neither a string nor null"),
+    ("country", {"it": 1}, "mention country is neither a string nor null"),
+    ("affiliation", 7, "mention affiliation is neither a string nor null"),
+], ids=["pub_id-int", "year-fraction", "year-bool", "citations-fraction", "citations-bool",
+        "sc-null", "sc-int", "email-int", "organization-int", "city-list", "country-object",
+        "affiliation-int"])
+def test_ingest_refuses_a_field_of_the_wrong_type(tmp_path, capsys, field, value, refusal):
+    record = pub("W1", 2016, [mention("Rossi, Maria", organization="univ one")], ["SC1"], 2)
+    if field in record:
+        record[field] = value
+    else:
+        record["mentions"][0][field] = value
+    path = write_jsonl(tmp_path / "publications.jsonl", [record])
+    assert run_pipeline(["ingest", "--publications", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: ingest: publications.jsonl line 1: {refusal}\n"
+
+
 def test_missing_upstream_artifact_names_producer(tmp_path, capsys):
     out = str(tmp_path / "empty")
     assert run_pipeline(["disambiguate", "--out", out]) == 1
@@ -182,18 +211,12 @@ def test_synth_refuses_a_negative_seed(tmp_path, capsys):
     assert not (out / "publications.jsonl").exists()
 
 
-@pytest.mark.parametrize("setting", [["--window", "0001:0003"],
-                                     ["--config", "career_lookback_max = 3000\n"]],
-                         ids=["window-0001", "lookback-3000"])
-def test_synth_refuses_a_career_start_before_year_zero(tmp_path, capsys, setting):
-    # a career may start up to career_lookback_max years before the window;
-    # a start below year 0 keys a negative draw, which synth must refuse
-    flag, value = setting
-    if flag == "--config":
-        value = write_config(tmp_path, SMALL_WORLD + value)
-    args = ["synth", "--out", str(tmp_path / "o"), flag, value]
-    if flag != "--config":
-        args += ["--config", write_config(tmp_path)]
+@pytest.mark.parametrize("window", ["0001:0003"], ids=["window-0001"])
+def test_synth_refuses_a_career_start_before_year_zero(tmp_path, capsys, window):
+    # a career may start up to six years before the window; a start below
+    # year 0 keys a negative draw, which synth must refuse
+    args = ["synth", "--out", str(tmp_path / "o"), "--window", window,
+            "--config", write_config(tmp_path)]
     assert run_pipeline(args) == 1
     assert capsys.readouterr().err == "error: synth: expected non-negative integer\n"
 
@@ -269,6 +292,22 @@ def test_unknown_synth_knob_warned_not_fatal(tmp_path, caplog):
     assert run_pipeline(["synth", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 0
     assert any("warp_factor" in r.getMessage() for r in caplog.records)
+
+
+def test_fixed_generator_parameter_in_config_is_ignored(tmp_path, caplog):
+    cfg = write_config(tmp_path, SMALL_WORLD + "coauthor_max = 0\n", name="old.cfg")
+    assert run_pipeline(["synth", "--config", cfg, "--out", str(tmp_path / "old")]) == 0
+    assert [r.getMessage() for r in caplog.records if "coauthor_max" in r.getMessage()] == [
+        "ignoring unknown config key 'coauthor_max'"]
+    assert run_pipeline(["synth", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / "new")]) == 0
+    for name in STAGES["synth"].outputs:
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+
+def test_readme_names_every_world_knob():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [key for key in cli._SYNTH_KNOBS if f"`{key}`" not in readme] == []
 
 
 def test_score_single_mode_blocks_compare(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fssbench.compare import (
+    PERCENTILE_POINTS,
     _correlation,
     _pearson,
     _spearman,
@@ -102,7 +103,7 @@ def test_distribution_stats_hand_values():
     assert stats.mean == pytest.approx(2.5)
     assert stats.variance == pytest.approx(5 / 3)       # ddof=1
     assert stats.std_dev == pytest.approx(math.sqrt(5 / 3))
-    assert stats.median == pytest.approx(2.5)
+    assert stats.percentiles[PERCENTILE_POINTS.index(50)] == pytest.approx(2.5)
     assert stats.max == 4.0
     assert stats.skewness == pytest.approx(0.0)
 

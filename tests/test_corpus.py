@@ -26,6 +26,7 @@ from fssbench.corpus import (
     split_full_name,
 )
 
+from fssbench.disambig import mention_context, score_pair
 from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
 from fssbench.staff import load_staff_csv
 
@@ -231,6 +232,25 @@ def test_load_publications_field_errors_name_the_line(tmp_path, field, value, fr
         load_publications(path, WINDOW)
 
 
+def test_load_publications_null_journal_is_no_journal(tmp_path):
+    rows = [pub(f"W{i}", 2016, [mention("Rossi, M")], ["SC1"], journal=None) for i in (1, 2)]
+    corpus = load_publications(write_jsonl(tmp_path / "p.jsonl", rows), WINDOW)
+    assert [r.journal for r in corpus] == ["", ""]
+    a, b = (mention_context(r, 0) for r in corpus)
+    assert score_pair(a, b) == score_pair(a, dataclasses.replace(b, journal="other"))
+
+
+def test_load_publications_accepts_whole_numbers_and_null_text(tmp_path):
+    row = pub("W1", 2016.0, [mention("Rossi, M", email=None, organization=None, city=None,
+                                     country=None, affiliation=None)], ["SC1"], 3.0)
+    (rec,) = load_publications(write_jsonl(tmp_path / "p.jsonl", [row]), WINDOW)
+    assert (rec.year, rec.citation_count) == (2016, 3)
+    assert type(rec.year) is int and type(rec.citation_count) is int
+    m = rec.mentions[0]
+    assert (m.email, m.organization, m.city, m.country, m.affiliation_raw) == (
+        None, None, None, None, "")
+
+
 def test_load_publications_rejects_year_after_census(tmp_path):
     path = write_jsonl(tmp_path / "p.jsonl",
                        [pub("W1", 2019, [mention("Rossi, M")], ["SC1"],
@@ -338,8 +358,8 @@ def test_load_registry_and_matching(tmp_path):
 
 def test_match_email_prefers_longest_nested_domain():
     reg = UniversityRegistry([
-        University("U1", "One", ("uni.example",), ()),
-        University("U2", "Two", ("med.uni.example",), ()),
+        University("U1", ("uni.example",), ()),
+        University("U2", ("med.uni.example",), ()),
     ])
     assert reg.match_email("x@med.uni.example") == "U2"
     assert reg.match_email("x@lab.med.uni.example") == "U2"

@@ -392,7 +392,7 @@ def test_load_clusters_jsonl_refuses_a_malformed_field(tmp_path, field, value, r
 
 
 def test_pairwise_metrics_hand_example():
-    truth = {"A": {("W1", 0), ("W2", 0), ("W3", 0)}, "B": {("W4", 0)}}
+    truth = [{("W1", 0), ("W2", 0), ("W3", 0)}, {("W4", 0)}]
     predicted = [{("W1", 0), ("W2", 0)}, {("W3", 0), ("W4", 0)}]
     p, r, f = pairwise_metrics(predicted, truth)
     assert p == pytest.approx(0.5)       # 1 of 2 predicted pairs correct
@@ -401,7 +401,7 @@ def test_pairwise_metrics_hand_example():
 
 
 def test_pairwise_metrics_perfect_and_degenerate():
-    part = {"A": {("W1", 0), ("W2", 0)}}
+    part = [{("W1", 0), ("W2", 0)}]
     assert pairwise_metrics(part, part) == (1.0, 1.0, 1.0)
     singletons = [{("W1", 0)}, {("W2", 0)}]
     assert pairwise_metrics(singletons, singletons) == (1.0, 1.0, 1.0)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from fssbench.corpus import Corpus, SCScheme, SubjectCategory, YearWindow
+from fssbench.corpus import Corpus, RosterEntry, SCScheme, SubjectCategory, YearWindow
 from fssbench.fss import (
     LEVEL_AREA,
     LEVEL_OVERALL,
@@ -23,6 +23,7 @@ from fssbench.fss import (
     normalized_citation_score,
     publication_norm,
     score_subjects,
+    subjects_from_roster,
     write_researcher_scores_csv,
     write_university_scores_csv,
 )
@@ -51,10 +52,9 @@ def test_build_citation_cells_means():
         record("W3", 2016, ["a, b"], ["SC1", "SC2"], citations=3),
     ])
     cells = build_citation_cells(corpus)
+    assert cells.keys() == {(2016, "SC1"), (2016, "SC2")}
     assert cells[(2016, "SC1")].mean_citations == pytest.approx(3.0)
-    assert cells[(2016, "SC1")].pub_count == 3
     assert cells[(2016, "SC2")].mean_citations == pytest.approx(3.0)
-    assert cells[(2016, "SC2")].pub_count == 1
 
 
 def test_normalized_citation_score_and_zero_mean():
@@ -252,6 +252,20 @@ def test_prevailing_sc_unsupervised_without_pubs_raises():
         assign_prevailing_sc(unsup("C1", []), _sc_corpus(), 1)
 
 
+def test_roster_listing_a_publication_twice_counts_it_once():
+    corpus = corpus_of([
+        record("W1", 2016, ["a, x"], ["SC1"], citations=1),
+        record("W2", 2017, ["a, x"], ["SC2"], citations=1),
+        record("W3", 2018, ["a, x"], ["SC2"], citations=1),
+    ])
+    entry = RosterEntry(person_id="P1", university_id="U1", field_code="", sc_hint=None,
+                        active_years=frozenset({2016}),
+                        linked_pub_ids=("W1", "W2", "W1", "W3", "W9"))
+    (subject,) = subjects_from_roster([entry], corpus)
+    assert subject.pub_ids == ("W1", "W2", "W3")
+    assert assign_prevailing_sc(subject, corpus, 1) == "SC2"
+
+
 # ---------------------------------------------------------------------------
 # baselines and university aggregation
 
@@ -275,8 +289,7 @@ def _scored_world():
 def test_compute_sc_baselines_productive_only():
     _, scores = _scored_world()
     baselines = compute_sc_baselines(scores)
-    assert baselines["SC1"].productive_count == 1
-    assert baselines["SC1"].total_count == 2
+    assert [s.subject_id for s in scores if s.sc_id == "SC1"] == ["P1", "P2"]
     p1 = next(s for s in scores if s.subject_id == "P1")
     assert baselines["SC1"].mean_fss_over_productive == pytest.approx(p1.fss_r)
 
@@ -313,8 +326,8 @@ def test_compute_fss_u_area_level_needs_scheme():
     baselines = compute_sc_baselines(scores)
     with pytest.raises(ValueError, match="scheme"):
         compute_fss_u(scores, baselines, LEVEL_AREA)
-    scheme = SCScheme([SubjectCategory("SC1", "one", "A1"),
-                       SubjectCategory("SC2", "two", "A1")])
+    scheme = SCScheme([SubjectCategory("SC1", "A1"),
+                       SubjectCategory("SC2", "A1")])
     rows = compute_fss_u(scores, baselines, LEVEL_AREA, scheme)
     assert {(r.university_id, r.level_key) for r in rows} == {("U1", "A1"), ("U2", "A1")}
 
@@ -343,10 +356,10 @@ def _fake_score(subject_id, sc, mode=MODE_SUPERVISED, fss=1.0):
 
 
 SCHEME = SCScheme([
-    SubjectCategory("SC1", "one", "A1"),
-    SubjectCategory("SC2", "two", "A1"),
-    SubjectCategory("LAW", "law", "A9", excluded_area=True),
-    SubjectCategory("MULTI", "multi", "A1", is_multidisciplinary=True),
+    SubjectCategory("SC1", "A1"),
+    SubjectCategory("SC2", "A1"),
+    SubjectCategory("LAW", "A9", excluded_area=True),
+    SubjectCategory("MULTI", "A1", is_multidisciplinary=True),
 ])
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_synth as reference
 from fssbench import synth
-from fssbench.corpus import load_publications, load_roster
+from fssbench.corpus import YearWindow, load_publications, load_roster
 from fssbench.fss import (
     MODE_SUPERVISED,
     build_citation_cells,
@@ -19,7 +19,7 @@ from fssbench.synth import SynthConfig, _pick, _rng, generate, oracle_scores
 
 def small_config(**kw):
     base = dict(seed=5, n_universities=3, n_researchers=24, n_scs=3,
-                window_start=2015, window_end=2019)
+                window=YearWindow(2015, 2019))
     base.update(kw)
     return SynthConfig(**base)
 
@@ -31,17 +31,19 @@ def read_bytes(files):
 # ---------------------------------------------------------------------------
 # configuration validation
 
+# explicit ids keep each case's name when another case is added or removed
 @pytest.mark.parametrize("kw,msg", [
-    (dict(zero_citation_rate=1.5), "zero_citation_rate"),
-    (dict(non_faculty_share=-0.1), "non_faculty_share"),
-    (dict(n_researchers=0), "n_researchers"),
-    (dict(window_start=2019, window_end=2015), "window_start"),
-    (dict(non_faculty_share=1.0), "below 1"),
-    (dict(coauthor_max=-1), "coauthor_max"),
-    (dict(n_universities=99), "universities"),
+    pytest.param(dict(non_faculty_share=-0.1), "non_faculty_share",
+                 id="kw1-non_faculty_share"),
+    pytest.param(dict(n_researchers=0), "n_researchers", id="kw2-n_researchers"),
+    pytest.param(dict(window=(2019, 2015)), "empty year window", id="kw3-window_start"),
+    pytest.param(dict(non_faculty_share=1.0), "below 1", id="kw4-below 1"),
+    pytest.param(dict(n_universities=99), "universities", id="kw6-universities"),
 ])
 def test_config_rejects_bad_values(kw, msg):
     with pytest.raises(ValueError, match=msg):
+        if "window" in kw:                   # the window refuses itself
+            kw = dict(window=YearWindow(*kw["window"]))
         small_config(**kw)
 
 
@@ -137,10 +139,10 @@ def test_roster_years_clip_to_window(tmp_path):
 
 def test_every_corpus_mention_has_a_truth_label(tmp_path):
     _, _, truth, corpus = load_world(tmp_path)
-    labels = truth.mention_labels()
-    for rec in corpus.records:
-        for pos in range(len(rec.mentions)):
-            assert (rec.pub_id, pos) in labels
+    labels = [ref for refs in truth.mention_clusters(corpus).values() for ref in refs]
+    assert len(labels) == len(set(labels))           # one person per mention
+    assert set(labels) == {(rec.pub_id, pos) for rec in corpus.records
+                           for pos in range(len(rec.mentions))}
 
 
 def test_mention_refs_point_at_own_pubs(tmp_path):
@@ -155,12 +157,12 @@ def test_careers_reach_the_window(tmp_path):
     config, _, truth, _ = load_world(tmp_path)
     for person in truth.faculty():
         assert person.career_start <= person.career_end
-        assert person.career_end >= config.window_start
+        assert person.career_end >= config.window.start
 
 
 def test_clean_world_has_no_unlisted_publishers(tmp_path):
     _, _, truth, _ = load_world(tmp_path)
-    kinds = {p.kind for p in truth.university_publishers()}
+    kinds = {p.kind for p in truth.persons.values() if p.kind != "external"}
     assert kinds == {"faculty"}
 
 
