@@ -196,9 +196,11 @@ def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> Run
     for key in sorted(file_values.keys() - SETTINGS.keys() - set(_PATH_KEYS)
                       - _SYNTH_KNOBS.keys()):
         log.warning("ignoring unknown config key %r", key)
+    extra = {k: v for k, v in file_values.items() if k in _SYNTH_KNOBS}
+    for key, raw in extra.items():              # refused in every stage, not only synth
+        _cast(key, raw)
     return RunConfig(**{key: _pick(args, file_values, key) for key in SETTINGS},
-                     paths=_paths(args, file_values),
-                     extra={k: v for k, v in file_values.items() if k in _SYNTH_KNOBS})
+                     paths=_paths(args, file_values), extra=extra)
 
 
 def _sha256(path: Path) -> str:

@@ -8,9 +8,14 @@ the optional ones:
 
 * ``publications.jsonl`` - one JSON object per line, fields ``pub_id``,
   ``year``, ``doc_type``, ``source_index``, ``subject_categories``,
-  ``journal``, ``citation_count``, ``census_date``, ``mentions``. Ids and
-  subject categories are strings, ``year`` and ``citation_count`` whole
-  numbers; a mention's optional text fields are strings or null.
+  ``journal``, ``citation_count``, ``census_date``, ``mentions``; each
+  mention has ``full_name`` and optionally ``email``, ``orcid``,
+  ``researcher_id``, ``affiliation``, ``organization``, ``city``,
+  ``country``. ``pub_id``, ``doc_type``, ``census_date`` (ISO date), the
+  subject categories and ``full_name`` must be strings; ``journal``,
+  ``orcid``, ``researcher_id`` and the other mention fields a string or
+  null; ``year`` and ``citation_count`` whole numbers (not a bool). No
+  value of another JSON type is converted.
 * ``roster.csv`` - required ``person_id, active_years``; optional
   ``full_name, university_id, field_code, sc_hint, linked_pub_ids``
   (years and pub ids joined with ";", year ranges like "2015-2019"
@@ -27,7 +32,8 @@ The roster's ``full_name``, the registry's ``official_name`` and the
 scheme's ``name`` are accepted and not read.
 
 The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
-``scores_universities.csv``) require every column their loader reads.
+``scores_universities.csv``) require every column their loader reads. Their
+numbers and the incidence must parse, and a float must be finite.
 
 An empty CSV file or one whose header lacks a required column is refused
 with a ``CorpusError`` naming the file and the column, a row with fewer
@@ -44,6 +50,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import re
 import unicodedata
 from collections.abc import Iterable, Iterator, Sequence
@@ -411,6 +418,20 @@ def read_csv(path: str | Path, required: Sequence[str],
             yield where, dict(zip(header, values))
 
 
+def csv_number(where: str, row: dict[str, str], column: str,
+               kind: type[int] | type[float]) -> int | float:
+    """``row[column]`` as ``kind``; text that does not parse, or a float that
+    is not finite, raises ``CorpusError`` naming ``where`` and the column."""
+    try:
+        value = kind(row[column])
+        if kind is float and not math.isfinite(value):
+            raise ValueError(value)
+    except ValueError:
+        raise CorpusError(f"{where}: {column} {row[column]!r} is not "
+                          f"{'an integer' if kind is int else 'a number'}") from None
+    return value
+
+
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write a header and rows as utf-8 CSV in the default dialect."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
@@ -489,17 +510,29 @@ def text_or_none(obj: dict, key: str) -> str | None:
     return value
 
 
-def _string(value) -> str:
+def required_text(obj: dict, key: str) -> str:
+    """``obj[key]``, a string; any other value raises ``TypeError``."""
+    value = obj.get(key)
     if not isinstance(value, str):
-        raise TypeError(value)
+        raise _refusal(key, value)
     return value
 
 
-def _whole_number(value) -> int:
-    """``int(value)``, refusing a bool and a number with a fraction."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
+def whole_number(obj: dict, key: str) -> int:
+    """``obj[key]``, an integer or a float without a fraction (not a bool);
+    any other value raises ``TypeError``."""
+    value = obj.get(key)
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise _refusal(key, value)
+
+
+def _refusal(key: str, value) -> TypeError:
+    if value is None:
+        return TypeError(f"missing field {key!r}")
+    return TypeError(f"invalid {key!r}: {value!r}")
 
 
 def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
@@ -512,11 +545,9 @@ def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
     last, first = split_full_name(raw)
     if not last:
         raise CorpusError(f"{where}: empty surname after normalization in {raw!r}")
-    orcid = obj.get("orcid") or None
-    if orcid is not None and not _ORCID_RE.match(str(orcid)):
-        raise CorpusError(f"{where}: invalid orcid {orcid!r}")
-    rid = obj.get("researcher_id") or None
     try:
+        orcid = text_or_none(obj, "orcid") or None
+        rid = text_or_none(obj, "researcher_id") or None
         email = text_or_none(obj, "email")
         affiliation = text_or_none(obj, "affiliation")
         org = text_or_none(obj, "organization")
@@ -524,13 +555,15 @@ def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
         country = text_or_none(obj, "country")
     except TypeError as exc:
         raise CorpusError(f"{where}: mention {exc}") from exc
+    if orcid is not None and not _ORCID_RE.match(orcid):
+        raise CorpusError(f"{where}: invalid orcid {orcid!r}")
     return AuthorMention(
         raw_full_name=raw,
         last_name=last,
         first_name=first,
         email=normalize_email(email),
         orcid=orcid,
-        researcher_id=str(rid) if rid is not None else None,
+        researcher_id=rid,
         affiliation_raw=affiliation or "",
         organization=normalize_org(org) if org else None,
         city=normalize_name(city) if city else None,
@@ -540,19 +573,15 @@ def _parse_mention(obj: dict, where: str, warned: set[str]) -> AuthorMention:
 
 def _parse_record(obj: dict, where: str, warned: set[str]) -> PublicationRecord:
     _warn_unknown("publication", obj, _PUB_FIELDS, warned)
-
-    def need(fieldname, kind):
-        value = obj.get(fieldname)
-        if value is None:
-            raise CorpusError(f"{where}: missing field {fieldname!r}")
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise CorpusError(f"{where}: invalid {fieldname!r}: {value!r}") from exc
-
-    pub_id = need("pub_id", _string)
-    year = need("year", _whole_number)
-    doc_type = need("doc_type", str)
+    try:
+        pub_id = required_text(obj, "pub_id")
+        year = whole_number(obj, "year")
+        doc_type = required_text(obj, "doc_type")
+        journal = text_or_none(obj, "journal")  # null or absent: no journal
+        citations = whole_number(obj, "citation_count")
+        census_raw = required_text(obj, "census_date")
+    except TypeError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
     if doc_type not in DOC_TYPES:
         raise CorpusError(f"{where}: invalid doc_type {doc_type!r}")
     source_index = obj.get("source_index", "other")
@@ -564,10 +593,8 @@ def _parse_record(obj: dict, where: str, warned: set[str]) -> PublicationRecord:
     for sc in scs:
         if not isinstance(sc, str):
             raise CorpusError(f"{where}: subject category {sc!r} is not a string")
-    citations = need("citation_count", _whole_number)
     if citations < 0:
         raise CorpusError(f"{where}: citation_count must be >= 0, got {citations}")
-    census_raw = need("census_date", str)
     try:
         census = date.fromisoformat(census_raw)
     except ValueError as exc:
@@ -578,14 +605,13 @@ def _parse_record(obj: dict, where: str, warned: set[str]) -> PublicationRecord:
     if not isinstance(mention_objs, list) or not mention_objs:
         raise CorpusError(f"{where}: mentions must be a non-empty list")
     mentions = tuple(_parse_mention(m, where, warned) for m in mention_objs)
-    journal = obj.get("journal")                # null or absent: no journal
     return PublicationRecord(
         pub_id=pub_id,
         year=year,
         doc_type=doc_type,
         source_index=source_index,
         subject_categories=tuple(scs),
-        journal=normalize_name(str(journal)) if journal is not None else "",
+        journal=normalize_name(journal) if journal else "",
         mentions=mentions,
         citation_count=citations,
         census_date=census,
@@ -742,10 +768,6 @@ def load_incidence(path: str | Path) -> dict[str, tuple[tuple[str, float], ...]]
         sc = (row.get("sc_id") or "").strip()
         if not code or not sc:
             raise CorpusError(f"{where}: missing field_code or sc_id")
-        try:
-            weight = float(row.get("incidence") or "")
-        except ValueError as exc:
-            raise CorpusError(f"{where}: invalid incidence") from exc
-        table.setdefault(code, []).append((sc, weight))
+        table.setdefault(code, []).append((sc, csv_number(where, row, "incidence", float)))
     return {code: tuple(sorted(rows, key=lambda r: (-r[1], r[0])))
             for code, rows in table.items()}

@@ -18,9 +18,8 @@ holds the corpus, one block's contexts and that block's nonzero pair sums,
 and the clusters made so far: never every mention's context at once.
 
 Each resulting cluster is a proto-individual summarized in the
-same field layout as the reference cluster schema (cluster_id, n_pubs,
-first_year, last_year, academic_age, full_name, last_name, first_name,
-email, organization, city, country, orcid, researcherid).
+same field layout as the reference cluster schema; ``_CLUSTER_FIELDS``
+lists its fields, the keys of each ``clusters.jsonl`` line.
 
 The scoring rules are a configurable approximation of the
 rule-based-scoring family of disambiguators, not a reimplementation of
@@ -46,7 +45,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .corpus import (Corpus, CorpusError, PublicationRecord, first_initial, read_jsonl,
-                     read_key_values, text_or_none, write_jsonl)
+                     read_key_values, required_text, text_or_none, whole_number, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -242,23 +241,8 @@ class AuthorCluster:
         return frozenset(ref[0] for ref in self.mention_refs)
 
     def to_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "n_pubs": self.n_pubs,
-            "first_year": self.first_year,
-            "last_year": self.last_year,
-            "academic_age": self.academic_age,
-            "full_name": self.full_name,
-            "last_name": self.last_name,
-            "first_name": self.first_name,
-            "email": self.email,
-            "organization": self.organization,
-            "city": self.city,
-            "country": self.country,
-            "orcid": self.orcid,
-            "researcherid": self.researcher_id,
-            "mention_refs": [list(r) for r in self.mention_refs],
-        }
+        """The cluster as a ``clusters.jsonl`` object, keys in file order."""
+        return {key: getattr(self, attr) for key, attr, _ in _CLUSTER_FIELDS}
 
 
 def _modal(values: Sequence[str | None]) -> str | None:
@@ -474,19 +458,12 @@ def write_clusters_jsonl(clusters: list[AuthorCluster], path: str | Path) -> Non
     write_jsonl(path, (c.to_dict() for c in clusters))
 
 
-def _text(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} is not a string")
-    return value
-
-
-def _refs(obj: dict) -> tuple[tuple[str, int], ...]:
-    """``mention_refs``: a list of [pub_id, position] pairs, a string and a
+def _refs(obj: dict, key: str) -> tuple[tuple[str, int], ...]:
+    """``obj[key]``, a list of [pub_id, position] pairs, a string and a
     non-negative integer each."""
-    refs = obj["mention_refs"]
+    refs = obj.get(key)
     if not isinstance(refs, list):
-        raise TypeError("mention_refs is not a list")
+        raise TypeError(f"{key} is not a list")
     for ref in refs:
         if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)
                 and type(ref[1]) is int and ref[1] >= 0):
@@ -494,28 +471,34 @@ def _refs(obj: dict) -> tuple[tuple[str, int], ...]:
     return tuple(map(tuple, refs))
 
 
+#: ``clusters.jsonl``'s fields in file order, (JSON key, ``AuthorCluster`` attribute,
+#: getter), for ``to_dict`` and ``load_clusters_jsonl``; tuples write as JSON lists.
+_CLUSTER_FIELDS = (
+    ("cluster_id", "cluster_id", required_text),
+    ("n_pubs", "n_pubs", whole_number),
+    ("first_year", "first_year", whole_number),
+    ("last_year", "last_year", whole_number),
+    ("academic_age", "academic_age", whole_number),
+    ("full_name", "full_name", required_text),
+    ("last_name", "last_name", required_text),
+    ("first_name", "first_name", required_text),
+    ("email", "email", text_or_none),
+    ("organization", "organization", text_or_none),
+    ("city", "city", text_or_none),
+    ("country", "country", text_or_none),
+    ("orcid", "orcid", text_or_none),
+    ("researcherid", "researcher_id", text_or_none),
+    ("mention_refs", "mention_refs", _refs),
+)
+
+
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
     clusters = []
     for where, obj in read_jsonl(path):
         try:
             clusters.append(AuthorCluster(
-                cluster_id=_text(obj, "cluster_id"),
-                mention_refs=_refs(obj),
-                n_pubs=int(obj["n_pubs"]),
-                first_year=int(obj["first_year"]),
-                last_year=int(obj["last_year"]),
-                academic_age=int(obj["academic_age"]),
-                full_name=_text(obj, "full_name"),
-                last_name=_text(obj, "last_name"),
-                first_name=_text(obj, "first_name"),
-                email=text_or_none(obj, "email"),
-                organization=text_or_none(obj, "organization"),
-                city=text_or_none(obj, "city"),
-                country=text_or_none(obj, "country"),
-                orcid=text_or_none(obj, "orcid"),
-                researcher_id=text_or_none(obj, "researcherid"),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
+                **{attr: get(obj, key) for key, attr, get in _CLUSTER_FIELDS}))
+        except TypeError as exc:
             raise CorpusError(f"{where}: bad cluster record: {exc}") from exc
     return clusters
 

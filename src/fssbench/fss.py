@@ -35,8 +35,8 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .corpus import (Corpus, CorpusError, PublicationRecord, RosterEntry, SCScheme, read_csv,
-                     write_csv)
+from .corpus import (Corpus, CorpusError, PublicationRecord, RosterEntry, SCScheme, csv_number,
+                     read_csv, write_csv)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -415,24 +415,15 @@ def _mode(where: str, row: dict[str, str]) -> str:
     return mode
 
 
-def _number(where: str, row: dict[str, str], column: str,
-            kind: type[int] | type[float]) -> int | float:
-    try:
-        return kind(row[column])
-    except ValueError:
-        raise CorpusError(f"{where}: {column} {row[column]!r} is not "
-                          f"{'an integer' if kind is int else 'a number'}") from None
-
-
 def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
     return [ResearcherScore(
         subject_id=row["subject_id"],
         mode=_mode(where, row),
         university_id=row["university_id"] or None,
         sc_id=row["sc"],
-        t=_number(where, row, "t", float),
-        n_pubs=_number(where, row, "n", int),
-        fss_r=_number(where, row, "fss_r", float),
+        t=csv_number(where, row, "t", float),
+        n_pubs=csv_number(where, row, "n", int),
+        fss_r=csv_number(where, row, "fss_r", float),
         terms=(),
     ) for where, row in read_csv(path, RESEARCHER_COLUMNS)]
 
@@ -447,6 +438,6 @@ def load_university_scores_csv(path: str | Path) -> list[UniversityScore]:
         mode=_mode(where, row),
         level=row["level"],
         level_key=row["key"],
-        rs_u=_number(where, row, "rs_u", int),
-        fss_u=_number(where, row, "fss_u", float),
+        rs_u=csv_number(where, row, "rs_u", int),
+        fss_u=csv_number(where, row, "fss_u", float),
     ) for where, row in read_csv(path, UNIVERSITY_COLUMNS)]

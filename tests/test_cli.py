@@ -130,9 +130,15 @@ def test_ingest_refuses_json_that_is_not_an_object(tmp_path, capsys, line, refus
     ("city", ["x"], "mention city is neither a string nor null"),
     ("country", {"it": 1}, "mention country is neither a string nor null"),
     ("affiliation", 7, "mention affiliation is neither a string nor null"),
+    ("researcher_id", ["RID", 1], "mention researcher_id is neither a string nor null"),
+    ("researcher_id", 5.5, "mention researcher_id is neither a string nor null"),
+    ("journal", {"name": "x"}, "journal is neither a string nor null"),
+    ("census_date", 20200101, "invalid 'census_date': 20200101"),
+    ("orcid", 0, "mention orcid is neither a string nor null"),
 ], ids=["pub_id-int", "year-fraction", "year-bool", "citations-fraction", "citations-bool",
         "sc-null", "sc-int", "email-int", "organization-int", "city-list", "country-object",
-        "affiliation-int"])
+        "affiliation-int", "researcher_id-list", "researcher_id-fraction", "journal-object",
+        "census_date-int", "orcid-zero"])
 def test_ingest_refuses_a_field_of_the_wrong_type(tmp_path, capsys, field, value, refusal):
     record = pub("W1", 2016, [mention("Rossi, Maria", organization="univ one")], ["SC1"], 2)
     if field in record:
@@ -222,13 +228,14 @@ def test_synth_refuses_a_career_start_before_year_zero(tmp_path, capsys, window)
 
 
 def test_bad_obs_rule_in_config_file(tmp_path, capsys):
-    for key, value in [("obs_rule", "sometimes"), ("mode", "sometimes"),
-                       ("window", "lots"), ("n_researchers", "lots")]:
+    for stage, key, value in [("synth", "obs_rule", "sometimes"), ("synth", "mode", "sometimes"),
+                              ("synth", "window", "lots"), ("synth", "n_researchers", "lots"),
+                              ("ingest", "n_researchers", "lots")]:
         cfg = write_config(tmp_path, f"{key} = {value}\n")
-        assert run_pipeline(["synth", "--config", cfg,
+        assert run_pipeline([stage, "--config", cfg,
                              "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
-            f"error: synth: config key {key}: bad value '{value}'\n")
+            f"error: {stage}: config key {key}: bad value '{value}'\n")
 
 
 #: setting -> (config-file value, flag value); neither is the default.
@@ -566,6 +573,9 @@ def test_refused_stage_keeps_an_input_passed_by_flag(tmp_path, capsys, finished_
     ("scores_researchers.csv", "t", "", "t '' is not a number"),
     ("scores_researchers.csv", "n", "2.0", "n '2.0' is not an integer"),
     ("scores_researchers.csv", "fss_r", "x", "fss_r 'x' is not a number"),
+    ("scores_researchers.csv", "fss_r", "nan", "fss_r 'nan' is not a number"),
+    ("scores_researchers.csv", "t", "inf", "t 'inf' is not a number"),
+    ("scores_universities.csv", "fss_u", "-Infinity", "fss_u '-Infinity' is not a number"),
 ])
 def test_compare_refuses_a_bad_score_field(tmp_path, capsys, finished_run, name, column,
                                            value, refusal):

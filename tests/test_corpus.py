@@ -232,6 +232,12 @@ def test_load_publications_field_errors_name_the_line(tmp_path, field, value, fr
         load_publications(path, WINDOW)
 
 
+def test_corpus_docstring_names_every_publication_and_mention_field():
+    named = [key for key in sorted(cm._PUB_FIELDS | cm._MENTION_FIELDS)
+             if f"``{key}``" not in cm.__doc__]
+    assert named == []
+
+
 def test_load_publications_null_journal_is_no_journal(tmp_path):
     rows = [pub(f"W{i}", 2016, [mention("Rossi, M")], ["SC1"], journal=None) for i in (1, 2)]
     corpus = load_publications(write_jsonl(tmp_path / "p.jsonl", rows), WINDOW)
@@ -414,6 +420,14 @@ def test_load_incidence_sorted_by_weight_then_id(tmp_path):
                     "F01,SC2,0.3\nF01,SC1,0.6\nF01,SC3,0.3\n", encoding="utf-8")
     table = load_incidence(path)
     assert table["F01"] == (("SC1", 0.6), ("SC2", 0.3), ("SC3", 0.3))
+
+
+def test_load_incidence_refuses_a_weight_that_is_not_finite(tmp_path):
+    path = tmp_path / "incidence.csv"
+    path.write_text("field_code,sc_id,incidence\nF1,SC1,nan\nF1,SC2,0.5\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_incidence(path)
+    assert str(exc.value) == "incidence.csv line 2: incidence 'nan' is not a number"
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,17 @@ def test_clusters_jsonl_round_trip(tmp_path):
     assert [c.to_dict() for c in back] == [c.to_dict() for c in clusters]
 
 
+def test_clusters_jsonl_of_a_generated_world_rewrites_byte_identical(tmp_path):
+    config = SynthConfig(seed=3, n_universities=3, n_researchers=30, n_scs=2,
+                         non_faculty_share=0.3, orcid_missing_rate=0.5, email_missing_rate=0.5)
+    files, _ = generate(config, tmp_path)
+    first, second = tmp_path / "clusters.jsonl", tmp_path / "again.jsonl"
+    write_clusters_jsonl(cluster_corpus(load_publications(files["publications"],
+                                                          config.window)), first)
+    write_clusters_jsonl(load_clusters_jsonl(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def _cluster(**kw) -> AuthorCluster:
     fields = dict(cluster_id="W1:0", mention_refs=(("W1", 0),), n_pubs=1, first_year=2016,
                   last_year=2016, academic_age=0, full_name="Rossi, Maria",
@@ -379,6 +390,10 @@ def test_load_clusters_jsonl_refuses_a_null_field(tmp_path, field):
     ("mention_refs", [["W1", 0], "W2"], 'mention ref "W2" is not [pub_id, position]'),
     *((name, 5, f"{name} is neither a string nor null")
       for name in ("email", "organization", "city", "country", "orcid", "researcherid")),
+    ("n_pubs", "3", "invalid 'n_pubs': '3'"),
+    ("last_year", 2019.7, "invalid 'last_year': 2019.7"),
+    ("academic_age", True, "invalid 'academic_age': True"),
+    ("cluster_id", 5, "invalid 'cluster_id': 5"),
 ])
 def test_load_clusters_jsonl_refuses_a_malformed_field(tmp_path, field, value, reason):
     path = tmp_path / "clusters.jsonl"
