@@ -36,7 +36,9 @@ flags override it. Each is one entry of ``SETTINGS``:
 The file may also set the world generator's knobs; any other key is
 ignored with a warning and left out of the manifest. A file value not of
 its setting's or knob's type, or not one of its allowed values, is refused
-as ``config key <key>: bad value '<value>'``.
+as ``config key <key>: bad value '<value>'``, and a knob outside the range
+``synth.SynthConfig`` allows with that class's own message
+(``n_researchers must be positive``), by every stage.
 Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing. A
@@ -197,8 +199,9 @@ def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> Run
                       - _SYNTH_KNOBS.keys()):
         log.warning("ignoring unknown config key %r", key)
     extra = {k: v for k, v in file_values.items() if k in _SYNTH_KNOBS}
-    for key, raw in extra.items():              # refused in every stage, not only synth
-        _cast(key, raw)
+    # refused in every stage, not only synth: a bad type here, a value out of
+    # range by the generator's own checks
+    synthmod.SynthConfig(**{key: _cast(key, raw) for key, raw in extra.items()})
     return RunConfig(**{key: _pick(args, file_values, key) for key in SETTINGS},
                      paths=_paths(args, file_values), extra=extra)
 

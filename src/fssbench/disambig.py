@@ -142,22 +142,12 @@ def mention_context(record: PublicationRecord, position: int) -> MentionContext:
     m = record.mentions[position]
     others = [o.last_name for o in record.mentions]
     del others[position]
-    return MentionContext(
-        pub_id=record.pub_id,
-        position=position,
-        last_name=m.last_name,
-        first_name=m.first_name,
-        email=m.email,
-        orcid=m.orcid,
-        researcher_id=m.researcher_id,
-        organization=m.organization,
-        city=m.city,
-        country=m.country,
-        journal=record.journal,
-        year=record.year,
-        subject_categories=frozenset(record.subject_categories),
-        coauthor_last_names=frozenset(others),
-    )
+    # positional, in field order: one context is built per mention, and
+    # keywords cost each build about a microsecond more
+    return MentionContext(record.pub_id, position, m.last_name, m.first_name, m.email,
+                          m.orcid, m.researcher_id, m.organization, m.city, m.country,
+                          record.journal, record.year,
+                          frozenset(record.subject_categories), frozenset(others))
 
 
 def block_key(last_name: str, first_name: str) -> str:
@@ -284,23 +274,13 @@ def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
     longest = max(map(len, first_names))
     first_name = min(n for n in first_names if len(n) == longest)
     initials = "".join(tok[0] for tok in first_name.split() if tok)
-    return AuthorCluster(
-        cluster_id=f"{pub_ids[0]}:{positions[0]}",
-        mention_refs=tuple(zip(pub_ids, positions)),
-        n_pubs=n_pubs,
-        first_year=first_year,
-        last_year=last_year,
-        academic_age=last_year - first_year,
-        full_name=f"{last_name}, {initials}" if initials else last_name,
-        last_name=last_name,
-        first_name=first_name,
-        email=_modal(emails),
-        organization=_modal(organizations),
-        city=_modal(cities),
-        country=_modal(countries),
-        orcid=orcids[0] if orcids else None,
-        researcher_id=next(iter(rids)) if len(rids) == 1 else None,
-    )
+    # positional, in field order, as in mention_context
+    return AuthorCluster(f"{pub_ids[0]}:{positions[0]}", tuple(zip(pub_ids, positions)),
+                         n_pubs, first_year, last_year, last_year - first_year,
+                         f"{last_name}, {initials}" if initials else last_name,
+                         last_name, first_name, _modal(emails), _modal(organizations),
+                         _modal(cities), _modal(countries), orcids[0] if orcids else None,
+                         next(iter(rids)) if len(rids) == 1 else None)
 
 
 #: Below this total, sums of whole-number scores are exact in floating point.

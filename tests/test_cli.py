@@ -238,6 +238,15 @@ def test_bad_obs_rule_in_config_file(tmp_path, capsys):
             f"error: {stage}: config key {key}: bad value '{value}'\n")
 
 
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_every_stage_refuses_a_world_knob_out_of_range(tmp_path, capsys, stage):
+    for text, reason in [("n_researchers = -5\n", "n_researchers must be positive"),
+                         ("homonym_rate = 7\n", "homonym_rate must be in [0, 1], got 7.0")]:
+        cfg = write_config(tmp_path, text)
+        assert run_pipeline([stage, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {stage}: {reason}\n"
+
+
 #: setting -> (config-file value, flag value); neither is the default.
 #: ``out`` is set by every test; ``--mode`` exists on ``score`` only.
 SETTING_VALUES = {

@@ -3,6 +3,7 @@ import json
 import logging
 import string
 import unicodedata
+from datetime import date
 
 import pytest
 from hypothesis import given
@@ -223,6 +224,8 @@ def test_load_publications_duplicate_pub_id_names_both_lines(tmp_path):
     ("census_date", "not-a-date", "census_date"),
     ("subject_categories", [], "subject_categories"),
     ("mentions", [], "mentions"),
+    ("census_date", "20200101", "census_date"),       # Python 3.11 reads both as dates
+    ("census_date", "2020-W01-1", "census_date"),
 ])
 def test_load_publications_field_errors_name_the_line(tmp_path, field, value, fragment):
     bad = _one_pub()
@@ -230,6 +233,50 @@ def test_load_publications_field_errors_name_the_line(tmp_path, field, value, fr
     path = write_jsonl(tmp_path / "p.jsonl", [bad])
     with pytest.raises(CorpusError, match=f"line 1.*{fragment}"):
         load_publications(path, WINDOW)
+
+
+def _full_pub(pub_id, year=2016, **kw):
+    return pub(pub_id, year, [mention("Rossi, Maria", email="M.Rossi@UniMi.it",
+                                      orcid="0000-0001-0000-0001", researcher_id="R-1",
+                                      affiliation="Univ. Milano, Italy",
+                                      organization="Univ. Milano", city="Milano",
+                                      country="Italy")],
+               ["SC1", "SC2"], census_date="2018-12-31", **kw)
+
+
+def test_load_publications_holds_one_object_per_distinct_value(tmp_path):
+    rows = [_full_pub(f"W{i}", doc_type="review") for i in range(3)]
+    first, *others = load_publications(write_jsonl(tmp_path / "p.jsonl", rows), WINDOW)
+    for rec in others:
+        assert rec.mentions == first.mentions
+        for name in ("doc_type", "source_index", "subject_categories", "journal",
+                     "census_date"):
+            assert getattr(rec, name) is getattr(first, name), name
+        for slot in cm.AuthorMention.__slots__:
+            assert getattr(rec.mentions[0], slot) is getattr(first.mentions[0], slot), slot
+    assert first.census_date == date(2018, 12, 31)
+    assert first.subject_categories == ("SC1", "SC2")
+
+
+@pytest.mark.parametrize("field,value,refusal", [
+    ("year", 2019, "year 2019 is after census_date 2018-12-31"),
+    ("census_date", "2018-12-32", "invalid census_date '2018-12-32'"),
+    ("census_date", "20181231", "invalid census_date '20181231'"),
+    ("orcid", "0000-0001-0000-001", "invalid orcid '0000-0001-0000-001'"),
+    ("email", 5, "mention email is neither a string nor null"),
+    ("subject_categories", ["SC1", 2], "subject category 2 is not a string"),
+])
+def test_load_publications_refuses_a_bad_field_after_a_good_record_like_it(
+        tmp_path, field, value, refusal):
+    good, bad = _full_pub("W1"), _full_pub("W2")
+    if field in bad:
+        bad[field] = value
+    else:
+        bad["mentions"][0][field] = value
+    path = write_jsonl(tmp_path / "p.jsonl", [good, bad])
+    with pytest.raises(CorpusError) as exc:
+        load_publications(path, WINDOW)
+    assert str(exc.value) == f"p.jsonl line 2: {refusal}"
 
 
 def test_corpus_docstring_names_every_publication_and_mention_field():
