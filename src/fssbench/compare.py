@@ -16,6 +16,13 @@ too generous).
 
 numpy is imported inside the functions that compute with it: every CLI
 stage imports this module through the package, and only ``compare`` needs it.
+Percentiles and medians do not use numpy: ``np.percentile`` and ``np.median``
+import ``numpy.ma`` (numpy 2.4), which costs ``compare`` about 1.7 MB of peak
+RSS and 12 ms, though no masked array is ever built. ``_percentiles`` and
+``_median`` repeat numpy's own operations in numpy's order over the sorted
+values, so on their domain, the finite non-negative ``fss_r`` values the
+pipeline writes, they equal numpy's results bit for bit. ``statistics`` is
+not used either: it imports ``decimal`` and ``fractions``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import json
 import logging
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,9 +89,42 @@ def distribution_stats(values) -> DistributionStats:
         variance=variance,
         skewness=skewness,
         kurtosis=kurtosis,
-        percentiles=tuple(float(p) for p in np.percentile(arr, PERCENTILE_POINTS)),
+        percentiles=_percentiles(sorted(arr.tolist()), PERCENTILE_POINTS),
         max=float(arr.max()),
     )
+
+
+def _percentiles(ordered: list[float], points) -> tuple[float, ...]:
+    """``np.percentile(ordered, points)`` by its default linear method, over
+    ascending values: the virtual index v = (n - 1) * (p / 100) falls between
+    two neighbours, both the last value (with weight v + 1) when v >= n - 1,
+    and numpy's ``_lerp`` interpolates them from whichever end is nearer.
+    The last-value case goes through ``_lerp`` too, which is what turns a
+    last value of -0.0 into +0.0 exactly where numpy does."""
+    last = len(ordered) - 1
+    out = []
+    for p in points:
+        v = last * (p / 100)
+        if v >= last:
+            a = b = ordered[last]
+            t = v + 1
+        else:
+            i = math.floor(v)
+            a, b = ordered[i], ordered[i + 1]
+            t = v - i
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return tuple(out)
+
+
+def _median(values: list[float]) -> float:
+    """``np.median(values)``: numpy's mean of the middle one or two ascending
+    values, its sum started at +0.0."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[mid]
+    return (0.0 + ordered[mid - 1] + ordered[mid]) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +269,8 @@ FIXTURE_COLUMNS = ("university", "unsup_obs", "unsup_fss_u", "unsup_rank",
 def load_fixture_rows() -> list[dict]:
     """Raw rows of the bundled 65-university reference table (every value
     as published: scores at 3 decimals, ranks, percentiles, rank deltas)."""
+    from importlib import resources     # not at the top: no CLI stage reads the table
+
     source = resources.files("fssbench.data").joinpath("reference_table.csv")
     with resources.as_file(source) as path:
         return [row for _, row in read_csv(path, FIXTURE_COLUMNS)]
@@ -449,7 +490,7 @@ def sc_deviation_correlations(supervised: list[ResearcherScore],
         if len(a) < SC_DEVIATION_MIN_OBS or len(b) < SC_DEVIATION_MIN_OBS:
             continue
         mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-        med_a, med_b = float(np.median(a)), float(np.median(b))
+        med_a, med_b = _median(a), _median(b)
         if mean_a == 0 or med_a == 0:
             continue
         obs_dev.append(percent_deviation(len(a), len(b)))

@@ -398,10 +398,11 @@ def read_csv(path: str | Path, required: Sequence[str],
              optional: Sequence[str] = ()) -> Iterator[tuple[str, dict[str, str]]]:
     """Yield ``("<file> line <n>", row)`` for each data row of a CSV file.
 
-    An empty file, a header lacking a column of ``required``, or a row
-    with fewer fields than the header raises ``CorpusError`` naming the
-    file (and the column or the line); each column outside ``required``
-    and ``optional`` is ignored with one warning. Blank lines are skipped.
+    An empty file, a header naming a column twice or lacking a column of
+    ``required``, or a row with fewer fields than the header raises
+    ``CorpusError`` naming the file (and the column or the line); each
+    column outside ``required`` and ``optional`` is ignored with one
+    warning. Blank lines are skipped.
     """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as fh:
@@ -409,11 +410,14 @@ def read_csv(path: str | Path, required: Sequence[str],
         header = next(reader, None)
         if header is None:
             raise CorpusError(f"{path.name}: empty file")
+        twice = [column for i, column in enumerate(header) if column in header[:i]]
+        if twice:
+            raise CorpusError(f"{path.name}: column {twice[0]} appears twice")
         for column in required:
             if column not in header:
                 raise CorpusError(f"{path.name}: missing column {column}")
         known = {*required, *optional}
-        for column in dict.fromkeys(header):
+        for column in header:
             if column not in known:
                 log.warning("%s: ignoring unknown column %r", path.name, column)
         end = reader.line_num
@@ -481,8 +485,10 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str]]:
     """Yield ``(lineno, key, value)`` for each line of a ``key = value`` file;
-    ``#`` starts a comment and blank lines are skipped. As in ``read_jsonl``,
-    a line ends only at LF, CR LF or CR, never at U+0085, U+2028 or U+2029."""
+    ``#`` starts a comment and blank lines are skipped. A key set twice is
+    refused. As in ``read_jsonl``, a line ends only at LF, CR LF or CR, never
+    at U+0085, U+2028 or U+2029."""
+    set_on: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -491,7 +497,12 @@ def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str
             if "=" not in line:
                 raise CorpusError(f"{what} line {lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
-            yield lineno, key.strip(), value.strip()
+            key = key.strip()
+            if key in set_on:
+                raise CorpusError(f"{what} line {lineno}: key {key} already set on "
+                                  f"line {set_on[key]}")
+            set_on[key] = lineno
+            yield lineno, key, value.strip()
 
 
 # ---------------------------------------------------------------------------

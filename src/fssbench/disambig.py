@@ -473,13 +473,21 @@ _CLUSTER_FIELDS = (
 
 
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
+    """The clusters of a ``clusters.jsonl`` file; a malformed record or a
+    ``cluster_id`` used twice raises ``CorpusError`` naming its line."""
     clusters = []
+    seen: set[str] = set()          # the clusters' own id strings, no copies
     for where, obj in read_jsonl(path):
         try:
-            clusters.append(AuthorCluster(
-                **{attr: get(obj, key) for key, attr, get in _CLUSTER_FIELDS}))
+            cluster = AuthorCluster(
+                **{attr: get(obj, key) for key, attr, get in _CLUSTER_FIELDS})
         except TypeError as exc:
             raise CorpusError(f"{where}: bad cluster record: {exc}") from exc
+        if cluster.cluster_id in seen:
+            raise CorpusError(f"{where}: cluster_id {cluster.cluster_id} already used "
+                              "on an earlier line")
+        seen.add(cluster.cluster_id)
+        clusters.append(cluster)
     return clusters
 
 

@@ -281,6 +281,13 @@ def test_malformed_config_line(tmp_path, capsys):
         "error: synth: config line 2: expected key = value, got 'just words'\n")
 
 
+def test_config_key_set_twice_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_WORLD + "seed = 1\n\nseed = 2\n")
+    assert run_pipeline(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: synth: config line 7: key seed already set on line 5\n")
+
+
 @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
 def test_config_line_does_not_end_at_a_unicode_line_separator(tmp_path, capsys, char):
     cfg = tmp_path / "world.cfg"
@@ -458,6 +465,19 @@ def test_derive_staff_refuses_a_malformed_mention_ref(tmp_path, capsys, finished
     assert capsys.readouterr().err == (
         "error: derive-staff: clusters.jsonl line 1: bad cluster record: "
         'mention ref ["W1"] is not [pub_id, position]\n')
+
+
+def test_derive_staff_refuses_a_cluster_id_used_twice(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    path = out / "clusters.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines) + lines[0], encoding="utf-8")
+    capsys.readouterr()
+    assert run_pipeline(["derive-staff", "--out", str(out), "--min-clusters", "1",
+                         "--min-age", "1", "--recency", "2015"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: derive-staff: clusters.jsonl line {len(lines) + 1}: cluster_id "
+        f"{json.loads(lines[0])['cluster_id']} already used on an earlier line\n")
 
 
 def test_recency_after_window_end_refused(tmp_path, capsys):
@@ -697,15 +717,17 @@ def test_cli_import_loads_every_package_module_but_not_numpy():
 
 
 def test_only_synth_and_compare_load_numpy(tmp_path):
+    # and no stage loads numpy.ma, which np.percentile and np.median import
     loaded = {}
     for argv in chain_steps(tmp_path):
         done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
-                         f"code = run_pipeline({argv!r}); print(code, 'numpy' in sys.modules)")
+                         f"code = run_pipeline({argv!r}); "
+                         "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)")
         assert done.returncode == 0, done.stderr
-        loaded[argv[0]] = done.stdout.split()[-2:]
-    assert loaded == {stage: ["0", str(stage in ("synth", "compare"))] for stage in
-                      ("synth", "ingest", "disambiguate", "derive-staff", "score",
-                       "compare", "report")}
+        loaded[argv[0]] = done.stdout.split()[-3:]
+    assert loaded == {stage: ["0", str(stage in ("synth", "compare")), "False"]
+                      for stage in ("synth", "ingest", "disambiguate", "derive-staff",
+                                    "score", "compare", "report")}
 
 
 @pytest.mark.filterwarnings("error")

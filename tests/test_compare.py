@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from fssbench.compare import (
     PERCENTILE_POINTS,
     _correlation,
+    _median,
     _pearson,
+    _percentiles,
     _spearman,
     assign_quartile,
     build_rank_table,
@@ -134,7 +136,26 @@ def test_distribution_stats_percentiles_match_numpy():
     values = rng.lognormal(0.5, 1.0, size=200)
     stats = distribution_stats(values)
     expected = np.percentile(values, (1, 5, 10, 25, 50, 75, 90, 95, 99))
-    assert stats.percentiles == pytest.approx(tuple(expected))
+    assert stats.percentiles == tuple(expected.tolist())
+
+
+#: Finite non-negative scores as the pipeline writes them: zeros, ties,
+#: a single value, and magnitudes from subnormal to near the float maximum.
+_fss_r_values = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([0.25, 1.0, 3.0]),
+              st.floats(0.0, 1e6), st.floats(0.0, 1.7e308)),
+    min_size=1, max_size=80)
+
+
+@settings(max_examples=500)
+@given(values=_fss_r_values)
+def test_percentiles_and_median_equal_numpy_bit_for_bit(values):
+    arr = np.array(values)
+    with np.errstate(over="ignore"):        # two values near the maximum sum to inf
+        wanted, median = np.percentile(arr, PERCENTILE_POINTS), np.median(arr)
+    got = _percentiles(sorted(values), PERCENTILE_POINTS)
+    assert all(_same_float(g, float(w)) for g, w in zip(got, wanted, strict=True))
+    assert _same_float(_median(values), float(median))
 
 
 # ---------------------------------------------------------------------------

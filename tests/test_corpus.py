@@ -421,6 +421,16 @@ def test_match_email_prefers_longest_nested_domain():
     assert reg.match_email("x@med.uni.example.org") is None
 
 
+def test_load_registry_refuses_a_column_named_twice(tmp_path):
+    # a second, empty email_domains would otherwise win and match no email
+    path = tmp_path / "registry.csv"
+    path.write_text("university_id,official_name,email_domains,organization_variants,"
+                    "email_domains\nU1,One,one.it,univ one,\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_registry(path)
+    assert str(exc.value) == "registry.csv: column email_domains appears twice"
+
+
 def test_load_registry_variant_claimed_twice_names_both(tmp_path):
     path = _registry(tmp_path,
                      'U1,One,one.it,univ shared',

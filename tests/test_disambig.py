@@ -120,6 +120,14 @@ def test_load_rules_overrides_and_unknown_keys(tmp_path, caplog):
     assert any("mystery" in r.getMessage() for r in caplog.records)
 
 
+def test_load_rules_refuses_a_key_set_twice(tmp_path):
+    path = tmp_path / "rules.cfg"
+    path.write_text("orcid = 100\n# lower it\norcid = 5\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_rules(path)
+    assert str(exc.value) == "rules file line 3: key orcid already set on line 1"
+
+
 def test_load_rules_bad_value(tmp_path):
     path = tmp_path / "rules.cfg"
     path.write_text("email = lots\n", encoding="utf-8")
@@ -358,7 +366,9 @@ def _cluster(**kw) -> AuthorCluster:
 @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
 def test_clusters_jsonl_round_trips_characters_splitlines_breaks_at(tmp_path, char):
     # json.dumps writes these raw, and str.splitlines breaks lines at them
-    clusters = [_cluster(email=f"m{char}r@x.it"), _cluster(researcher_id=f"R{char}1"),
+    clusters = [_cluster(email=f"m{char}r@x.it"),
+                _cluster(cluster_id="W1:1", mention_refs=(("W1", 1),),
+                         researcher_id=f"R{char}1"),
                 _cluster(cluster_id=f"W{char}2:0", mention_refs=((f"W{char}2", 0),))]
     path = tmp_path / "clusters.jsonl"
     write_clusters_jsonl(clusters, path)
