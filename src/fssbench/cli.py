@@ -313,9 +313,7 @@ def cmd_score(cfg: RunConfig) -> None:
     university_rows = []
     for scores in by_mode.values():
         researcher_rows.extend(scores)
-        baselines = fss.compute_sc_baselines(scores)
-        for level in (fss.LEVEL_SC, fss.LEVEL_AREA, fss.LEVEL_OVERALL):
-            university_rows.extend(fss.compute_fss_u(scores, baselines, level, scheme))
+        university_rows.extend(fss.compute_fss_u(scores, fss.compute_sc_baselines(scores)))
 
     fss.write_researcher_scores_csv(researcher_rows, cfg.out / "scores_researchers.csv")
     fss.write_university_scores_csv(university_rows, cfg.out / "scores_universities.csv")
@@ -332,8 +330,7 @@ def _split_modes(scores: list) -> tuple[list, list]:
 def cmd_compare(cfg: RunConfig) -> None:
     uni_path = _artifact(cfg, "scores_universities.csv")
     res_path = _artifact(cfg, "scores_researchers.csv")
-    sup_u, unsup_u = _split_modes([s for s in fss.load_university_scores_csv(uni_path)
-                                   if s.level == fss.LEVEL_OVERALL])
+    sup_u, unsup_u = _split_modes(fss.load_university_scores_csv(uni_path))
     if not sup_u or not unsup_u:
         raise StageError(
             "scores_universities.csv lacks one of the modes; run `score` with "

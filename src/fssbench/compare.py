@@ -230,7 +230,7 @@ def _ranks_desc(values: dict[str, float]) -> dict[str, int]:
 
 def rank_universities(supervised: list[UniversityScore],
                       unsupervised: list[UniversityScore]) -> RankTable:
-    """Rank both modes' overall scores on the universities both cover.
+    """Rank both modes' university scores on the universities both cover.
 
     Descending by score, ties broken by full-precision value and then by
     university_id. A university scored in one mode only is left out and

@@ -320,9 +320,6 @@ class SCScheme:
     def __contains__(self, sc_id: str) -> bool:
         return sc_id in self.categories
 
-    def area_of(self, sc_id: str) -> str:
-        return self.categories[sc_id].area_id
-
     def is_dropped(self, sc_id: str) -> bool:
         """True when researchers of this SC are outside the analysis scope."""
         cat = self.categories.get(sc_id)

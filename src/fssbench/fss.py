@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -325,52 +326,33 @@ def apply_exclusions(scores: dict[str, list[ResearcherScore]], scheme: SCScheme,
     return {mode: [s for s in lst if s.sc_id not in excluded] for mode, lst in kept.items()}
 
 
-LEVEL_SC = "sc"
-LEVEL_AREA = "area"
-LEVEL_OVERALL = "overall"
-
-
 @dataclass(frozen=True)
 class UniversityScore:
     """One row of scores_universities.csv, fields in its column order."""
 
     university_id: str
     mode: str
-    level: str
-    level_key: str
     rs_u: int
     fss_u: float
 
 
 def compute_fss_u(staff_scores: list[ResearcherScore],
-                  baselines: dict[str, SCBaseline],
-                  level: str = LEVEL_OVERALL,
-                  scheme: SCScheme | None = None) -> list[UniversityScore]:
-    """Aggregate researcher scores per (mode, university) at one level.
+                  baselines: dict[str, SCBaseline]) -> list[UniversityScore]:
+    """One score per (mode, university) over the university's whole staff.
 
-    Every member's score is scaled by their prevailing-SC baseline before
-    any aggregation, whichever the level; rs_u counts unproductive members
-    too (they are a research cost). Each row carries the mode of the
-    scores it averages; ``baselines`` must be those of that mode, so a
-    caller passes one mode's scores at a time.
+    Each member's fss_r is divided by the baseline of the member's
+    prevailing SC, and fss_u averages these ratios over every member;
+    rs_u counts unproductive members too (they are a research cost). Each
+    row carries the mode of the scores it averages; ``baselines`` must be
+    those of that mode, so a caller passes one mode's scores at a time.
     """
-    if level not in (LEVEL_SC, LEVEL_AREA, LEVEL_OVERALL):
-        raise ValueError(f"unknown aggregation level {level!r}")
-    if level == LEVEL_AREA and scheme is None:
-        raise ValueError("area-level aggregation needs the SC scheme")
-    groups: dict[tuple[str, str, str], list[ResearcherScore]] = {}
+    groups: dict[tuple[str, str], list[ResearcherScore]] = {}
     for score in staff_scores:
         if score.university_id is None:
             raise ScoreError(f"subject {score.subject_id!r} has no university")
-        if level == LEVEL_SC:
-            key = score.sc_id
-        elif level == LEVEL_AREA:
-            key = scheme.area_of(score.sc_id)
-        else:
-            key = LEVEL_OVERALL
-        groups.setdefault((score.mode, score.university_id, key), []).append(score)
+        groups.setdefault((score.mode, score.university_id), []).append(score)
     out = []
-    for (mode, university_id, key), members in sorted(groups.items()):
+    for (mode, university_id), members in sorted(groups.items()):
         total = 0.0
         for member in members:
             baseline = baselines.get(member.sc_id)
@@ -382,8 +364,6 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
         out.append(UniversityScore(
             university_id=university_id,
             mode=mode,
-            level=level,
-            level_key=key,
             rs_u=len(members),
             fss_u=total / len(members),
         ))
@@ -397,7 +377,7 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
 RESEARCHER_COLUMNS = ("subject_id", "mode", "university_id", "sc", "t", "n", "fss_r")
 
 #: Columns of scores_universities.csv, written and read.
-UNIVERSITY_COLUMNS = ("university_id", "mode", "level", "key", "rs_u", "fss_u")
+UNIVERSITY_COLUMNS = ("university_id", "mode", "rs_u", "fss_u")
 
 
 def write_researcher_scores_csv(scores: list[ResearcherScore], path: str | Path) -> None:
@@ -407,37 +387,54 @@ def write_researcher_scores_csv(scores: list[ResearcherScore], path: str | Path)
                for s in sorted(scores, key=lambda s: (s.mode, s.subject_id))))
 
 
-def _mode(where: str, row: dict[str, str]) -> str:
-    mode = row["mode"]
-    if mode not in (MODE_SUPERVISED, MODE_UNSUPERVISED):
-        raise CorpusError(f"{where}: mode {mode!r} is neither {MODE_SUPERVISED!r} "
-                          f"nor {MODE_UNSUPERVISED!r}")
-    return mode
+def _score_rows(path: str | Path, columns: tuple[str, ...],
+                id_column: str) -> Iterator[tuple[str, dict[str, str]]]:
+    """``read_csv``'s rows of a score file. A mode other than the two, or a
+    (mode, ``id_column``) pair an earlier row lists, is refused naming the
+    line."""
+    listed: dict[tuple[str, str], str] = {}     # (mode, id) -> line number of its row
+    for where, row in read_csv(path, columns):
+        mode = row["mode"]
+        if mode not in (MODE_SUPERVISED, MODE_UNSUPERVISED):
+            raise CorpusError(f"{where}: mode {mode!r} is neither {MODE_SUPERVISED!r} "
+                              f"nor {MODE_UNSUPERVISED!r}")
+        key = (mode, row[id_column])
+        if key in listed:
+            raise CorpusError(f"{where}: {id_column.removesuffix('_id')} {key[1]} ({mode}) "
+                              f"already listed on line {listed[key]}")
+        listed[key] = where.rsplit(" ", 1)[1]
+        yield where, row
 
 
 def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
     return [ResearcherScore(
         subject_id=row["subject_id"],
-        mode=_mode(where, row),
+        mode=row["mode"],
         university_id=row["university_id"] or None,
         sc_id=row["sc"],
         t=csv_number(where, row, "t", float),
         n_pubs=csv_number(where, row, "n", int),
         fss_r=csv_number(where, row, "fss_r", float),
         terms=(),
-    ) for where, row in read_csv(path, RESEARCHER_COLUMNS)]
+    ) for where, row in _score_rows(path, RESEARCHER_COLUMNS, "subject_id")]
 
 
 def write_university_scores_csv(scores: list[UniversityScore], path: str | Path) -> None:
     write_csv(path, UNIVERSITY_COLUMNS, map(astuple, scores))
 
 
+def _staff_count(where: str, row: dict[str, str]) -> int:
+    """``rs_u``, which counts at least the one member that put the row there."""
+    rs_u = csv_number(where, row, "rs_u", int)
+    if rs_u < 1:
+        raise CorpusError(f"{where}: rs_u {rs_u} is below 1")
+    return rs_u
+
+
 def load_university_scores_csv(path: str | Path) -> list[UniversityScore]:
     return [UniversityScore(
         university_id=row["university_id"],
-        mode=_mode(where, row),
-        level=row["level"],
-        level_key=row["key"],
-        rs_u=csv_number(where, row, "rs_u", int),
+        mode=row["mode"],
+        rs_u=_staff_count(where, row),
         fss_u=csv_number(where, row, "fss_u", float),
-    ) for where, row in read_csv(path, UNIVERSITY_COLUMNS)]
+    ) for where, row in _score_rows(path, UNIVERSITY_COLUMNS, "university_id")]

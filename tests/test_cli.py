@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -76,6 +77,37 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
     for name in ["publications.jsonl", "corpus.jsonl", "clusters.jsonl",
                  "staff.csv", "scores_researchers.csv", "report.json"]:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+#: A world with homonyms, non-faculty publishers and missing identifiers,
+#: where clustering and staff derivation have ties to break.
+MIXED_WORLD = """\
+n_universities = 4
+n_researchers = 120
+n_scs = 4
+homonym_rate = 0.2
+non_faculty_share = 0.3
+orcid_missing_rate = 0.3
+email_missing_rate = 0.3
+"""
+
+
+def test_outputs_do_not_depend_on_the_order_of_publications(tmp_path):
+    synth_step, *_ = chain_steps(tmp_path, "in_order", "3", MIXED_WORLD)
+    assert run_pipeline(synth_step) == 0
+    path = shutil.copytree(tmp_path / "in_order", tmp_path / "shuffled") / "publications.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(7).shuffle(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+    for out_name in ("in_order", "shuffled"):
+        # ingest through compare
+        for argv in chain_steps(tmp_path, out_name, "3", MIXED_WORLD)[1:-1]:
+            assert run_pipeline(argv) == 0, argv
+    for name in ["corpus.jsonl", "clusters.jsonl", "staff.csv", "review_queue.csv",
+                 "scores_researchers.csv", "scores_universities.csv", "report.json",
+                 "rank_table.csv", "quartile_matrix.csv", "distribution_stats.csv"]:
+        assert ((tmp_path / "in_order" / name).read_bytes()
+                == (tmp_path / "shuffled" / name).read_bytes()), name
 
 
 def test_each_stage_writes_exactly_its_stages_entry(tmp_path):
@@ -527,7 +559,7 @@ def test_compare_refuses_short_row(tmp_path, capsys):
     capsys.readouterr()
     assert run_pipeline(["compare", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: compare: scores_universities.csv line 2: expected 6 fields, got 3\n")
+        "error: compare: scores_universities.csv line 2: expected 4 fields, got 3\n")
 
 
 @pytest.fixture(scope="module")
@@ -550,7 +582,7 @@ def test_compare_refuses_an_unknown_mode(tmp_path, capsys, finished_run):
     out = shutil.copytree(finished_run, tmp_path / "out")
     path = out / "scores_universities.csv"
     line = 1 + next(i for i, row in enumerate(path.read_text().splitlines())
-                    if row.startswith("U00,supervised,overall,"))
+                    if row.startswith("U00,supervised,"))
     set_cell(path, line, "mode", "Supervised")
     capsys.readouterr()
     assert run_pipeline(["compare", "--out", str(out)]) == 1
@@ -562,6 +594,52 @@ def test_compare_refuses_an_unknown_mode(tmp_path, capsys, finished_run):
     assert run_pipeline(["report", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: report: missing report.json; run `compare` first\n")
+
+
+def test_score_writes_one_row_per_mode_and_university_and_compare_ranks_each(finished_run):
+    with (finished_run / "scores_universities.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["university_id", "mode", "rs_u", "fss_u"]
+    scores = {(mode, uid): (int(rs_u), float(fss_u)) for uid, mode, rs_u, fss_u in rows}
+    assert len(scores) == len(rows)
+    with (finished_run / "rank_table.csv").open(newline="") as fh:
+        ranked = {(mode, r["university_id"]): (int(r[f"{side}_obs"]), float(r[f"{side}_fss_u"]))
+                  for r in csv.DictReader(fh)
+                  for mode, side in (("supervised", "sup"), ("unsupervised", "unsup"))}
+    assert ranked == scores
+
+
+def test_compare_refuses_university_scores_in_the_old_layout(tmp_path, capsys, finished_run):
+    # read without its level column, an SC row would rank U00 in place of its overall row
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    (out / "scores_universities.csv").write_text(
+        "university_id,mode,level,key,rs_u,fss_u\n"
+        "U00,supervised,sc,SC00,7,0.81\n"
+        "U00,supervised,sc,SC01,5,1.12\n"
+        "U00,supervised,area,A00,12,0.94\n"
+        "U00,supervised,overall,overall,12,0.94\n")
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "warning: compare: scores_universities.csv: ignoring unknown column 'level'\n"
+        "warning: compare: scores_universities.csv: ignoring unknown column 'key'\n"
+        "error: compare: scores_universities.csv line 3: university U00 (supervised) "
+        "already listed on line 2\n")
+
+
+def test_compare_refuses_a_researcher_listed_twice(tmp_path, capsys, finished_run):
+    # read twice, the researcher would count twice in every distribution
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    path = out / "scores_researchers.csv"
+    lines = path.read_text().splitlines()
+    subject, mode = lines[1].split(",")[:2]
+    assert mode == "supervised"
+    path.write_text("\n".join([*lines, lines[1]]) + "\n")
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: compare: scores_researchers.csv line {len(lines) + 1}: subject {subject} "
+        "(supervised) already listed on line 2\n")
 
 
 def test_compare_refused_by_a_setting_removes_its_outputs(tmp_path, capsys, finished_run):
@@ -598,6 +676,8 @@ def test_refused_stage_keeps_an_input_passed_by_flag(tmp_path, capsys, finished_
 @pytest.mark.parametrize("name, column, value, refusal", [
     ("scores_researchers.csv", "mode", "", "mode '' is neither 'supervised' nor 'unsupervised'"),
     ("scores_universities.csv", "rs_u", "x", "rs_u 'x' is not an integer"),
+    ("scores_universities.csv", "rs_u", "0", "rs_u 0 is below 1"),
+    ("scores_universities.csv", "rs_u", "-3", "rs_u -3 is below 1"),
     ("scores_universities.csv", "fss_u", "high", "fss_u 'high' is not a number"),
     ("scores_researchers.csv", "t", "", "t '' is not a number"),
     ("scores_researchers.csv", "n", "2.0", "n '2.0' is not an integer"),

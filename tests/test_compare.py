@@ -36,8 +36,7 @@ from fssbench.fss import MODE_SUPERVISED, MODE_UNSUPERVISED, ResearcherScore, Un
 
 
 def uscore(uid, fss_u, rs_u=10, mode=MODE_SUPERVISED):
-    return UniversityScore(university_id=uid, mode=mode, level="overall",
-                           level_key="overall", rs_u=rs_u, fss_u=fss_u)
+    return UniversityScore(university_id=uid, mode=mode, rs_u=rs_u, fss_u=fss_u)
 
 
 def rscore(sid, sc, fss, mode=MODE_SUPERVISED):

@@ -460,7 +460,7 @@ def test_load_scheme_flags_and_area(tmp_path):
     assert not scheme.is_dropped("SC1")
     assert scheme.is_dropped("SC2")
     assert scheme.is_dropped("SC3")
-    assert scheme.area_of("SC1") == "A1"
+    assert scheme.categories["SC1"].area_id == "A1"
 
 
 def test_load_scheme_rejects_bad_boolean(tmp_path):
@@ -513,8 +513,8 @@ CSV_LOADERS = {
                                ("subject_id", "mode", "university_id", "sc", "t", "n",
                                 "fss_r")),
     "scores_universities.csv": (load_university_scores_csv,
-                                ["university_id", "mode", "level", "key", "rs_u", "fss_u"],
-                                ("university_id", "mode", "level", "key", "rs_u", "fss_u")),
+                                ["university_id", "mode", "rs_u", "fss_u"],
+                                ("university_id", "mode", "rs_u", "fss_u")),
 }
 
 

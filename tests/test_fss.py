@@ -5,9 +5,6 @@ import pytest
 
 from fssbench.corpus import Corpus, RosterEntry, SCScheme, SubjectCategory, YearWindow
 from fssbench.fss import (
-    LEVEL_AREA,
-    LEVEL_OVERALL,
-    LEVEL_SC,
     MODE_SUPERVISED,
     MODE_UNSUPERVISED,
     ScoreError,
@@ -297,8 +294,7 @@ def test_compute_sc_baselines_productive_only():
 def test_compute_fss_u_counts_unproductive_in_denominator():
     _, scores = _scored_world()
     baselines = compute_sc_baselines(scores)
-    by_univ = {u.university_id: u
-               for u in compute_fss_u(scores, baselines, LEVEL_OVERALL)}
+    by_univ = {u.university_id: u for u in compute_fss_u(scores, baselines)}
     # U1: productive P1 (ratio 1) + unproductive P2 (0), rs_u=2
     assert by_univ["U1"].rs_u == 2
     assert by_univ["U1"].fss_u == pytest.approx(0.5)
@@ -310,26 +306,7 @@ def test_compute_fss_u_missing_baseline_names_sc_and_member():
     _, scores = _scored_world()
     baselines = compute_sc_baselines([s for s in scores if s.sc_id != "SC2"])
     with pytest.raises(ScoreError, match="SC2.*P3"):
-        compute_fss_u(scores, baselines, LEVEL_OVERALL)
-
-
-def test_compute_fss_u_sc_level_groups():
-    _, scores = _scored_world()
-    baselines = compute_sc_baselines(scores)
-    rows = compute_fss_u(scores, baselines, LEVEL_SC)
-    keys = {(r.university_id, r.level_key) for r in rows}
-    assert keys == {("U1", "SC1"), ("U2", "SC2")}
-
-
-def test_compute_fss_u_area_level_needs_scheme():
-    _, scores = _scored_world()
-    baselines = compute_sc_baselines(scores)
-    with pytest.raises(ValueError, match="scheme"):
-        compute_fss_u(scores, baselines, LEVEL_AREA)
-    scheme = SCScheme([SubjectCategory("SC1", "A1"),
-                       SubjectCategory("SC2", "A1")])
-    rows = compute_fss_u(scores, baselines, LEVEL_AREA, scheme)
-    assert {(r.university_id, r.level_key) for r in rows} == {("U1", "A1"), ("U2", "A1")}
+        compute_fss_u(scores, baselines)
 
 
 def test_self_baseline_single_member_scs_normalize_to_one():
@@ -342,7 +319,7 @@ def test_self_baseline_single_member_scs_normalize_to_one():
                              sup("P2", ["W2"], range(2015, 2020), univ="U1")],
                             corpus, cells, seed=1)
     baselines = compute_sc_baselines(scores)
-    rows = compute_fss_u(scores, baselines, LEVEL_OVERALL)
+    rows = compute_fss_u(scores, baselines)
     assert rows[0].fss_u == pytest.approx(1.0)
 
 
@@ -403,18 +380,16 @@ def test_researcher_scores_csv_round_trip(tmp_path):
 
 
 def _university_rows(scores, mode):
-    """compute_fss_u over ``scores`` recast as ``mode``'s, at SC and overall level."""
+    """compute_fss_u over ``scores`` recast as ``mode``'s."""
     scores = [replace(s, mode=mode) for s in scores]
-    baselines = compute_sc_baselines(scores)
-    return [u for level in (LEVEL_SC, LEVEL_OVERALL)
-            for u in compute_fss_u(scores, baselines, level)]
+    return compute_fss_u(scores, compute_sc_baselines(scores))
 
 
 def test_compute_fss_u_stamps_the_mode_of_its_scores():
     _, scores = _scored_world()
     for mode in (MODE_SUPERVISED, MODE_UNSUPERVISED):
         rows = _university_rows(scores, mode)
-        assert len(rows) == 4
+        assert len(rows) == 2
         assert {u.mode for u in rows} == {mode}
 
 
@@ -426,4 +401,4 @@ def test_university_scores_csv_round_trip(tmp_path):
     write_university_scores_csv(rows, path)
     back = load_university_scores_csv(path)
     assert back == rows          # each row keeps its mode; repr round-trip is exact
-    assert [u.mode for u in back] == [MODE_SUPERVISED] * 4 + [MODE_UNSUPERVISED] * 4
+    assert [u.mode for u in back] == [MODE_SUPERVISED] * 2 + [MODE_UNSUPERVISED] * 2
