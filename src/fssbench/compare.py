@@ -228,6 +228,16 @@ def _ranks_desc(values: dict[str, float]) -> dict[str, int]:
     return {u: i + 1 for i, u in enumerate(ordered)}
 
 
+def _by_university(scores: list[UniversityScore], mode: str) -> dict[str, UniversityScore]:
+    by_id: dict[str, UniversityScore] = {}
+    for score in scores:
+        if score.university_id in by_id:
+            raise ValueError(f"university {score.university_id} listed twice "
+                             f"in the {mode} scores")
+        by_id[score.university_id] = score
+    return by_id
+
+
 def rank_universities(supervised: list[UniversityScore],
                       unsupervised: list[UniversityScore]) -> RankTable:
     """Rank both modes' university scores on the universities both cover.
@@ -235,10 +245,11 @@ def rank_universities(supervised: list[UniversityScore],
     Descending by score, ties broken by full-precision value and then by
     university_id. A university scored in one mode only is left out and
     named in the table's only_supervised or only_unsupervised. Fewer than
-    two shared universities are refused: no correlation can be taken.
+    two shared universities are refused (no correlation can be taken), as
+    is a university listed twice in one mode.
     """
-    sup = {s.university_id: s for s in supervised}
-    unsup = {s.university_id: s for s in unsupervised}
+    sup = _by_university(supervised, MODE_SUPERVISED)
+    unsup = _by_university(unsupervised, MODE_UNSUPERVISED)
     shared = sup.keys() & unsup.keys()
     only_sup = tuple(sorted(sup.keys() - shared))
     only_unsup = tuple(sorted(unsup.keys() - shared))

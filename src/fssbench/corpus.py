@@ -16,20 +16,19 @@ the optional ones:
   ``orcid``, ``researcher_id`` and the other mention fields a string or
   null; ``year`` and ``citation_count`` whole numbers (not a bool). No
   value of another JSON type is converted.
-* ``roster.csv`` - required ``person_id, active_years``; optional
-  ``full_name, university_id, field_code, sc_hint, linked_pub_ids``
-  (years and pub ids joined with ";", year ranges like "2015-2019"
-  allowed).
+* ``roster.csv`` - required ``person_id, university_id, active_years``;
+  optional ``full_name, field_code, sc_hint, linked_pub_ids`` (years and
+  pub ids joined with ";", year ranges like "2015-2019" allowed).
 * ``registry.csv`` - required ``university_id``; optional
   ``official_name, email_domains, organization_variants`` (";"-joined
   lists).
-* ``scheme.csv`` - required ``sc_id, area_id``; optional ``name,
+* ``scheme.csv`` - required ``sc_id``; optional ``name, area_id,
   excluded_area, is_multidisciplinary``.
 * the incidence table (``--incidence``) - required ``field_code, sc_id,
   incidence``.
 
 The roster's ``full_name``, the registry's ``official_name`` and the
-scheme's ``name`` are accepted and not read.
+scheme's ``name`` and ``area_id`` are accepted and not read.
 
 The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
 ``scores_universities.csv``) require every column their loader reads. Their
@@ -265,16 +264,9 @@ class UniversityRegistry:
     """
 
     def __init__(self, universities: list[University]):
-        self.universities = {u.university_id: u for u in universities}
         self._by_variant = _claims(universities, "organization_variants",
                                    "organization variant")
         self._by_domain = _claims(universities, "email_domains", "email domain")
-
-    def __len__(self) -> int:
-        return len(self.universities)
-
-    def __contains__(self, university_id: str) -> bool:
-        return university_id in self.universities
 
     def match_organization(self, organization: str | None) -> str | None:
         if not organization:
@@ -300,25 +292,16 @@ class UniversityRegistry:
 @dataclass(frozen=True)
 class SubjectCategory:
     sc_id: str
-    area_id: str
     excluded_area: bool = False
     is_multidisciplinary: bool = False
 
 
 class SCScheme:
-    """Subject categories, each assigned to exactly one area."""
+    """Subject categories with the flags that put their researchers out of
+    scope."""
 
     def __init__(self, categories: list[SubjectCategory]):
         self.categories = {c.sc_id: c for c in categories}
-        if len(self.categories) != len(categories):
-            seen: set[str] = set()
-            for c in categories:
-                if c.sc_id in seen:
-                    raise CorpusError(f"duplicate sc_id {c.sc_id!r} in scheme")
-                seen.add(c.sc_id)
-
-    def __contains__(self, sc_id: str) -> bool:
-        return sc_id in self.categories
 
     def is_dropped(self, sc_id: str) -> bool:
         """True when researchers of this SC are outside the analysis scope."""
@@ -704,9 +687,8 @@ def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
     """Load roster.csv; active years must fall inside the window."""
     entries: list[RosterEntry] = []
     seen: dict[str, str] = {}
-    for where, row in read_csv(path, ("person_id", "active_years"),
-                               ("full_name", "university_id", "field_code", "sc_hint",
-                                "linked_pub_ids")):
+    for where, row in read_csv(path, ("person_id", "university_id", "active_years"),
+                               ("full_name", "field_code", "sc_hint", "linked_pub_ids")):
         pid = (row.get("person_id") or "").strip()
         if not pid:
             raise CorpusError(f"{where}: missing person_id")
@@ -714,6 +696,9 @@ def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
             raise CorpusError(
                 f"{where}: duplicate person_id {pid!r} (first seen on {seen[pid]})")
         seen[pid] = where
+        university_id = row["university_id"].strip()
+        if not university_id:
+            raise CorpusError(f"{where}: person {pid} has no university_id")
         years = _parse_years(row.get("active_years") or "", where)
         if not years:
             raise CorpusError(f"{where}: person {pid!r} has empty active_years")
@@ -725,7 +710,7 @@ def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
         links = tuple(filter(None, (t.strip() for t in (row.get("linked_pub_ids") or "").split(";"))))
         entries.append(RosterEntry(
             person_id=pid,
-            university_id=(row.get("university_id") or "").strip(),
+            university_id=university_id,
             field_code=(row.get("field_code") or "").strip(),
             sc_hint=(row.get("sc_hint") or "").strip() or None,
             active_years=years,
@@ -772,19 +757,19 @@ def _parse_bool(text: str | None, where: str, fieldname: str) -> bool:
 
 
 def load_scheme(path: str | Path) -> SCScheme:
-    """Load scheme.csv; every SC belongs to exactly one area."""
+    """Load scheme.csv; an SC listed twice is refused naming both lines."""
     categories: list[SubjectCategory] = []
-    for where, row in read_csv(path, ("sc_id", "area_id"),
-                               ("name", "excluded_area", "is_multidisciplinary")):
+    listed: dict[str, str] = {}     # sc_id -> line number of its row
+    for where, row in read_csv(path, ("sc_id",),
+                               ("name", "area_id", "excluded_area", "is_multidisciplinary")):
         sc_id = (row.get("sc_id") or "").strip()
         if not sc_id:
             raise CorpusError(f"{where}: missing sc_id")
-        area = (row.get("area_id") or "").strip()
-        if not area:
-            raise CorpusError(f"{where}: SC {sc_id!r} missing area_id")
+        if sc_id in listed:
+            raise CorpusError(f"{where}: sc_id {sc_id} already listed on line {listed[sc_id]}")
+        listed[sc_id] = where.rsplit(" ", 1)[1]
         categories.append(SubjectCategory(
             sc_id=sc_id,
-            area_id=area,
             excluded_area=_parse_bool(row.get("excluded_area"), where, "excluded_area"),
             is_multidisciplinary=_parse_bool(row.get("is_multidisciplinary"), where,
                                              "is_multidisciplinary"),
@@ -794,13 +779,19 @@ def load_scheme(path: str | Path) -> SCScheme:
 
 def load_incidence(path: str | Path) -> dict[str, tuple[tuple[str, float], ...]]:
     """Load the field-code to SC incidence table (columns field_code, sc_id,
-    incidence), used as the supervised SC-assignment fallback."""
+    incidence), used as the supervised SC-assignment fallback. A
+    (field_code, sc_id) pair listed twice is refused naming both lines."""
     table: dict[str, list[tuple[str, float]]] = {}
+    listed: dict[tuple[str, str], str] = {}     # (code, sc) -> line number of its row
     for where, row in read_csv(path, ("field_code", "sc_id", "incidence")):
         code = (row.get("field_code") or "").strip()
         sc = (row.get("sc_id") or "").strip()
         if not code or not sc:
             raise CorpusError(f"{where}: missing field_code or sc_id")
+        if (code, sc) in listed:
+            raise CorpusError(f"{where}: field_code {code}, sc_id {sc} already listed "
+                              f"on line {listed[code, sc]}")
+        listed[code, sc] = where.rsplit(" ", 1)[1]
         table.setdefault(code, []).append((sc, csv_number(where, row, "incidence", float)))
     return {code: tuple(sorted(rows, key=lambda r: (-r[1], r[0])))
             for code, rows in table.items()}

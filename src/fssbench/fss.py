@@ -51,42 +51,35 @@ class ScoreError(ValueError):
     unassignable subjects)."""
 
 
-@dataclass(frozen=True)
-class CitationCell:
-    """Mean citations of one (year, SC) cell; the cell is its dict key."""
-
-    mean_citations: float
-
-
-def build_citation_cells(corpus: Corpus) -> dict[tuple[int, str], CitationCell]:
+def build_citation_cells(corpus: Corpus) -> dict[tuple[int, str], float]:
     """Mean citation count per (year, subject category) over the whole
-    corpus; a publication with several SCs counts in each of its cells."""
+    corpus, keyed by (year, SC); a publication with several SCs counts in
+    each of its cells."""
     sums: dict[tuple[int, str], list[float]] = {}
     for rec in corpus:
         for sc in set(rec.subject_categories):
             cell = sums.setdefault((rec.year, sc), [0.0, 0])
             cell[0] += rec.citation_count
             cell[1] += 1
-    return {key: CitationCell(mean_citations=total / count)
-            for key, (total, count) in sums.items()}
+    return {key: total / count for key, (total, count) in sums.items()}
 
 
 def normalized_citation_score(pub: PublicationRecord, sc_id: str,
-                              cells: dict[tuple[int, str], CitationCell]) -> float:
+                              cells: dict[tuple[int, str], float]) -> float:
     """c_i / cbar for one publication against one SC cell; 0 when the cell
     mean is 0 (then c_i is 0 too)."""
-    cell = cells.get((pub.year, sc_id))
-    if cell is None:
+    mean = cells.get((pub.year, sc_id))
+    if mean is None:
         raise ScoreError(
             f"no citation cell for year {pub.year}, SC {sc_id!r} "
             f"(publication {pub.pub_id})")
-    if cell.mean_citations == 0.0:
+    if mean == 0.0:
         return 0.0
-    return pub.citation_count / cell.mean_citations
+    return pub.citation_count / mean
 
 
 def publication_norm(pub: PublicationRecord,
-                     cells: dict[tuple[int, str], CitationCell]) -> float:
+                     cells: dict[tuple[int, str], float]) -> float:
     """The normalized citation score averaged over the publication's SCs."""
     scs = sorted(set(pub.subject_categories))
     return sum(normalized_citation_score(pub, sc, cells) for sc in scs) / len(scs)
@@ -202,15 +195,6 @@ def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int,
 
 
 @dataclass(frozen=True)
-class PublicationTerm:
-    """One window publication's contribution: norm * frac joins the sum."""
-
-    pub_id: str
-    frac: float
-    norm: float
-
-
-@dataclass(frozen=True)
 class ResearcherScore:
     subject_id: str
     mode: str
@@ -219,7 +203,6 @@ class ResearcherScore:
     t: float
     n_pubs: int
     fss_r: float
-    terms: tuple[PublicationTerm, ...]
 
     @property
     def productive(self) -> bool:
@@ -227,7 +210,7 @@ class ResearcherScore:
 
 
 def compute_fss_r(subject: Subject, corpus: Corpus,
-                  cells: dict[tuple[int, str], CitationCell], seed: int,
+                  cells: dict[tuple[int, str], float], seed: int,
                   incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
                   ) -> ResearcherScore:
     """Score one subject over the corpus window.
@@ -248,7 +231,7 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
     else:
         raise ScoreError(f"unknown mode {subject.mode!r}")
     sc_id = assign_prevailing_sc(subject, corpus, seed, incidence)
-    terms = []
+    n_pubs = 0
     total = 0.0
     for pub_id in sorted(set(subject.pub_ids)):
         pub = corpus.by_id.get(pub_id)
@@ -256,7 +239,7 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
             continue
         norm = publication_norm(pub, cells)
         frac = 1.0 / pub.byline_size
-        terms.append(PublicationTerm(pub_id=pub.pub_id, frac=frac, norm=norm))
+        n_pubs += 1
         total += norm * frac
     return ResearcherScore(
         subject_id=subject.subject_id,
@@ -264,36 +247,28 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
         university_id=subject.university_id,
         sc_id=sc_id,
         t=t,
-        n_pubs=len(terms),
+        n_pubs=n_pubs,
         fss_r=total / t,
-        terms=tuple(terms),
     )
 
 
 def score_subjects(subjects: list[Subject], corpus: Corpus,
-                   cells: dict[tuple[int, str], CitationCell], seed: int,
+                   cells: dict[tuple[int, str], float], seed: int,
                    incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
                    ) -> list[ResearcherScore]:
     return [compute_fss_r(s, corpus, cells, seed, incidence=incidence)
             for s in sorted(subjects, key=lambda s: s.subject_id)]
 
 
-@dataclass(frozen=True)
-class SCBaseline:
-    """National mean score of the productive researchers of one SC."""
-
-    mean_fss_over_productive: float
-
-
-def compute_sc_baselines(scores: list[ResearcherScore]) -> dict[str, SCBaseline]:
-    """Baselines per SC; an SC whose researchers are all unproductive gets
-    no baseline (downstream aggregation will refuse it by name)."""
+def compute_sc_baselines(scores: list[ResearcherScore]) -> dict[str, float]:
+    """Each SC's baseline: the mean fss_r of its productive researchers,
+    keyed by SC. An SC whose researchers are all unproductive gets no
+    baseline (downstream aggregation will refuse it by name)."""
     totals: dict[str, list[float]] = {}
     for score in scores:
         if score.productive:
             totals.setdefault(score.sc_id, []).append(score.fss_r)
-    return {sc: SCBaseline(mean_fss_over_productive=sum(values) / len(values))
-            for sc, values in totals.items()}
+    return {sc: sum(values) / len(values) for sc, values in totals.items()}
 
 
 OBS_RULE_LITERAL = "literal"
@@ -337,7 +312,7 @@ class UniversityScore:
 
 
 def compute_fss_u(staff_scores: list[ResearcherScore],
-                  baselines: dict[str, SCBaseline]) -> list[UniversityScore]:
+                  baselines: dict[str, float]) -> list[UniversityScore]:
     """One score per (mode, university) over the university's whole staff.
 
     Each member's fss_r is divided by the baseline of the member's
@@ -360,7 +335,7 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
                 raise ScoreError(
                     f"no baseline for SC {member.sc_id!r} "
                     f"(staff member {member.subject_id!r} of {university_id!r})")
-            total += member.fss_r / baseline.mean_fss_over_productive
+            total += member.fss_r / baseline
         out.append(UniversityScore(
             university_id=university_id,
             mode=mode,
@@ -415,7 +390,6 @@ def load_researcher_scores_csv(path: str | Path) -> list[ResearcherScore]:
         t=csv_number(where, row, "t", float),
         n_pubs=csv_number(where, row, "n", int),
         fss_r=csv_number(where, row, "fss_r", float),
-        terms=(),
     ) for where, row in _score_rows(path, RESEARCHER_COLUMNS, "subject_id")]
 
 

@@ -41,7 +41,7 @@ def uscore(uid, fss_u, rs_u=10, mode=MODE_SUPERVISED):
 
 def rscore(sid, sc, fss, mode=MODE_SUPERVISED):
     return ResearcherScore(subject_id=sid, mode=mode, university_id="U1",
-                           sc_id=sc, t=5.0, n_pubs=1, fss_r=fss, terms=())
+                           sc_id=sc, t=5.0, n_pubs=1, fss_r=fss)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,17 @@ def test_rank_universities_mismatched_sets_error_names_both_sides():
             r"only supervised \['A'\], only unsupervised \['C', 'D'\]$")):
         rank_universities([uscore("A", 1.0), uscore("B", 1.0)],
                           [uscore("B", 1.0), uscore("C", 1.0), uscore("D", 1.0)])
+
+
+def test_rank_universities_refuses_a_university_listed_twice_in_one_mode():
+    supervised = [uscore("A", 1.0, rs_u=3), uscore("B", 2.0), uscore("C", 3.0),
+                  uscore("A", 9.0, rs_u=5)]
+    unsupervised = [uscore(u, 1.0, mode=MODE_UNSUPERVISED) for u in "ABC"]
+    with pytest.raises(ValueError, match="^university A listed twice in the supervised scores$"):
+        rank_universities(supervised, unsupervised)
+    with pytest.raises(ValueError, match="^university B listed twice in the unsupervised scores$"):
+        rank_universities(supervised[:3],
+                          unsupervised + [uscore("B", 4.0, mode=MODE_UNSUPERVISED)])
 
 
 def test_rank_universities_ranks_the_shared_set():

@@ -380,6 +380,15 @@ def test_load_roster_rejects_duplicate_person(tmp_path):
         load_roster(path, WINDOW)
 
 
+def test_load_roster_refuses_a_person_without_a_university(tmp_path):
+    path = _roster(tmp_path,
+                   'P0000,"Rossi, M",,F01,SC1,2015,',
+                   'P0001,"Verdi, A",U1,F01,SC1,2016,')
+    with pytest.raises(CorpusError) as exc:
+        load_roster(path, WINDOW)
+    assert str(exc.value) == "roster.csv line 2: person P0000 has no university_id"
+
+
 def test_load_roster_rejects_empty_years(tmp_path):
     path = _roster(tmp_path, 'P1,"Rossi, M",U1,F01,SC1,,')
     with pytest.raises(CorpusError, match="empty active_years"):
@@ -460,7 +469,23 @@ def test_load_scheme_flags_and_area(tmp_path):
     assert not scheme.is_dropped("SC1")
     assert scheme.is_dropped("SC2")
     assert scheme.is_dropped("SC3")
-    assert scheme.categories["SC1"].area_id == "A1"
+    assert sorted(scheme.categories) == ["SC1", "SC2", "SC3"]
+
+
+def test_load_scheme_without_area_column(tmp_path):
+    path = tmp_path / "scheme.csv"
+    path.write_text("sc_id,excluded_area\nSC1,false\nSC2,true\n", encoding="utf-8")
+    scheme = load_scheme(path)
+    assert sorted(scheme.categories) == ["SC1", "SC2"]
+    assert scheme.is_dropped("SC2") and not scheme.is_dropped("SC1")
+
+
+def test_load_scheme_refuses_an_sc_listed_twice(tmp_path):
+    path = tmp_path / "scheme.csv"
+    path.write_text("sc_id,area_id\nSC1,A1\nSC2,A1\nSC1,A2\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_scheme(path)
+    assert str(exc.value) == "scheme.csv line 4: sc_id SC1 already listed on line 2"
 
 
 def test_load_scheme_rejects_bad_boolean(tmp_path):
@@ -487,20 +512,30 @@ def test_load_incidence_refuses_a_weight_that_is_not_finite(tmp_path):
     assert str(exc.value) == "incidence.csv line 2: incidence 'nan' is not a number"
 
 
+def test_load_incidence_refuses_a_pair_listed_twice(tmp_path):
+    path = tmp_path / "incidence.csv"
+    path.write_text("field_code,sc_id,incidence\nF1,SC1,0.2\nF1,SC2,0.5\nF1,SC1,0.9\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_incidence(path)
+    assert str(exc.value) == ("incidence.csv line 4: field_code F1, sc_id SC1 already "
+                              "listed on line 2")
+
+
 # ---------------------------------------------------------------------------
 # every CSV loader: header checks
 
 #: file name -> (loader, full header, required columns)
 CSV_LOADERS = {
     "roster.csv": (lambda p: load_roster(p, WINDOW), ROSTER_HEADER.split(","),
-                   ("person_id", "active_years")),
+                   ("person_id", "university_id", "active_years")),
     "registry.csv": (load_registry,
                      ["university_id", "official_name", "email_domains",
                       "organization_variants"],
                      ("university_id",)),
     "scheme.csv": (load_scheme,
                    ["sc_id", "name", "area_id", "excluded_area", "is_multidisciplinary"],
-                   ("sc_id", "area_id")),
+                   ("sc_id",)),
     "incidence.csv": (load_incidence, ["field_code", "sc_id", "incidence"],
                       ("field_code", "sc_id", "incidence")),
     "staff.csv": (lambda p: load_staff_csv(p, []),

@@ -241,5 +241,5 @@ def test_oracle_cell_means_match_fast_cells(tmp_path):
     config, _, _, corpus = load_world(tmp_path, seed=21)
     cells = build_citation_cells(corpus)
     from fssbench.synth import _oracle_cell_mean
-    for (year, sc), cell in cells.items():
-        assert _oracle_cell_mean(corpus, year, sc) == pytest.approx(cell.mean_citations)
+    for (year, sc), mean in cells.items():
+        assert _oracle_cell_mean(corpus, year, sc) == pytest.approx(mean)
