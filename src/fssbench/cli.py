@@ -17,7 +17,10 @@ Each stage overwrites run_manifest.json with its own resolved config,
 config hash and seed, its output names, and the sha256 digest of each
 input file passed by flag (--publications, --roster, ...), keyed by the
 flag's name; artifacts a stage reads from the output directory are not
-digested.
+digested. Every digest, the config hash included, comes from the
+interpreter's builtin SHA-256 (``corpus.sha256``), not from ``hashlib``,
+so ``synth`` is the one stage that loads OpenSSL (about 3.5 MB of a
+process), through numpy's random module.
 Settings come from an optional ``key = value`` config file; command-line
 flags override it. Each is one entry of ``SETTINGS``:
 
@@ -33,6 +36,9 @@ flags override it. Each is one entry of ``SETTINGS``:
     out           --out            out
     mode          --mode (score)   both (or supervised, unsupervised)
 
+A ``recency`` after the window's last year and a negative ``min_clusters``,
+``min_age`` or ``min_obs`` are refused, naming the setting, and so is an
+``sc_lookback`` below 1 where a stage loads the publications.
 The file may also set the world generator's knobs; any other key is
 ignored with a warning and left out of the manifest. A file value not of
 its setting's or knob's type, or not one of its allowed values, is refused
@@ -64,7 +70,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import hashlib
 import json
 import logging
 import os
@@ -141,6 +146,9 @@ class RunConfig:
         if self.recency > self.window.end:
             raise StageError(f"recency {self.recency} is after the window's last year "
                              f"{self.window.end}; no cluster can be active then")
+        for key in ("min_clusters", "min_age", "min_obs"):
+            if getattr(self, key) < 0:
+                raise StageError(f"{key} must be non-negative, got {getattr(self, key)}")
 
     def digestable(self) -> dict:
         """The manifest's ``config``: every setting, each input path that is
@@ -207,7 +215,7 @@ def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> Run
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
+    h = corpusmod.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
@@ -216,7 +224,7 @@ def _sha256(path: Path) -> str:
 
 def write_manifest(cfg: RunConfig, subcommand: str) -> None:
     config = cfg.digestable()
-    config_hash = hashlib.sha256(
+    config_hash = corpusmod.sha256(
         "\n".join(f"{k}={config[k]}" for k in sorted(config)).encode()).hexdigest()
     manifest = {
         "subcommand": subcommand,

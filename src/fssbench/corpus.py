@@ -1,7 +1,8 @@
 """Data model and ingestion for publication corpora, staff rosters, the
 university registry, and the subject-category scheme, plus the one reader
 and writer of CSV and of JSON Lines (``read_csv``, ``write_csv``,
-``read_jsonl``, ``write_jsonl``) and ``key = value`` reader the package uses.
+``read_jsonl``, ``write_jsonl``), ``key = value`` reader and SHA-256
+(``sha256``) the package uses.
 
 Input formats (documented in the README); required columns first, then
 the optional ones:
@@ -67,6 +68,17 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+
+# SHA-256 from the interpreter's builtin module, for the config hash, the
+# input digests and the tie-break and ORCID keys: hashlib loads OpenSSL, about
+# 3.5 MB and 5 ms of every stage process. CPython's random.py does the same.
+try:
+    from _sha2 import sha256             # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256       # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 log = logging.getLogger(__name__)
 
@@ -634,6 +646,8 @@ def _parse_record(obj: dict, where: str, warned: set[str], shared: dict) -> Publ
 
 def lookback_window(window: YearWindow, sc_lookback: int = DEFAULT_SC_LOOKBACK) -> YearWindow:
     """Years of production considered for supervised SC assignment."""
+    if sc_lookback < 1:
+        raise CorpusError(f"sc_lookback must be at least 1, got {sc_lookback}")
     return YearWindow(window.end - sc_lookback + 1, window.end)
 
 

@@ -29,7 +29,6 @@ iteration order.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from collections import Counter
 from collections.abc import Iterator
@@ -37,7 +36,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .corpus import (Corpus, CorpusError, PublicationRecord, RosterEntry, SCScheme, csv_number,
-                     read_csv, write_csv)
+                     read_csv, sha256, write_csv)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -140,7 +139,7 @@ def subjects_from_staff(staff: DerivedStaff, corpus: Corpus) -> list[Subject]:
 def _seeded_choice(seed: int, subject_id: str, options: list[str]) -> str:
     """Deterministic draw among tied options, keyed on (seed, subject)."""
     ordered = sorted(options)
-    digest = hashlib.sha256(f"{seed}:{subject_id}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{subject_id}".encode("utf-8")).digest()
     return ordered[int.from_bytes(digest[:8], "big") % len(ordered)]
 
 

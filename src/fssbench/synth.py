@@ -29,14 +29,13 @@ imports this module through the package, and only ``synth`` needs it.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, YearWindow, write_csv, write_jsonl
+from .corpus import Corpus, YearWindow, sha256, write_csv, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -241,7 +240,7 @@ def _person_names(config: SynthConfig, index: int,
 
 
 def _orcid_for(config: SynthConfig, index: int) -> str:
-    digest = hashlib.sha256(f"{config.seed}:orcid:{index}".encode()).digest()
+    digest = sha256(f"{config.seed}:orcid:{index}".encode()).digest()
     number = int.from_bytes(digest[:8], "big") % 10 ** 16
     s = f"{number:016d}"
     return f"{s[0:4]}-{s[4:8]}-{s[8:12]}-{s[12:16]}"
@@ -529,7 +528,7 @@ def _oracle_cell_mean(corpus: Corpus, year: int, sc: str) -> float:
 
 def _oracle_tie_break(seed: int, subject_id: str, tied: list[str]) -> str:
     ordered = sorted(tied)
-    digest = hashlib.sha256(f"{seed}:{subject_id}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{subject_id}".encode("utf-8")).digest()
     return ordered[int.from_bytes(digest[:8], "big") % len(ordered)]
 
 

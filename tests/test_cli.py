@@ -225,6 +225,19 @@ def test_manifest_records_inputs_and_hash(tmp_path):
     assert manifest["outputs"] == ["report.txt"]
 
 
+def test_config_hash_of_a_fixed_config(tmp_path, monkeypatch):
+    # sha256 of the sorted key=value lines; any change to it is a new hash
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    args = cli.build_parser().parse_args(["score", "--out", "out", "--seed", "7",
+                                          "--mode", "supervised"])
+    cfg = cli.resolve_config(args, {"n_researchers": "36", "homonym_rate": "0.2"})
+    cli.write_manifest(cfg, "score")
+    manifest = json.loads(Path("out", "run_manifest.json").read_text())
+    assert manifest["config_hash"] == (
+        "1ed6b63356423403114e240404b406e4c02329494b34cba6065bc4c55e093e2e")
+
+
 def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
     out = tmp_path / "out"
     assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
@@ -520,6 +533,39 @@ def test_recency_after_window_end_refused(tmp_path, capsys):
         "no cluster can be active then\n")
 
 
+@pytest.mark.parametrize("stage, flags, message", [
+    ("derive-staff", ["--min-clusters", "-5", "--min-age", "-2"],
+     "min_clusters must be non-negative, got -5"),
+    ("derive-staff", ["--min-age", "-2"], "min_age must be non-negative, got -2"),
+    ("score", ["--min-obs", "-4"], "min_obs must be non-negative, got -4"),
+])
+def test_setting_out_of_range_refused(tmp_path, capsys, stage, flags, message):
+    out = tmp_path / "o"
+    assert run_pipeline([stage, "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {stage}: {message}\n"
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_sc_lookback_below_one_refused_by_the_corpus(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_pipeline(["ingest", "--out", str(out), "--sc-lookback", "0"]) == 1
+    assert capsys.readouterr().err == "error: ingest: sc_lookback must be at least 1, got 0\n"
+    assert not (out / "corpus.jsonl").exists()
+
+
+def test_settings_at_their_lowest_allowed_values_run(tmp_path):
+    out = tmp_path / "out"
+    assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    for argv in [["ingest", "--sc-lookback", "1"],
+                 ["disambiguate"],
+                 ["derive-staff", "--min-clusters", "0", "--min-age", "0",
+                  "--recency", "2015"],
+                 ["score", "--min-obs", "0", "--sc-lookback", "1"]]:
+        assert run_pipeline([*argv, "--out", str(out)]) == 0, argv
+
+
 def test_unknown_config_key_warned_and_not_recorded(tmp_path, caplog):
     out = tmp_path / "out"
     assert run_pipeline(["synth", "--config", write_config(tmp_path),
@@ -794,18 +840,26 @@ def test_cli_import_loads_every_package_module_but_not_numpy():
     assert {f"fssbench.{name}" for name in ("corpus", "disambig", "staff", "fss",
                                             "compare", "synth")} <= modules
     assert "numpy" not in modules
+    assert "_hashlib" not in modules             # OpenSSL, through hashlib
 
 
 def test_only_synth_and_compare_load_numpy(tmp_path):
-    # and no stage loads numpy.ma, which np.percentile and np.median import
+    # and no stage loads numpy.ma, which np.percentile and np.median import;
+    # only synth loads OpenSSL, through numpy.random's secrets and hmac, even
+    # where a stage digests an input file passed by flag
+    steps, out = chain_steps(tmp_path), tmp_path / "out"
+    steps[1] += ["--publications", str(out / "publications.jsonl")]
+    steps[4] += ["--roster", str(out / "roster.csv"), "--scheme", str(out / "scheme.csv")]
     loaded = {}
-    for argv in chain_steps(tmp_path):
+    for argv in steps:
         done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
                          f"code = run_pipeline({argv!r}); "
-                         "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)")
+                         "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
+                         "'_hashlib' in sys.modules)")
         assert done.returncode == 0, done.stderr
-        loaded[argv[0]] = done.stdout.split()[-3:]
-    assert loaded == {stage: ["0", str(stage in ("synth", "compare")), "False"]
+        loaded[argv[0]] = done.stdout.split()[-4:]
+    assert loaded == {stage: ["0", str(stage in ("synth", "compare")), "False",
+                              str(stage == "synth")]
                       for stage in ("synth", "ingest", "disambiguate", "derive-staff",
                                     "score", "compare", "report")}
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import string
@@ -6,7 +7,7 @@ import unicodedata
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fssbench import corpus as cm
@@ -159,6 +160,16 @@ def test_lookback_window_spans_nineteen_years():
     lb = cm.lookback_window(WINDOW)
     assert (lb.start, lb.end) == (2001, 2019)
     assert len(lb) == 19
+
+
+@pytest.mark.parametrize("sc_lookback", [0, -3])
+def test_lookback_below_one_year_refused(tmp_path, sc_lookback):
+    message = f"sc_lookback must be at least 1, got {sc_lookback}"
+    with pytest.raises(CorpusError, match=message):
+        cm.lookback_window(WINDOW, sc_lookback)
+    path = write_jsonl(tmp_path / "p.jsonl", [_one_pub()])
+    with pytest.raises(CorpusError, match=message):
+        load_publications(path, WINDOW, sc_lookback=sc_lookback)
 
 
 # ---------------------------------------------------------------------------
@@ -623,3 +634,21 @@ def test_read_csv_rows_name_their_lines_past_blank_and_multiline_rows(tmp_path):
     path.write_text('sc_id,area_id\n\n"SC\n1",A1\nSC2,A2\n', encoding="utf-8")
     assert [where for where, _ in cm.read_csv(path, ("sc_id", "area_id"))] == [
         "s.csv line 3", "s.csv line 5"]
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=300), cut=st.integers(0, 300))
+# one-block padding ends at 55 bytes; 64 is a whole block
+@example(data=bytes(range(55)), cut=54)
+@example(data=bytes(range(56)), cut=1)
+@example(data=bytes(range(63)), cut=63)
+@example(data=bytes(range(64)), cut=32)
+@example(data=bytes(range(65)), cut=64)
+def test_sha256_equals_hashlib(data, cut):
+    expected = hashlib.sha256(data).hexdigest()
+    assert cm.sha256(data).hexdigest() == expected
+    h = cm.sha256()
+    h.update(data[:cut])
+    h.update(data[cut:])
+    assert h.hexdigest() == expected
+    assert h.digest() == bytes.fromhex(expected)
