@@ -34,7 +34,6 @@ flags override it. Each is one entry of ``SETTINGS``:
     obs_rule      --obs-rule       literal (or strict)
     sc_lookback   --sc-lookback    19
     out           --out            out
-    mode          --mode (score)   both (or supervised, unsupervised)
 
 A ``recency`` after the window's last year and a negative ``min_clusters``,
 ``min_age`` or ``min_obs`` are refused, naming the setting, and so is an
@@ -88,13 +87,12 @@ log = logging.getLogger(__name__)
 
 class Setting(typing.NamedTuple):
     """A run setting: ``type`` casts a flag or config-file string; ``help`` and
-    ``choices`` go to the flag, which only subcommand ``stage`` has if set."""
+    ``choices`` go to the flag, which every subcommand has."""
 
     type: typing.Callable[[str], object]
     default: object
     help: str | None = None
     choices: tuple[str, ...] | None = None
-    stage: str | None = None
 
 
 #: Every run setting, in the order of the flags in ``--help``.
@@ -110,9 +108,6 @@ SETTINGS = {
                         choices=(fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT)),
     "sc_lookback": Setting(int, corpusmod.DEFAULT_SC_LOOKBACK),
     "out": Setting(Path, Path("out"), "artifact directory (default: out)"),
-    "mode": Setting(str, "both",
-                    choices=("both", fss.MODE_SUPERVISED, fss.MODE_UNSUPERVISED),
-                    stage="score"),
 }
 
 #: World-generator knobs a config file may set; the window and seed come
@@ -136,7 +131,6 @@ class RunConfig:
     min_obs: int
     obs_rule: str
     sc_lookback: int
-    mode: str
     paths: dict[str, Path | None]   # each input-file flag of ``STAGES``: its file, if given
     extra: dict[str, str]        # world-generator knobs from the config file, as written
 
@@ -302,24 +296,25 @@ def cmd_score(cfg: RunConfig) -> None:
     incidence = (corpusmod.load_incidence(cfg.paths["incidence"]) if cfg.paths["incidence"]
                  else None)
     cells = fss.build_citation_cells(corpus)
+    roster = corpusmod.load_roster(_artifact(cfg, "roster.csv"), cfg.window)
+    derived = staffmod.load_staff_csv(
+        _artifact(cfg, "staff.csv"),
+        disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
 
     def score(subjects: list[fss.Subject]) -> list[fss.ResearcherScore]:
         return fss.score_subjects(subjects, corpus, cells, cfg.seed, incidence=incidence)
 
-    by_mode: dict[str, list[fss.ResearcherScore]] = {}
-    if cfg.mode in ("both", fss.MODE_SUPERVISED):
-        roster = corpusmod.load_roster(_artifact(cfg, "roster.csv"), cfg.window)
-        by_mode[fss.MODE_SUPERVISED] = score(fss.subjects_from_roster(roster, corpus))
-    if cfg.mode in ("both", fss.MODE_UNSUPERVISED):
-        derived = staffmod.load_staff_csv(
-            _artifact(cfg, "staff.csv"),
-            disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
-        by_mode[fss.MODE_UNSUPERVISED] = score(fss.subjects_from_staff(derived, corpus))
-    by_mode = fss.apply_exclusions(by_mode, scheme, min_obs=cfg.min_obs, rule=cfg.obs_rule)
+    by_mode = fss.apply_exclusions(
+        {fss.MODE_SUPERVISED: score(fss.subjects_from_roster(roster, corpus)),
+         fss.MODE_UNSUPERVISED: score(fss.subjects_from_staff(derived, corpus))},
+        scheme, min_obs=cfg.min_obs, rule=cfg.obs_rule)
 
     researcher_rows = []
     university_rows = []
-    for scores in by_mode.values():
+    for mode, scores in by_mode.items():
+        if not scores:
+            raise StageError(f"no {mode} researcher left after exclusions "
+                             f"(min_obs {cfg.min_obs}, obs_rule {cfg.obs_rule})")
         researcher_rows.extend(scores)
         university_rows.extend(fss.compute_fss_u(scores, fss.compute_sc_baselines(scores)))
 
@@ -339,10 +334,6 @@ def cmd_compare(cfg: RunConfig) -> None:
     uni_path = _artifact(cfg, "scores_universities.csv")
     res_path = _artifact(cfg, "scores_researchers.csv")
     sup_u, unsup_u = _split_modes(fss.load_university_scores_csv(uni_path))
-    if not sup_u or not unsup_u:
-        raise StageError(
-            "scores_universities.csv lacks one of the modes; run `score` with "
-            "mode=both first")
     sup_res, unsup_res = _split_modes(fss.load_researcher_scores_csv(res_path))
 
     table = comparemod.rank_universities(sup_u, unsup_u)
@@ -451,11 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value settings file")
         for key, setting in SETTINGS.items():
-            if setting.stage in (None, name):
-                # a bad window is refused by resolve_config, in one line
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                               type=int if setting.type is int else None,
-                               choices=setting.choices, help=setting.help)
+            # a bad window is refused by resolve_config, in one line
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           type=int if setting.type is int else None,
+                           choices=setting.choices, help=setting.help)
         for flag in stage.flags:
             p.add_argument(f"--{flag}")
     return parser
@@ -501,8 +491,7 @@ def run_pipeline(argv: list[str] | None = None) -> int:
         STAGES[subcommand].run(cfg)
         write_manifest(cfg, subcommand)
         return 0
-    except (StageError, corpusmod.CorpusError, fss.ScoreError, ValueError,
-            OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         if paths is not None:
             _remove_outputs(out, paths, subcommand)
         message = str(exc).replace("\n", " ")

@@ -65,7 +65,6 @@ _SC_NAMES = ["applied mechanics", "molecular biology", "statistics and data",
              "organic synthesis", "computational physics", "econometrics",
              "neural systems", "plant science", "fluid dynamics"]
 
-_NS_UNIVERSITY = 1
 _NS_SC = 2
 _NS_PERSON = 3
 _NS_PUB = 4

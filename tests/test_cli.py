@@ -229,24 +229,21 @@ def test_config_hash_of_a_fixed_config(tmp_path, monkeypatch):
     # sha256 of the sorted key=value lines; any change to it is a new hash
     monkeypatch.chdir(tmp_path)
     Path("out").mkdir()
-    args = cli.build_parser().parse_args(["score", "--out", "out", "--seed", "7",
-                                          "--mode", "supervised"])
+    args = cli.build_parser().parse_args(["score", "--out", "out", "--seed", "7"])
     cfg = cli.resolve_config(args, {"n_researchers": "36", "homonym_rate": "0.2"})
     cli.write_manifest(cfg, "score")
     manifest = json.loads(Path("out", "run_manifest.json").read_text())
     assert manifest["config_hash"] == (
-        "1ed6b63356423403114e240404b406e4c02329494b34cba6065bc4c55e093e2e")
+        "4d78faa4604d69d071196dad18d04044a7dc8f98ee4fb7537901c5058d4635b6")
 
 
 def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
-    out = tmp_path / "out"
-    assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
-    assert run_pipeline(["ingest", "--out", str(out)]) == 0
+    out = run_to_staff(tmp_path)
     roster, scheme = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
     for path, name in [(roster, "roster.csv"), (scheme, "scheme.csv")]:
         path.parent.mkdir()
         path.write_bytes((out / name).read_bytes())
-    assert run_pipeline(["score", "--out", str(out), "--mode", "supervised",
+    assert run_pipeline(["score", "--out", str(out),
                          "--roster", str(roster), "--scheme", str(scheme)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["inputs"] == {
@@ -273,8 +270,8 @@ def test_synth_refuses_a_career_start_before_year_zero(tmp_path, capsys, window)
 
 
 def test_bad_obs_rule_in_config_file(tmp_path, capsys):
-    for stage, key, value in [("synth", "obs_rule", "sometimes"), ("synth", "mode", "sometimes"),
-                              ("synth", "window", "lots"), ("synth", "n_researchers", "lots"),
+    for stage, key, value in [("synth", "obs_rule", "sometimes"), ("synth", "window", "lots"),
+                              ("synth", "n_researchers", "lots"),
                               ("ingest", "n_researchers", "lots")]:
         cfg = write_config(tmp_path, f"{key} = {value}\n")
         assert run_pipeline([stage, "--config", cfg,
@@ -293,7 +290,7 @@ def test_every_stage_refuses_a_world_knob_out_of_range(tmp_path, capsys, stage):
 
 
 #: setting -> (config-file value, flag value); neither is the default.
-#: ``out`` is set by every test; ``--mode`` exists on ``score`` only.
+#: ``out`` is set by every test.
 SETTING_VALUES = {
     "seed": ("9", "7"),
     "window": ("2014:2018", "2013:2017"),
@@ -306,7 +303,7 @@ SETTING_VALUES = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(SETTINGS.keys() - {"out", "mode"}))
+@pytest.mark.parametrize("key", sorted(SETTINGS.keys() - {"out"}))
 def test_setting_from_config_file_and_flag(tmp_path, key):
     in_file, by_flag = SETTING_VALUES[key]
     cfg = write_config(tmp_path, SMALL_WORLD + f"{key} = {in_file}\n")
@@ -378,15 +375,21 @@ def test_readme_names_every_world_knob():
     assert [key for key in cli._SYNTH_KNOBS if f"`{key}`" not in readme] == []
 
 
-def test_score_single_mode_blocks_compare(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    cfg = write_config(tmp_path)
-    for argv in [["synth", "--config", cfg, "--out", out],
-                 ["ingest", "--out", out],
-                 ["score", "--out", out, "--mode", "supervised"]]:
-        assert run_pipeline(argv) == 0
-    assert run_pipeline(["compare", "--out", out]) == 1
-    assert "mode=both" in capsys.readouterr().err
+def _table_after(text: str, header: str) -> list[str]:
+    """The lines of ``text`` after the line ``header``, up to the next blank one."""
+    lines = text.splitlines()
+    start = lines.index(header) + 1
+    return lines[start:lines.index("", start)]
+
+
+def test_readme_and_cli_docstring_list_exactly_the_settings():
+    expected = [(key, "--" + key.replace("_", "-")) for key in SETTINGS]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme_rows = [row.split("|")[1:3] for row in
+                   _table_after(readme, "| config key | flag | default |")[1:]]
+    assert [(key.strip(" `"), flag.strip(" `")) for key, flag in readme_rows] == expected
+    doc_rows = _table_after(cli.__doc__, "    key           flag             default")
+    assert [tuple(row.split()[:2]) for row in doc_rows] == expected
 
 
 def run_to_staff(tmp_path):
@@ -398,6 +401,28 @@ def run_to_staff(tmp_path):
                  ["derive-staff", "--out", out, "--min-clusters", "1"]]:
         assert run_pipeline(argv) == 0, argv
     return tmp_path / "out"
+
+
+@pytest.mark.parametrize("cut, flags, refusal", [
+    # a floor above every SC's count empties both modes; the first is named
+    (None, ["--min-obs", "1000"], "supervised researcher left after exclusions "
+                                  "(min_obs 1000, obs_rule literal)"),
+    ("roster.csv", ["--obs-rule", "strict"], "supervised researcher left after exclusions "
+                                             "(min_obs 10, obs_rule strict)"),
+    ("staff.csv", [], "unsupervised researcher left after exclusions "
+                      "(min_obs 10, obs_rule literal)"),
+], ids=["floor", "header-only-roster", "header-only-staff"])
+def test_score_refuses_a_mode_left_without_researchers(tmp_path, capsys, cut, flags, refusal):
+    out = run_to_staff(tmp_path)
+    if cut:
+        path = out / cut
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+    assert run_pipeline(["score", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: score: no {refusal}\n"
+    assert not (out / "scores_universities.csv").exists()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: compare: missing scores_universities.csv; run `score` first\n")
 
 
 def test_recency_defaults_to_window_end(tmp_path):
@@ -466,8 +491,7 @@ def test_score_refuses_empty_incidence_file(tmp_path, capsys):
     incidence = tmp_path / "incidence.csv"
     incidence.write_text("")
     capsys.readouterr()
-    assert run_pipeline(["score", "--out", out, "--mode", "supervised",
-                         "--incidence", str(incidence)]) == 1
+    assert run_pipeline(["score", "--out", out, "--incidence", str(incidence)]) == 1
     assert capsys.readouterr().err == "error: score: incidence.csv: empty file\n"
 
 
@@ -570,13 +594,15 @@ def test_unknown_config_key_warned_and_not_recorded(tmp_path, caplog):
     out = tmp_path / "out"
     assert run_pipeline(["synth", "--config", write_config(tmp_path),
                          "--out", str(out)]) == 0
-    cfg = write_config(tmp_path, "threads = 4\n", name="stage.cfg")
+    # no setting picks a mode: ``score`` scores both in every run
+    cfg = write_config(tmp_path, "threads = 4\nmode = both\n", name="stage.cfg")
     caplog.clear()
     assert run_pipeline(["ingest", "--config", cfg, "--out", str(out)]) == 0
-    assert [r.getMessage() for r in caplog.records if "threads" in r.getMessage()] == [
-        "ignoring unknown config key 'threads'"]
+    assert [r.getMessage() for r in caplog.records if "unknown" in r.getMessage()] == [
+        "ignoring unknown config key 'mode'", "ignoring unknown config key 'threads'"]
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "threads" not in manifest["config"]
+    assert "mode" not in manifest["config"]
 
 
 @pytest.mark.parametrize("key", ["window_start", "window_end"])
@@ -745,12 +771,14 @@ def test_compare_refuses_a_single_university(tmp_path, capsys):
     out = run_chain(tmp_path)
     path = out / "scores_universities.csv"
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(line for line in lines
-                               if not line.startswith(("U01,", "U02,"))) + "\n")
-    capsys.readouterr()
-    assert run_pipeline(["compare", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: compare: a correlation needs at least 2 pairs, got 1\n")
+    for cut, reason in [(("U01,", "U02,"), "got 1"),
+                        (("U00,unsupervised,", "U01,unsupervised,", "U02,unsupervised,"),
+                         "got 0; only supervised ['U00', 'U01', 'U02'], only unsupervised []")]:
+        path.write_text("\n".join(line for line in lines if not line.startswith(cut)) + "\n")
+        capsys.readouterr()
+        assert run_pipeline(["compare", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: compare: a correlation needs at least 2 pairs, {reason}\n")
 
 
 def test_report_prints_a_null_correlation_as_na(tmp_path, capsys):
