@@ -296,10 +296,15 @@ def cmd_score(cfg: RunConfig) -> None:
     incidence = (corpusmod.load_incidence(cfg.paths["incidence"]) if cfg.paths["incidence"]
                  else None)
     cells = fss.build_citation_cells(corpus)
-    roster = corpusmod.load_roster(_artifact(cfg, "roster.csv"), cfg.window)
+    roster_path = _artifact(cfg, "roster.csv")
+    roster = corpusmod.load_roster(roster_path, cfg.window)
+    if not roster:
+        raise StageError(f"{roster_path.name} lists no researcher")
+    staff_path = _artifact(cfg, "staff.csv")
     derived = staffmod.load_staff_csv(
-        _artifact(cfg, "staff.csv"),
-        disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
+        staff_path, disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
+    if not derived.members:
+        raise StageError(f"{staff_path.name} lists no staff unit")
 
     def score(subjects: list[fss.Subject]) -> list[fss.ResearcherScore]:
         return fss.score_subjects(subjects, corpus, cells, cfg.seed, incidence=incidence)

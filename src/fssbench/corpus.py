@@ -38,7 +38,8 @@ numbers and the incidence must parse, and a float must be finite.
 An empty CSV file or one whose header lacks a required column is refused
 with a ``CorpusError`` naming the file and the column, a row with fewer
 fields than the header, or a JSON Lines line that is not a JSON object,
-with one naming the file and the line.
+with one naming the file and the line. A key listed twice is refused, by the
+``listed_once`` that every loader in the package shares, naming both lines.
 Unknown columns and JSON fields are ignored with one warning each. Loading
 is a pure function of the file bytes: the same input yields an identical
 in-memory corpus, and downstream code treats it as read-only.
@@ -439,6 +440,16 @@ def csv_number(where: str, row: dict[str, str], column: str,
     return value
 
 
+def listed_once(listed: dict, key, where: str, what: str) -> None:
+    """Note in ``listed``, which maps each key to the line it was first listed
+    on, that ``key`` is listed at ``where`` (``"<file> line <n>"``); a key
+    already there raises ``CorpusError`` naming ``what`` and both lines."""
+    first = listed.get(key)
+    if first is not None:
+        raise CorpusError(f"{where}: {what} already listed on line {first}")
+    listed[key] = int(where.rsplit(" ", 1)[1])
+
+
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write a header and rows as utf-8 CSV in the default dialect."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
@@ -480,7 +491,7 @@ def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str
     ``#`` starts a comment and blank lines are skipped. A key set twice is
     refused. As in ``read_jsonl``, a line ends only at LF, CR LF or CR, never
     at U+0085, U+2028 or U+2029."""
-    set_on: dict[str, int] = {}
+    listed: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -490,10 +501,7 @@ def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str
                 raise CorpusError(f"{what} line {lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key in set_on:
-                raise CorpusError(f"{what} line {lineno}: key {key} already set on "
-                                  f"line {set_on[key]}")
-            set_on[key] = lineno
+            listed_once(listed, key, f"{what} line {lineno}", f"key {key}")
             yield lineno, key, value.strip()
 
 
@@ -667,14 +675,10 @@ def load_publications(path: str | Path,
     warned: set[str] = set()
     shared: dict = {}
     records: list[PublicationRecord] = []
-    seen: dict[str, str] = {}                   # pub_id -> line number of its record
+    listed: dict[str, int] = {}
     for where, obj in read_jsonl(path):
         rec = _parse_record(obj, where, warned, shared)
-        if rec.pub_id in seen:
-            raise CorpusError(
-                f"{where}: duplicate pub_id {rec.pub_id!r} "
-                f"(first seen on line {seen[rec.pub_id]})")
-        seen[rec.pub_id] = where.rsplit(" ", 1)[1]
+        listed_once(listed, rec.pub_id, where, f"pub_id {rec.pub_id}")
         if (rec.doc_type in DEFAULT_DOC_FILTER and rec.source_index == "core"
                 and rec.year in accepted_years):
             records.append(rec)
@@ -700,16 +704,13 @@ def _parse_years(text: str, where: str) -> frozenset[int]:
 def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
     """Load roster.csv; active years must fall inside the window."""
     entries: list[RosterEntry] = []
-    seen: dict[str, str] = {}
+    listed: dict[str, int] = {}
     for where, row in read_csv(path, ("person_id", "university_id", "active_years"),
                                ("full_name", "field_code", "sc_hint", "linked_pub_ids")):
         pid = (row.get("person_id") or "").strip()
         if not pid:
             raise CorpusError(f"{where}: missing person_id")
-        if pid in seen:
-            raise CorpusError(
-                f"{where}: duplicate person_id {pid!r} (first seen on {seen[pid]})")
-        seen[pid] = where
+        listed_once(listed, pid, where, f"person_id {pid}")
         university_id = row["university_id"].strip()
         if not university_id:
             raise CorpusError(f"{where}: person {pid} has no university_id")
@@ -736,15 +737,13 @@ def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
 def load_registry(path: str | Path) -> UniversityRegistry:
     """Load registry.csv, normalizing variants and enforcing disjointness."""
     universities: list[University] = []
-    seen: set[str] = set()
+    listed: dict[str, int] = {}
     for where, row in read_csv(path, ("university_id",),
                                ("official_name", "email_domains", "organization_variants")):
         uid = (row.get("university_id") or "").strip()
         if not uid:
             raise CorpusError(f"{where}: missing university_id")
-        if uid in seen:
-            raise CorpusError(f"{where}: duplicate university_id {uid!r}")
-        seen.add(uid)
+        listed_once(listed, uid, where, f"university_id {uid}")
         domains = tuple(dict.fromkeys(
             d.strip().lower() for d in (row.get("email_domains") or "").split(";") if d.strip()))
         variants = tuple(dict.fromkeys(
@@ -773,15 +772,13 @@ def _parse_bool(text: str | None, where: str, fieldname: str) -> bool:
 def load_scheme(path: str | Path) -> SCScheme:
     """Load scheme.csv; an SC listed twice is refused naming both lines."""
     categories: list[SubjectCategory] = []
-    listed: dict[str, str] = {}     # sc_id -> line number of its row
+    listed: dict[str, int] = {}
     for where, row in read_csv(path, ("sc_id",),
                                ("name", "area_id", "excluded_area", "is_multidisciplinary")):
         sc_id = (row.get("sc_id") or "").strip()
         if not sc_id:
             raise CorpusError(f"{where}: missing sc_id")
-        if sc_id in listed:
-            raise CorpusError(f"{where}: sc_id {sc_id} already listed on line {listed[sc_id]}")
-        listed[sc_id] = where.rsplit(" ", 1)[1]
+        listed_once(listed, sc_id, where, f"sc_id {sc_id}")
         categories.append(SubjectCategory(
             sc_id=sc_id,
             excluded_area=_parse_bool(row.get("excluded_area"), where, "excluded_area"),
@@ -793,19 +790,15 @@ def load_scheme(path: str | Path) -> SCScheme:
 
 def load_incidence(path: str | Path) -> dict[str, tuple[tuple[str, float], ...]]:
     """Load the field-code to SC incidence table (columns field_code, sc_id,
-    incidence), used as the supervised SC-assignment fallback. A
-    (field_code, sc_id) pair listed twice is refused naming both lines."""
+    incidence), used as the supervised SC-assignment fallback."""
     table: dict[str, list[tuple[str, float]]] = {}
-    listed: dict[tuple[str, str], str] = {}     # (code, sc) -> line number of its row
+    listed: dict[tuple[str, str], int] = {}
     for where, row in read_csv(path, ("field_code", "sc_id", "incidence")):
         code = (row.get("field_code") or "").strip()
         sc = (row.get("sc_id") or "").strip()
         if not code or not sc:
             raise CorpusError(f"{where}: missing field_code or sc_id")
-        if (code, sc) in listed:
-            raise CorpusError(f"{where}: field_code {code}, sc_id {sc} already listed "
-                              f"on line {listed[code, sc]}")
-        listed[code, sc] = where.rsplit(" ", 1)[1]
+        listed_once(listed, (code, sc), where, f"field_code {code}, sc_id {sc}")
         table.setdefault(code, []).append((sc, csv_number(where, row, "incidence", float)))
     return {code: tuple(sorted(rows, key=lambda r: (-r[1], r[0])))
             for code, rows in table.items()}

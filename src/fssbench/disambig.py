@@ -44,8 +44,9 @@ from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
-from .corpus import (Corpus, CorpusError, PublicationRecord, first_initial, read_jsonl,
-                     read_key_values, required_text, text_or_none, whole_number, write_jsonl)
+from .corpus import (Corpus, CorpusError, PublicationRecord, first_initial, listed_once,
+                     read_jsonl, read_key_values, required_text, text_or_none, whole_number,
+                     write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -473,20 +474,22 @@ _CLUSTER_FIELDS = (
 
 
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
-    """The clusters of a ``clusters.jsonl`` file; a malformed record or a
-    ``cluster_id`` used twice raises ``CorpusError`` naming its line."""
+    """The clusters of a ``clusters.jsonl`` file; a malformed or inconsistent
+    record or a ``cluster_id`` listed twice raises ``CorpusError`` naming its line."""
     clusters = []
-    seen: set[str] = set()          # the clusters' own id strings, no copies
+    listed: dict[str, int] = {}     # keyed by the clusters' own id strings, no copies
     for where, obj in read_jsonl(path):
         try:
             cluster = AuthorCluster(
                 **{attr: get(obj, key) for key, attr, get in _CLUSTER_FIELDS})
         except TypeError as exc:
             raise CorpusError(f"{where}: bad cluster record: {exc}") from exc
-        if cluster.cluster_id in seen:
-            raise CorpusError(f"{where}: cluster_id {cluster.cluster_id} already used "
-                              "on an earlier line")
-        seen.add(cluster.cluster_id)
+        age, n_pubs = cluster.last_year - cluster.first_year, len(cluster.pub_ids)
+        if (cluster.academic_age, cluster.n_pubs) != (age, n_pubs):
+            raise CorpusError(f"{where}: bad cluster record: academic_age {cluster.academic_age} "
+                              f"and n_pubs {cluster.n_pubs} are not last_year - first_year "
+                              f"({age}) and the distinct pub_ids of mention_refs ({n_pubs})")
+        listed_once(listed, cluster.cluster_id, where, f"cluster_id {cluster.cluster_id}")
         clusters.append(cluster)
     return clusters
 

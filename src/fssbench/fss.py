@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .corpus import (Corpus, CorpusError, PublicationRecord, RosterEntry, SCScheme, csv_number,
-                     read_csv, sha256, write_csv)
+                     listed_once, read_csv, sha256, write_csv)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -366,17 +366,14 @@ def _score_rows(path: str | Path, columns: tuple[str, ...],
     """``read_csv``'s rows of a score file. A mode other than the two, or a
     (mode, ``id_column``) pair an earlier row lists, is refused naming the
     line."""
-    listed: dict[tuple[str, str], str] = {}     # (mode, id) -> line number of its row
+    listed: dict[tuple[str, str], int] = {}
     for where, row in read_csv(path, columns):
         mode = row["mode"]
         if mode not in (MODE_SUPERVISED, MODE_UNSUPERVISED):
             raise CorpusError(f"{where}: mode {mode!r} is neither {MODE_SUPERVISED!r} "
                               f"nor {MODE_UNSUPERVISED!r}")
-        key = (mode, row[id_column])
-        if key in listed:
-            raise CorpusError(f"{where}: {id_column.removesuffix('_id')} {key[1]} ({mode}) "
-                              f"already listed on line {listed[key]}")
-        listed[key] = where.rsplit(" ", 1)[1]
+        listed_once(listed, (mode, row[id_column]), where,
+                    f"{id_column.removesuffix('_id')} {row[id_column]} ({mode})")
         yield where, row
 
 

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CorpusError, UniversityRegistry, read_csv, write_csv
+from .corpus import CorpusError, UniversityRegistry, listed_once, read_csv, write_csv
 from .disambig import AuthorCluster
 
 log = logging.getLogger(__name__)
@@ -276,23 +276,23 @@ def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedSt
     """Read staff.csv back into staff units.
 
     Each unit's publications, orcid and emails come from its member
-    clusters, so the clusters must be those the staff was derived from; a
-    cluster listed twice, in two rows or in one, is refused. The review
-    queue is not stored in staff.csv and comes back empty.
+    clusters, so the clusters must be those the staff was derived from. A
+    unit without a university_id, or a cluster listed twice, in two rows or
+    in one, is refused. The review queue is not stored and comes back empty.
     """
     by_id = {c.cluster_id: c for c in clusters}
-    listed: dict[str, str] = {}                 # cluster id -> line number of its row
+    listed: dict[str, int] = {}
     members: dict[str, list[StaffUnit]] = {}
     required = tuple(c for c in STAFF_COLUMNS if c != "n_pubs")
     for where, row in read_csv(path, required, ("n_pubs",)):
+        if not row["university_id"]:
+            raise CorpusError(f"{where}: unit {row['cluster_id']} has no university_id")
         ids = row["member_cluster_ids"].split(";")
         for cid in ids:
             if cid not in by_id:
                 raise CorpusError(f"{Path(path).name} references unknown cluster "
                                   f"{cid}; run `disambiguate` first")
-            if cid in listed:
-                raise CorpusError(f"{where}: cluster {cid} already listed on line {listed[cid]}")
-            listed[cid] = where.rsplit(" ", 1)[1]
+            listed_once(listed, cid, where, f"cluster {cid}")
         unit = _unit([by_id[cid] for cid in ids], row["university_id"], row["evidence"])
         if unit.unit_id != row["cluster_id"]:
             raise CorpusError(f"{where}: cluster_id {row['cluster_id']} is not the "

@@ -327,7 +327,7 @@ def test_config_key_set_twice_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_WORLD + "seed = 1\n\nseed = 2\n")
     assert run_pipeline(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
-        "error: synth: config line 7: key seed already set on line 5\n")
+        "error: synth: config line 7: key seed already listed on line 5\n")
 
 
 @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
@@ -405,12 +405,11 @@ def run_to_staff(tmp_path):
 
 @pytest.mark.parametrize("cut, flags, refusal", [
     # a floor above every SC's count empties both modes; the first is named
-    (None, ["--min-obs", "1000"], "supervised researcher left after exclusions "
+    (None, ["--min-obs", "1000"], "no supervised researcher left after exclusions "
                                   "(min_obs 1000, obs_rule literal)"),
-    ("roster.csv", ["--obs-rule", "strict"], "supervised researcher left after exclusions "
-                                             "(min_obs 10, obs_rule strict)"),
-    ("staff.csv", [], "unsupervised researcher left after exclusions "
-                      "(min_obs 10, obs_rule literal)"),
+    # an empty input is named, not the floor, which no value would help
+    ("roster.csv", ["--obs-rule", "strict"], "roster.csv lists no researcher"),
+    ("staff.csv", [], "staff.csv lists no staff unit"),
 ], ids=["floor", "header-only-roster", "header-only-staff"])
 def test_score_refuses_a_mode_left_without_researchers(tmp_path, capsys, cut, flags, refusal):
     out = run_to_staff(tmp_path)
@@ -418,7 +417,7 @@ def test_score_refuses_a_mode_left_without_researchers(tmp_path, capsys, cut, fl
         path = out / cut
         path.write_text(path.read_text().splitlines(keepends=True)[0])
     assert run_pipeline(["score", "--out", str(out), *flags]) == 1
-    assert capsys.readouterr().err == f"error: score: no {refusal}\n"
+    assert capsys.readouterr().err == f"error: score: {refusal}\n"
     assert not (out / "scores_universities.csv").exists()
     assert run_pipeline(["compare", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
@@ -546,7 +545,7 @@ def test_derive_staff_refuses_a_cluster_id_used_twice(tmp_path, capsys, finished
                          "--min-age", "1", "--recency", "2015"]) == 1
     assert capsys.readouterr().err == (
         f"error: derive-staff: clusters.jsonl line {len(lines) + 1}: cluster_id "
-        f"{json.loads(lines[0])['cluster_id']} already used on an earlier line\n")
+        f"{json.loads(lines[0])['cluster_id']} already listed on line 1\n")
 
 
 def test_recency_after_window_end_refused(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
+import re
 import string
 import unicodedata
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +31,9 @@ from fssbench.corpus import (
     split_full_name,
 )
 
-from fssbench.disambig import mention_context, score_pair
+from fssbench.cli import load_config_file
+from fssbench.disambig import (AuthorCluster, load_clusters_jsonl, load_rules, mention_context,
+                               score_pair)
 from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
 from fssbench.staff import load_staff_csv
 
@@ -225,8 +230,9 @@ def test_load_publications_records_its_lookback(tmp_path):
 
 def test_load_publications_duplicate_pub_id_names_both_lines(tmp_path):
     path = write_jsonl(tmp_path / "p.jsonl", [_one_pub(), _one_pub()])
-    with pytest.raises(CorpusError, match=r"line 2.*duplicate pub_id.*line 1"):
+    with pytest.raises(CorpusError) as exc:
         load_publications(path, WINDOW)
+    assert str(exc.value) == "p.jsonl line 2: pub_id W1 already listed on line 1"
 
 
 @pytest.mark.parametrize("field,value,fragment", [
@@ -387,8 +393,9 @@ def test_load_roster_rejects_duplicate_person(tmp_path):
     path = _roster(tmp_path,
                    'P1,"Rossi, M",U1,F01,SC1,2015,',
                    'P1,"Rossi, M",U1,F01,SC1,2016,')
-    with pytest.raises(CorpusError, match="duplicate person_id"):
+    with pytest.raises(CorpusError) as exc:
         load_roster(path, WINDOW)
+    assert str(exc.value) == "roster.csv line 3: person_id P1 already listed on line 2"
 
 
 def test_load_roster_refuses_a_person_without_a_university(tmp_path):
@@ -604,6 +611,72 @@ def test_csv_loader_warns_unknown_column_once(tmp_path, caplog):
     assert [e.person_id for e in entries] == ["P1", "P2"]
     hits = [r.getMessage() for r in caplog.records if "nickname" in r.getMessage()]
     assert hits == ["roster.csv: ignoring unknown column 'nickname'"]
+
+
+_W1_CLUSTER = AuthorCluster(
+    cluster_id="W1:0", mention_refs=(("W1", 0),), n_pubs=1, first_year=2016, last_year=2016,
+    academic_age=0, full_name="Rossi, M", last_name="rossi", first_name="m", email=None,
+    organization=None, city=None, country=None, orcid=None, researcher_id=None)
+
+#: file name -> (loader, file text listing a key twice, the refusal)
+LISTED_TWICE = {
+    "world.cfg": (load_config_file, "seed = 1\n# again\nseed = 2\n",
+                  "config line 3: key seed already listed on line 1"),
+    "rules.cfg": (load_rules, "orcid = 100\norcid = 5\n",
+                  "rules file line 2: key orcid already listed on line 1"),
+    "publications.jsonl": (lambda p: load_publications(p, WINDOW),
+                           f"{json.dumps(_one_pub())}\n" * 2,
+                           "publications.jsonl line 2: pub_id W1 already listed on line 1"),
+    "roster.csv": (lambda p: load_roster(p, WINDOW),
+                   f"{ROSTER_HEADER}\nP1,,U1,,,2015,\nP2,,U1,,,2015,\nP1,,U2,,,2016,\n",
+                   "roster.csv line 4: person_id P1 already listed on line 2"),
+    "registry.csv": (load_registry, "university_id,email_domains\nU1,a.it\nU2,b.it\nU1,c.it\n",
+                     "registry.csv line 4: university_id U1 already listed on line 2"),
+    "scheme.csv": (load_scheme, "sc_id\nSC1\nSC1\n",
+                   "scheme.csv line 3: sc_id SC1 already listed on line 2"),
+    "incidence.csv": (load_incidence, "field_code,sc_id,incidence\nF1,SC1,0.2\nF1,SC1,0.9\n",
+                      "incidence.csv line 3: field_code F1, sc_id SC1 already listed "
+                      "on line 2"),
+    "scores_researchers.csv": (
+        load_researcher_scores_csv,
+        "subject_id,mode,university_id,sc,t,n,fss_r\n"
+        "R1,supervised,U1,SC1,1,2,0.5\nR1,unsupervised,U1,SC1,1,2,0.5\n"
+        "R1,supervised,U2,SC2,1,2,0.5\n",
+        "scores_researchers.csv line 4: subject R1 (supervised) already listed on line 2"),
+    "scores_universities.csv": (
+        load_university_scores_csv,
+        "university_id,mode,rs_u,fss_u\nU1,unsupervised,3,1.5\nU1,unsupervised,2,0.5\n",
+        "scores_universities.csv line 3: university U1 (unsupervised) already listed "
+        "on line 2"),
+    "staff.csv": (lambda p: load_staff_csv(p, [_W1_CLUSTER]),
+                  "university_id,cluster_id,evidence,n_pubs,member_cluster_ids\n"
+                  "U1,W1:0,organization,1,W1:0\nU2,W1:0,organization,1,W1:0\n",
+                  "staff.csv line 3: cluster W1:0 already listed on line 2"),
+    "clusters.jsonl": (load_clusters_jsonl, f"{json.dumps(_W1_CLUSTER.to_dict())}\n" * 2,
+                       "clusters.jsonl line 2: cluster_id W1:0 already listed on line 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_TWICE))
+def test_loader_refuses_a_key_listed_twice_naming_both_lines(tmp_path, name):
+    load, text, refusal = LISTED_TWICE[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load(path)
+    assert str(exc.value) == refusal
+
+
+def test_only_listed_once_words_a_repeated_key_refusal():
+    # a hand-written check in a loader would word its own refusal
+    helper = inspect.getsource(cm.listed_once)
+    wording = re.compile(r"already (listed|used|set)|duplicate ", re.IGNORECASE)
+    assert wording.search(helper)
+    hits = [f"{path.name}: {line.strip()}"
+            for path in sorted(Path(cm.__file__).parent.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").replace(helper, "").splitlines()
+            if wording.search(line)]
+    assert hits == []
 
 
 def test_write_csv_round_trips_through_read_csv(tmp_path):

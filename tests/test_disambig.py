@@ -125,7 +125,7 @@ def test_load_rules_refuses_a_key_set_twice(tmp_path):
     path.write_text("orcid = 100\n# lower it\norcid = 5\n", encoding="utf-8")
     with pytest.raises(CorpusError) as exc:
         load_rules(path)
-    assert str(exc.value) == "rules file line 3: key orcid already set on line 1"
+    assert str(exc.value) == "rules file line 3: key orcid already listed on line 1"
 
 
 def test_load_rules_bad_value(tmp_path):
@@ -404,6 +404,15 @@ def test_load_clusters_jsonl_refuses_a_null_field(tmp_path, field):
     ("last_year", 2019.7, "invalid 'last_year': 2019.7"),
     ("academic_age", True, "invalid 'academic_age': True"),
     ("cluster_id", 5, "invalid 'cluster_id': 5"),
+    # derived fields that disagree with the years and the refs they come from
+    *((field, value, f"academic_age {age} and n_pubs {n_pubs} are not last_year - "
+                     f"first_year ({span}) and the distinct pub_ids of mention_refs ({refs})")
+      for field, value, age, n_pubs, span, refs in [
+          ("academic_age", 3, 3, 1, 0, 1),
+          ("last_year", 2019, 0, 1, 3, 1),
+          ("n_pubs", 2, 0, 2, 0, 1),
+          ("mention_refs", [["W1", 0], ["W2", 0]], 0, 1, 0, 2),
+      ]),
 ])
 def test_load_clusters_jsonl_refuses_a_malformed_field(tmp_path, field, value, reason):
     path = tmp_path / "clusters.jsonl"

@@ -391,6 +391,14 @@ def test_load_staff_csv_refuses_a_cluster_listed_twice(tmp_path, rows, line):
         load_staff_csv(path, clusters)
 
 
+def test_load_staff_csv_refuses_a_unit_without_a_university(tmp_path):
+    path = tmp_path / "staff.csv"
+    path.write_text("university_id,cluster_id,evidence,n_pubs,member_cluster_ids\n"
+                    ",C1,organization,2,C1\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^staff.csv line 2: unit C1 has no university_id$"):
+        load_staff_csv(path, [make_cluster("C1", org="univ one")])
+
+
 def test_derive_staff_requires_recency_year():
     clusters = [make_cluster("C1", org="univ one")]
     with pytest.raises(TypeError, match="recency_year"):
