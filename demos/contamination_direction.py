@@ -12,16 +12,9 @@ import tempfile
 from pathlib import Path
 
 from fssbench import compare
-from fssbench.corpus import load_publications, load_registry, load_roster
+from fssbench.corpus import load_publications, load_registry, load_roster, load_scheme
 from fssbench.disambig import DEFAULT_RULES, cluster_corpus
-from fssbench.fss import (
-    build_citation_cells,
-    compute_fss_u,
-    compute_sc_baselines,
-    score_subjects,
-    subjects_from_roster,
-    subjects_from_staff,
-)
+from fssbench.fss import score_modes
 from fssbench.staff import derive_staff
 from fssbench.synth import SynthConfig, generate
 
@@ -46,20 +39,13 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as td:
         files, _ = generate(config, Path(td))
         corpus = load_publications(files["publications"], config.window)
-        cells = build_citation_cells(corpus)
-
-        roster = load_roster(files["roster"], config.window)
-        sup = score_subjects(subjects_from_roster(roster, corpus),
-                             corpus, cells, args.seed)
-        sup_u = compute_fss_u(sup, compute_sc_baselines(sup))
-
-        registry = load_registry(files["registry"])
-        clusters = cluster_corpus(corpus, DEFAULT_RULES)
-        staff = derive_staff(clusters, registry, min_clusters=1, min_age=0,
+        staff = derive_staff(cluster_corpus(corpus, DEFAULT_RULES),
+                             load_registry(files["registry"]), min_clusters=1, min_age=0,
                              recency_year=1900)
-        uns = score_subjects(subjects_from_staff(staff, corpus),
-                             corpus, cells, args.seed)
-        uns_u = compute_fss_u(uns, compute_sc_baselines(uns))
+        # what `fssbench score` writes, the observation floor included
+        (sup, sup_u), (uns, uns_u) = score_modes(
+            corpus, load_roster(files["roster"], config.window), staff,
+            load_scheme(files["scheme"]), args.seed).values()
 
     print(f"subjects: {len(sup)} on the rosters, {len(uns)} derived from clusters\n")
 

@@ -40,6 +40,7 @@ from .fss import (
     compute_fss_r,
     compute_fss_u,
     compute_sc_baselines,
+    score_modes,
     score_subjects,
     subjects_from_roster,
     subjects_from_staff,
@@ -98,6 +99,7 @@ __all__ = [
     "quartile_confusion",
     "rank_jumps",
     "rank_universities",
+    "score_modes",
     "score_pair",
     "score_subjects",
     "subjects_from_roster",

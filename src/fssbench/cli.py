@@ -295,7 +295,6 @@ def cmd_score(cfg: RunConfig) -> None:
     scheme = corpusmod.load_scheme(_artifact(cfg, "scheme.csv"))
     incidence = (corpusmod.load_incidence(cfg.paths["incidence"]) if cfg.paths["incidence"]
                  else None)
-    cells = fss.build_citation_cells(corpus)
     roster_path = _artifact(cfg, "roster.csv")
     roster = corpusmod.load_roster(roster_path, cfg.window)
     if not roster:
@@ -305,24 +304,10 @@ def cmd_score(cfg: RunConfig) -> None:
         staff_path, disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
     if not derived.members:
         raise StageError(f"{staff_path.name} lists no staff unit")
-
-    def score(subjects: list[fss.Subject]) -> list[fss.ResearcherScore]:
-        return fss.score_subjects(subjects, corpus, cells, cfg.seed, incidence=incidence)
-
-    by_mode = fss.apply_exclusions(
-        {fss.MODE_SUPERVISED: score(fss.subjects_from_roster(roster, corpus)),
-         fss.MODE_UNSUPERVISED: score(fss.subjects_from_staff(derived, corpus))},
-        scheme, min_obs=cfg.min_obs, rule=cfg.obs_rule)
-
-    researcher_rows = []
-    university_rows = []
-    for mode, scores in by_mode.items():
-        if not scores:
-            raise StageError(f"no {mode} researcher left after exclusions "
-                             f"(min_obs {cfg.min_obs}, obs_rule {cfg.obs_rule})")
-        researcher_rows.extend(scores)
-        university_rows.extend(fss.compute_fss_u(scores, fss.compute_sc_baselines(scores)))
-
+    scored = fss.score_modes(corpus, roster, derived, scheme, cfg.seed, min_obs=cfg.min_obs,
+                             rule=cfg.obs_rule, incidence=incidence).values()
+    researcher_rows = [s for scores, _ in scored for s in scores]
+    university_rows = [u for _, universities in scored for u in universities]
     fss.write_researcher_scores_csv(researcher_rows, cfg.out / "scores_researchers.csv")
     fss.write_university_scores_csv(university_rows, cfg.out / "scores_universities.csv")
     log.info("scored %d researcher rows, %d university rows",

@@ -344,6 +344,29 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
     return out
 
 
+def score_modes(corpus: Corpus, roster: list[RosterEntry], staff: DerivedStaff,
+                scheme: SCScheme, seed: int, *, min_obs: int = DEFAULT_MIN_OBS,
+                rule: str = OBS_RULE_LITERAL,
+                incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
+                ) -> dict[str, tuple[list[ResearcherScore], list[UniversityScore]]]:
+    """A scoring run, as ``fssbench score`` writes it: for each mode,
+    supervised first, the researcher scores left by ``apply_exclusions``
+    and the university scores over them. A mode left without a researcher
+    is refused, naming the floor."""
+    cells = build_citation_cells(corpus)
+    by_mode = apply_exclusions(
+        {mode: score_subjects(subjects, corpus, cells, seed, incidence=incidence)
+         for mode, subjects in ((MODE_SUPERVISED, subjects_from_roster(roster, corpus)),
+                                (MODE_UNSUPERVISED, subjects_from_staff(staff, corpus)))},
+        scheme, min_obs=min_obs, rule=rule)
+    for mode, scores in by_mode.items():
+        if not scores:
+            raise ScoreError(f"no {mode} researcher left after exclusions "
+                             f"(min_obs {min_obs}, obs_rule {rule})")
+    return {mode: (scores, compute_fss_u(scores, compute_sc_baselines(scores)))
+            for mode, scores in by_mode.items()}
+
+
 # ---------------------------------------------------------------------------
 # score files
 

@@ -30,6 +30,7 @@ from fssbench.corpus import (
     load_publications,
     load_registry,
     load_roster,
+    load_scheme,
 )
 from fssbench.disambig import (DEFAULT_RULES, block_mentions, cluster_block, cluster_corpus,
                                mention_context)
@@ -39,13 +40,11 @@ from fssbench.fss import (
     Subject,
     build_citation_cells,
     compute_fss_r,
-    compute_fss_u,
     compute_sc_baselines,
     normalized_citation_score,
     publication_norm,
+    score_modes,
     score_subjects,
-    subjects_from_roster,
-    subjects_from_staff,
 )
 from fssbench.staff import derive_staff
 from fssbench.synth import SynthConfig, generate, oracle_scores
@@ -141,22 +140,13 @@ def test_top_group_rank_stability():
 # ---------------------------------------------------------------------------
 # generator-backed checks
 
-def _supervised_scores(files, corpus, cells, window, seed):
-    roster = load_roster(files["roster"], window)
-    scores = score_subjects(subjects_from_roster(roster, corpus), corpus, cells, seed)
-    fss_u = {u.university_id: u.fss_u
-             for u in compute_fss_u(scores, compute_sc_baselines(scores))}
-    return scores, fss_u
-
-
-def _unsupervised_scores(files, corpus, cells, seed, **staff_kw):
-    registry = load_registry(files["registry"])
-    clusters = cluster_corpus(corpus, DEFAULT_RULES)
-    staff = derive_staff(clusters, registry, **staff_kw)
-    scores = score_subjects(subjects_from_staff(staff, corpus), corpus, cells, seed)
-    fss_u = {u.university_id: u.fss_u
-             for u in compute_fss_u(scores, compute_sc_baselines(scores))}
-    return scores, fss_u, staff
+def _scores(files, corpus, seed, **score_kw):
+    """``score_modes`` over a generated world: its roster, and the staff
+    derived from its clusters with the size, age and recency filters off."""
+    staff = derive_staff(cluster_corpus(corpus, DEFAULT_RULES), load_registry(files["registry"]),
+                         min_clusters=1, min_age=0, recency_year=1900)
+    return score_modes(corpus, load_roster(files["roster"], corpus.window), staff,
+                       load_scheme(files["scheme"]), seed, **score_kw)
 
 
 def _truth_unit_ids(truth, corpus):
@@ -179,23 +169,19 @@ def test_pipeline_matches_direct_evaluation(tmp_path):
         config = SynthConfig(seed=seed, n_universities=4, n_researchers=40, n_scs=4)
         files, truth = generate(config, tmp_path / f"w{seed}")
         corpus = load_publications(files["publications"], config.window)
-        cells = build_citation_cells(corpus)
-
-        scores, fss_u = _supervised_scores(files, corpus, cells, config.window, seed)
-        oracle_r, oracle_u = oracle_scores(truth, corpus, MODE_SUPERVISED, seed)
-        got = {s.subject_id: s.fss_r for s in scores}
-        assert set(got) == set(oracle_r)
-        worst = max(worst, *(abs(got[k] - oracle_r[k]) for k in oracle_r))
-        worst = max(worst, *(abs(fss_u[k] - oracle_u[k]) for k in oracle_u))
-
-        scores, fss_u, _ = _unsupervised_scores(
-            files, corpus, cells, seed, min_clusters=1, min_age=0, recency_year=1900)
-        oracle_r, oracle_u = oracle_scores(truth, corpus, MODE_UNSUPERVISED, seed)
+        # the oracle applies no exclusion, and none can fire: the scheme puts
+        # no SC out of scope, and min_obs 0 excludes no thin SC
+        scheme = load_scheme(files["scheme"])
+        assert not any(map(scheme.is_dropped, scheme.categories))
         unit_of = _truth_unit_ids(truth, corpus)
-        got = {s.subject_id: s.fss_r for s in scores}
-        assert set(got) == {unit_of[k] for k in oracle_r}
-        worst = max(worst, *(abs(got[unit_of[k]] - oracle_r[k]) for k in oracle_r))
-        worst = max(worst, *(abs(fss_u[k] - oracle_u[k]) for k in oracle_u))
+        for mode, (scores, universities) in _scores(files, corpus, seed, min_obs=0).items():
+            oracle_r, oracle_u = oracle_scores(truth, corpus, mode, seed)
+            subject_of = {k: unit_of[k] if mode == MODE_UNSUPERVISED else k for k in oracle_r}
+            got = {s.subject_id: s.fss_r for s in scores}
+            fss_u = {u.university_id: u.fss_u for u in universities}
+            assert set(got) == set(subject_of.values())
+            worst = max(worst, *(abs(got[subject_of[k]] - oracle_r[k]) for k in oracle_r))
+            worst = max(worst, *(abs(fss_u[k] - oracle_u[k]) for k in oracle_u))
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < 10.0
     check("pipeline vs direct evaluation", ok,
@@ -442,13 +428,8 @@ def test_contamination_pushes_scores_down(tmp_path):
                              non_faculty_productivity_multiplier=0.5)
         files, _ = generate(config, tmp_path / f"w{seed}")
         corpus = load_publications(files["publications"], config.window)
-        cells = build_citation_cells(corpus)
-
-        sup_scores, _ = _supervised_scores(files, corpus, cells, config.window, seed)
-        sup_u = compute_fss_u(sup_scores, compute_sc_baselines(sup_scores))
-        uns_scores, _, _ = _unsupervised_scores(
-            files, corpus, cells, seed, min_clusters=1, min_age=0, recency_year=1900)
-        uns_u = compute_fss_u(uns_scores, compute_sc_baselines(uns_scores))
+        # at `fssbench score`'s defaults, as the CLI scores it
+        (sup_scores, sup_u), (uns_scores, uns_u) = _scores(files, corpus, seed).values()
 
         def sc_means(scores):
             acc = {}

@@ -19,11 +19,14 @@ from fssbench.fss import (
     load_university_scores_csv,
     normalized_citation_score,
     publication_norm,
+    score_modes,
     score_subjects,
     subjects_from_roster,
+    subjects_from_staff,
     write_researcher_scores_csv,
     write_university_scores_csv,
 )
+from fssbench.staff import DerivedStaff, StaffUnit
 
 from conftest import WINDOW, corpus_of, record
 
@@ -363,6 +366,53 @@ def test_apply_exclusions_literal_needs_short_in_both():
 def test_apply_exclusions_rejects_unknown_rule():
     with pytest.raises(ValueError, match="rule"):
         apply_exclusions({}, SCHEME, rule="fuzzy")
+
+
+# ---------------------------------------------------------------------------
+# a scoring run
+
+def _run_inputs():
+    """``_scored_world``'s corpus, a roster of its four authors (P1 and P2
+    at U1, P3 and P4 at U2) and a staff of one unit per publication."""
+    corpus, _ = _scored_world()
+    roster = [RosterEntry(f"P{i}", f"U{1 + (i > 2)}", "F1", None, frozenset(WINDOW.years()),
+                          (f"W{i}",)) for i in range(1, 5)]
+    units = [StaffUnit(f"W{i}:0", f"U{1 + (i > 2)}", "both", (f"W{i}:0",),
+                       frozenset({f"W{i}"}), None, ()) for i in range(1, 5)]
+    staff = DerivedStaff(members={"U1": units[:2], "U2": units[2:]}, review_queue=[])
+    return corpus, roster, staff
+
+
+def test_score_modes_returns_each_mode_researchers_then_universities():
+    corpus, roster, staff = _run_inputs()
+    by_mode = score_modes(corpus, roster, staff, SCScheme([]), 1, min_obs=0)
+    assert list(by_mode) == [MODE_SUPERVISED, MODE_UNSUPERVISED]
+    cells = build_citation_cells(corpus)
+    for mode, subjects in ((MODE_SUPERVISED, subjects_from_roster(roster, corpus)),
+                           (MODE_UNSUPERVISED, subjects_from_staff(staff, corpus))):
+        researchers, universities = by_mode[mode]
+        assert researchers == score_subjects(subjects, corpus, cells, 1)
+        assert universities == compute_fss_u(researchers, compute_sc_baselines(researchers))
+        assert [u.university_id for u in universities] == ["U1", "U2"]
+        assert {u.mode for u in universities} == {mode}
+
+
+def test_score_modes_applies_the_exclusions():
+    corpus, roster, staff = _run_inputs()
+    scheme = SCScheme([SubjectCategory("SC2", excluded_area=True)])
+    for researchers, universities in score_modes(corpus, roster, staff, scheme, 1,
+                                                 min_obs=0).values():
+        assert {s.sc_id for s in researchers} == {"SC1"}
+        assert [(u.university_id, u.rs_u) for u in universities] == [("U1", 2)]
+
+
+def test_score_modes_refuses_a_mode_left_without_researchers():
+    corpus, roster, staff = _run_inputs()
+    # two researchers per SC in each mode: a floor of 3 excludes every SC
+    with pytest.raises(ScoreError) as refused:
+        score_modes(corpus, roster, staff, SCScheme([]), 1, min_obs=3)
+    assert str(refused.value) == ("no supervised researcher left after exclusions "
+                                  "(min_obs 3, obs_rule literal)")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ replaces that file in the same commit, with the JSON the failure prints,
 and says which files changed and why. ``synth`` draws through numpy's
 ``Generator``, whose streams numpy does not promise to keep across
 versions (NEP 19), so the file records the numpy version it was made with.
+
+README's library example runs in the README flow's output directory and
+must return what ``score`` wrote there.
 """
 
 import json
@@ -18,8 +21,10 @@ import numpy as np
 
 from fssbench.cli import STAGES, run_pipeline
 from fssbench.corpus import sha256
+from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: The key of ``report``'s stdout among the file names.
 STDOUT = "report stdout"
@@ -75,3 +80,17 @@ def test_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
             f"{golden['numpy']}, here {got['numpy']}); if the change is meant, "
             f"replace {GOLDEN.name} with:\n{json.dumps(got, indent=2)}\n")
     assert elapsed < 10.0, f"{elapsed:.2f}s, limit 10s"
+
+
+def test_readme_library_example_scores_what_score_writes(tmp_path, monkeypatch, capsys):
+    _run_world(tmp_path, monkeypatch, capsys, "readme-flow")
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir("run")
+    namespace = {}
+    exec(example, namespace)
+    scored = namespace["by_mode"].values()
+    assert [s for researchers, _ in scored for s in researchers] == \
+        load_researcher_scores_csv("scores_researchers.csv")
+    assert [u for _, universities in scored for u in universities] == \
+        load_university_scores_csv("scores_universities.csv")
