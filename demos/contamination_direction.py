@@ -43,9 +43,11 @@ def main() -> None:
                              load_registry(files["registry"]), min_clusters=1, min_age=0,
                              recency_year=1900)
         # what `fssbench score` writes, the observation floor included
-        (sup, sup_u), (uns, uns_u) = score_modes(
-            corpus, load_roster(files["roster"], config.window), staff,
-            load_scheme(files["scheme"]), args.seed).values()
+        by_mode = score_modes(corpus, load_roster(files["roster"], config.window), staff,
+                              load_scheme(files["scheme"]), args.seed)
+    (sup, _), (uns, _) = by_mode.values()
+    # and what `fssbench compare` writes
+    report, table, _, _ = compare.compare_modes(by_mode)
 
     print(f"subjects: {len(sup)} on the rosters, {len(uns)} derived from clusters\n")
 
@@ -56,18 +58,15 @@ def main() -> None:
         print(f"  {sc:6s} {sup_m[sc]:8.3f} {uns_m[sc]:8.3f} "
               f"{uns_m[sc] - sup_m[sc]:+8.3f}")
 
-    sup_by_u = {u.university_id: u for u in sup_u}
     print("\nper-university staff counts and scores")
     print(f"  {'univ':6s} {'staff':>11s} {'score':>15s} {'obs dev':>8s} {'score dev':>10s}")
-    for unsup in uns_u:
-        supv = sup_by_u[unsup.university_id]
-        d_obs = 100.0 * (unsup.rs_u - supv.rs_u) / supv.rs_u
-        d_fss = 100.0 * (unsup.fss_u - supv.fss_u) / supv.fss_u
-        print(f"  {unsup.university_id:6s} {supv.rs_u:4d} -> {unsup.rs_u:4d} "
-              f"{supv.fss_u:6.3f} -> {unsup.fss_u:6.3f} {d_obs:+7.1f}% {d_fss:+9.1f}%")
+    for row in sorted(table.rows, key=lambda r: r.university_id):
+        d_obs = compare.percent_deviation(row.sup_obs, row.unsup_obs)
+        d_fss = compare.percent_deviation(row.sup_fss_u, row.unsup_fss_u)
+        print(f"  {row.university_id:6s} {row.sup_obs:4d} -> {row.unsup_obs:4d} "
+              f"{row.sup_fss_u:6.3f} -> {row.unsup_fss_u:6.3f} {d_obs:+7.1f}% {d_fss:+9.1f}%")
 
-    r = compare.university_deviation_correlations(
-        compare.rank_universities(sup_u, uns_u))["obs_vs_fss_u"]
+    r = report["university_deviation_correlations"]["obs_vs_fss_u"]
     print(f"\ncorrelation between staff inflation and score deviation: {r:+.3f}")
 
 

@@ -40,6 +40,7 @@ from .fss import (
     compute_fss_r,
     compute_fss_u,
     compute_sc_baselines,
+    load_scores,
     score_modes,
     score_subjects,
     subjects_from_roster,
@@ -47,6 +48,7 @@ from .fss import (
 )
 from .compare import (
     RankTable,
+    compare_modes,
     comparison_report,
     correlation_battery,
     distribution_stats,
@@ -81,6 +83,7 @@ __all__ = [
     "apply_exclusions",
     "build_citation_cells",
     "cluster_corpus",
+    "compare_modes",
     "comparison_report",
     "compute_fss_r",
     "compute_fss_u",
@@ -94,6 +97,7 @@ __all__ = [
     "load_registry",
     "load_roster",
     "load_scheme",
+    "load_scores",
     "oracle_scores",
     "pairwise_metrics",
     "quartile_confusion",

@@ -314,29 +314,14 @@ def cmd_score(cfg: RunConfig) -> None:
              len(researcher_rows), len(university_rows))
 
 
-def _split_modes(scores: list) -> tuple[list, list]:
-    """The supervised and the unsupervised rows of ``scores``, by ``.mode``."""
-    return ([s for s in scores if s.mode == fss.MODE_SUPERVISED],
-            [s for s in scores if s.mode == fss.MODE_UNSUPERVISED])
-
-
 def cmd_compare(cfg: RunConfig) -> None:
     uni_path = _artifact(cfg, "scores_universities.csv")
-    res_path = _artifact(cfg, "scores_researchers.csv")
-    sup_u, unsup_u = _split_modes(fss.load_university_scores_csv(uni_path))
-    sup_res, unsup_res = _split_modes(fss.load_researcher_scores_csv(res_path))
-
-    table = comparemod.rank_universities(sup_u, unsup_u)
-    report = comparemod.comparison_report(table,
-                                          supervised_researchers=sup_res,
-                                          unsupervised_researchers=unsup_res)
+    report, table, matrix, distributions = comparemod.compare_modes(
+        fss.load_scores(_artifact(cfg, "scores_researchers.csv"), uni_path))
     comparemod.write_report_json(report, cfg.out / "report.json")
     comparemod.write_rank_table_csv(table, cfg.out / "rank_table.csv")
-    comparemod.write_quartile_matrix_csv(comparemod.quartile_confusion(table),
-                                         cfg.out / "quartile_matrix.csv")
-    comparemod.write_distribution_stats_csv(
-        comparemod.researcher_distributions(sup_res, unsup_res),
-        cfg.out / "distribution_stats.csv")
+    comparemod.write_quartile_matrix_csv(matrix, cfg.out / "quartile_matrix.csv")
+    comparemod.write_distribution_stats_csv(distributions, cfg.out / "distribution_stats.csv")
     log.info("compared %d universities", table.n)
 
 
@@ -357,36 +342,32 @@ def _report_lines(report: dict) -> list[str]:
     """The summary of ``report``, the dictionary ``compare`` writes."""
     lines = [f"universities compared: {report['n_universities']}"]
     for mode in (fss.MODE_SUPERVISED, fss.MODE_UNSUPERVISED):
-        unranked = report.get(f"universities_only_{mode}")
+        unranked = report[f"universities_only_{mode}"]
         if unranked:
             lines.append(f"scored {mode} only, not compared: {', '.join(unranked)}")
-    for name, corr in sorted(report.get("correlations", {}).items()):
+    for name, corr in sorted(report["correlations"].items()):
         lines.append(f"correlation [{name}]: pearson(scores)="
                      f"{_fmt(corr['pearson_scores'])} "
                      f"spearman(ranks)={_fmt(corr['spearman_ranks'])} (n={corr['n']})")
-    matrix = report.get("quartile_matrix")
-    if matrix:
-        lines.append("quartile matrix (rows unsupervised, columns supervised):")
-        for i, row in enumerate(matrix, 1):
-            lines.append(f"  Q{i}: " + " ".join(f"{c:3d}" for c in row))
-        lines.append(f"same quartile: {report['quartile_diagonal']}; "
-                     f"better supervised: {report['quartile_above_diagonal']}; "
-                     f"worse supervised: {report['quartile_below_diagonal']}")
-    jumps = report.get("rank_jumps", {})
-    if jumps:
-        lines.append(f"quartile jumps >= {jumps['threshold']}: "
-                     f"{len(jumps['universities'])}")
-        for university, q_unsup, q_sup in jumps["universities"]:
-            lines.append(f"  {university}: Q{q_unsup} -> Q{q_sup}")
-        lines.append(f"max |delta rank|: {jumps['max_abs_delta_rank']} overall, "
-                     f"{jumps['max_abs_delta_rank_top']} in supervised top "
-                     f"{jumps['top_k']}")
-    dev = report.get("university_deviation_correlations", {})
-    if dev:
-        lines.append("staff-count deviation vs score deviation: "
-                     f"pearson={_fmt(dev.get('obs_vs_fss_u'))}; "
-                     "vs rank movement: "
-                     f"pearson={_fmt(dev.get('obs_vs_delta_rank'))}")
+    lines.append("quartile matrix (rows unsupervised, columns supervised):")
+    for i, row in enumerate(report["quartile_matrix"], 1):
+        lines.append(f"  Q{i}: " + " ".join(f"{c:3d}" for c in row))
+    lines.append(f"same quartile: {report['quartile_diagonal']}; "
+                 f"better supervised: {report['quartile_above_diagonal']}; "
+                 f"worse supervised: {report['quartile_below_diagonal']}")
+    jumps = report["rank_jumps"]
+    lines.append(f"quartile jumps >= {jumps['threshold']}: "
+                 f"{len(jumps['universities'])}")
+    for university, q_unsup, q_sup in jumps["universities"]:
+        lines.append(f"  {university}: Q{q_unsup} -> Q{q_sup}")
+    lines.append(f"max |delta rank|: {jumps['max_abs_delta_rank']} overall, "
+                 f"{jumps['max_abs_delta_rank_top']} in supervised top "
+                 f"{jumps['top_k']}")
+    dev = report["university_deviation_correlations"]
+    lines.append("staff-count deviation vs score deviation: "
+                 f"pearson={_fmt(dev['obs_vs_fss_u'])}; "
+                 "vs rank movement: "
+                 f"pearson={_fmt(dev['obs_vs_delta_rank'])}")
     return lines
 
 

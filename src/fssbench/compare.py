@@ -454,12 +454,16 @@ def percent_deviation(supervised: float, unsupervised: float) -> float:
 
 def university_deviation_correlations(table: RankTable) -> dict[str, float]:
     """Pearson correlations of staff-count deviation against score
-    deviation and against rank movement, across universities."""
+    deviation and against rank movement, across universities. A university
+    whose supervised fss_u is 0 has no score deviation and is left out of
+    the first, which is NaN when fewer than 2 universities remain."""
     obs_dev = [percent_deviation(r.sup_obs, r.unsup_obs) for r in table.rows]
-    fss_dev = [percent_deviation(r.sup_fss_u, r.unsup_fss_u) for r in table.rows]
+    scored = [(obs, r) for obs, r in zip(obs_dev, table.rows) if r.sup_fss_u != 0]
+    fss_dev = [percent_deviation(r.sup_fss_u, r.unsup_fss_u) for _, r in scored]
     delta = [float(r.delta_rank) for r in table.rows]
     return {
-        "obs_vs_fss_u": _correlation(_pearson, obs_dev, fss_dev),
+        "obs_vs_fss_u": (_correlation(_pearson, [obs for obs, _ in scored], fss_dev)
+                         if len(scored) >= 2 else math.nan),
         "obs_vs_delta_rank": _correlation(_pearson, obs_dev, delta),
     }
 
@@ -469,18 +473,6 @@ def _fss_r_by_sc(scores: list[ResearcherScore]) -> dict[str, list[float]]:
     for s in scores:
         by_sc.setdefault(s.sc_id, []).append(s.fss_r)
     return by_sc
-
-
-def researcher_distributions(supervised: list[ResearcherScore],
-                             unsupervised: list[ResearcherScore]) -> dict[str, DistributionStats]:
-    """Distribution statistics of researcher scores per mode, over all
-    researchers (group ``<mode>:overall``) and per SC (``<mode>:<sc_id>``)."""
-    stats: dict[str, DistributionStats] = {}
-    for mode, scores in ((MODE_SUPERVISED, supervised), (MODE_UNSUPERVISED, unsupervised)):
-        stats[f"{mode}:overall"] = distribution_stats([s.fss_r for s in scores])
-        for sc, values in _fss_r_by_sc(scores).items():
-            stats[f"{mode}:{sc}"] = distribution_stats(values)
-    return stats
 
 
 #: Fewest researchers an SC needs in each mode to enter the deviation correlations.
@@ -574,6 +566,24 @@ def _stats_dict(stats: DistributionStats) -> dict:
     """``stats`` as a dictionary, its percentiles keyed by point."""
     return {**asdict(stats), "percentiles": dict(zip(map(str, PERCENTILE_POINTS),
                                                      stats.percentiles))}
+
+
+def compare_modes(by_mode: dict[str, tuple[list[ResearcherScore], list[UniversityScore]]],
+                  ) -> tuple[dict, RankTable, QuartileMatrix, dict[str, DistributionStats]]:
+    """What ``fssbench compare`` writes, from the scores ``fss.score_modes``
+    and ``fss.load_scores`` return: the report, the rank table, the quartile
+    matrix, and each mode's researcher score distributions, over all its
+    researchers (group ``<mode>:overall``) and per SC (``<mode>:<sc_id>``)."""
+    (sup, sup_u), (unsup, unsup_u) = by_mode[MODE_SUPERVISED], by_mode[MODE_UNSUPERVISED]
+    table = rank_universities(sup_u, unsup_u)
+    report = comparison_report(table, sup, unsup)
+    matrix = quartile_confusion(table)
+    distributions = {}
+    for mode, scores in ((MODE_SUPERVISED, sup), (MODE_UNSUPERVISED, unsup)):
+        distributions[f"{mode}:overall"] = distribution_stats([s.fss_r for s in scores])
+        for sc, values in _fss_r_by_sc(scores).items():
+            distributions[f"{mode}:{sc}"] = distribution_stats(values)
+    return report, table, matrix, distributions
 
 
 def write_report_json(report: dict, path: str | Path) -> None:

@@ -431,3 +431,20 @@ def load_university_scores_csv(path: str | Path) -> list[UniversityScore]:
         rs_u=_staff_count(where, row),
         fss_u=csv_number(where, row, "fss_u", float),
     ) for where, row in _score_rows(path, UNIVERSITY_COLUMNS, "university_id")]
+
+
+def load_scores(researchers_path: str | Path, universities_path: str | Path,
+                ) -> dict[str, tuple[list[ResearcherScore], list[UniversityScore]]]:
+    """The score files ``fssbench score`` writes, as ``score_modes`` returns
+    them; the universities file is read first. A file that lists no row of a
+    mode is refused, naming the file and the mode."""
+    universities = load_university_scores_csv(universities_path)
+    researchers = load_researcher_scores_csv(researchers_path)
+    modes = (MODE_SUPERVISED, MODE_UNSUPERVISED)
+    for path, rows, what in ((universities_path, universities, "university"),
+                             (researchers_path, researchers, "researcher")):
+        for mode in modes:
+            if not any(row.mode == mode for row in rows):
+                raise CorpusError(f"{Path(path).name} lists no {mode} {what}")
+    return {mode: ([s for s in researchers if s.mode == mode],
+                   [u for u in universities if u.mode == mode]) for mode in modes}

@@ -770,33 +770,70 @@ def test_compare_refuses_a_single_university(tmp_path, capsys):
     out = run_chain(tmp_path)
     path = out / "scores_universities.csv"
     lines = path.read_text().splitlines()
-    for cut, reason in [(("U01,", "U02,"), "got 1"),
-                        (("U00,unsupervised,", "U01,unsupervised,", "U02,unsupervised,"),
-                         "got 0; only supervised ['U00', 'U01', 'U02'], only unsupervised []")]:
+    for cut, refusal in [(("U01,", "U02,"), "a correlation needs at least 2 pairs, got 1"),
+                         (("U00,unsupervised,", "U01,unsupervised,", "U02,unsupervised,"),
+                          "scores_universities.csv lists no unsupervised university")]:
         path.write_text("\n".join(line for line in lines if not line.startswith(cut)) + "\n")
         capsys.readouterr()
         assert run_pipeline(["compare", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: compare: a correlation needs at least 2 pairs, {reason}\n")
+        assert capsys.readouterr().err == f"error: compare: {refusal}\n"
 
 
-def test_report_prints_a_null_correlation_as_na(tmp_path, capsys):
+@pytest.mark.parametrize("name, mode, refusal", [
+    # unrefused here, it fails later as an empty distribution, naming no file
+    ("scores_researchers.csv", "unsupervised",
+     "scores_researchers.csv lists no unsupervised researcher"),
+    ("scores_universities.csv", "supervised",
+     "scores_universities.csv lists no supervised university"),
+])
+def test_compare_refuses_a_score_file_without_a_mode(tmp_path, capsys, finished_run, name,
+                                                     mode, refusal):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    path = out / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if f",{mode}," not in line))
+    capsys.readouterr()
+    assert run_pipeline(["compare", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: compare: {refusal}\n"
+    assert not (out / "report.json").exists()
+
+
+def test_compare_leaves_a_zero_supervised_score_out_of_the_score_deviation(tmp_path):
+    # at seed 2 the two supervised researchers of U12 score 0, and so does U12;
+    # its score deviation would divide by 0
+    world = "n_universities = 20\nn_researchers = 40\nn_scs = 2\n"
+    steps = chain_steps(tmp_path, seed="2", world=world)
+    steps[3][steps[3].index("--min-age") + 1] = "0"     # every university gets a unit
+    for argv in steps:
+        assert run_pipeline(argv) == 0, argv
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "report.json").write_text(json.dumps({
-        "n_universities": 3,
-        "correlations": {"overall": {"n": 3, "pearson_scores": None,
-                                     "spearman_ranks": None}},
-    }))
+    assert "U12,supervised,2,0.0" in (out / "scores_universities.csv").read_text().splitlines()
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_universities"] == 20
+    assert all(isinstance(value, float)
+               for value in report["university_deviation_correlations"].values())
+
+
+def test_report_prints_a_null_correlation_as_na(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_universities"] == 3
+    report["correlations"]["overall"].update(pearson_scores=None, spearman_ranks=None)
+    report["university_deviation_correlations"]["obs_vs_fss_u"] = None
+    (out / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
     assert run_pipeline(["report", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == (
-        "universities compared: 3\n"
-        "correlation [overall]: pearson(scores)=n/a spearman(ranks)=n/a (n=3)\n")
+    lines = capsys.readouterr().out.splitlines()
+    assert "correlation [overall]: pearson(scores)=n/a spearman(ranks)=n/a (n=3)" in lines
+    assert lines[-1].startswith("staff-count deviation vs score deviation: pearson=n/a; ")
 
 
 @pytest.mark.parametrize("text, reason", [
     ("[1, 2]", "not a JSON object"),
     ('{"correlations": {}}', "'n_universities'"),
+    # a section compare always writes
+    ('{"n_universities": 3, "universities_only_supervised": [], '
+     '"universities_only_unsupervised": [], "correlations": {}}', "'quartile_matrix'"),
 ])
 def test_report_refuses_a_malformed_report(tmp_path, capsys, text, reason):
     out = tmp_path / "out"

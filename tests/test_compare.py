@@ -16,6 +16,7 @@ from fssbench.compare import (
     _spearman,
     assign_quartile,
     build_rank_table,
+    compare_modes,
     comparison_report,
     correlation_battery,
     distribution_stats,
@@ -375,6 +376,26 @@ def test_university_deviation_correlations_sign():
     assert corr["obs_vs_fss_u"] < -0.9
 
 
+@pytest.mark.filterwarnings("error")
+def test_university_deviation_correlations_leave_out_a_zero_supervised_score():
+    # Z's score deviation would divide by 0; its staff and rank still deviate
+    sup = [uscore("A", 2.0, rs_u=100), uscore("B", 1.0, rs_u=100),
+           uscore("C", 3.0, rs_u=100), uscore("Z", 0.0, rs_u=100)]
+    unsup = [uscore("A", 2.0, rs_u=100), uscore("B", 1.8, rs_u=110),
+             uscore("C", 1.6, rs_u=120), uscore("Z", 1.7, rs_u=150)]
+    table = rank_universities(sup, unsup)
+    corr = university_deviation_correlations(table)
+    assert corr["obs_vs_fss_u"] == pytest.approx(university_deviation_correlations(
+        rank_universities(sup[:3], unsup[:3]))["obs_vs_fss_u"], abs=1e-12)
+    assert corr["obs_vs_delta_rank"] == _correlation(
+        _pearson, [percent_deviation(r.sup_obs, r.unsup_obs) for r in table.rows],
+        [r.delta_rank for r in table.rows])
+    # one university left: no correlation
+    alone = university_deviation_correlations(rank_universities(sup[2:], unsup[2:]))
+    assert math.isnan(alone["obs_vs_fss_u"])
+    assert alone["obs_vs_delta_rank"] == 1.0
+
+
 def test_reference_table_deviation_correlations():
     corr = university_deviation_correlations(load_reference_table())
     assert corr["obs_vs_fss_u"] == pytest.approx(-0.526, abs=5e-4)
@@ -427,6 +448,28 @@ def test_comparison_report_json_round_trip(tmp_path):
     # NaN correlations become null, never the string "NaN"
     assert back["sc_deviation_correlations"]["obs_vs_mean_fss"] is None
     assert "NaN" not in path.read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_modes_returns_what_the_stage_functions_return():
+    sup = [rscore("P1", "SC1", 1.0), rscore("P2", "SC1", 2.0), rscore("P3", "SC1", 0.5),
+           rscore("P4", "SC2", 0.3), rscore("P5", "SC2", 0.9)]
+    unsup = [rscore(f"C{i}", sc, fss, MODE_UNSUPERVISED) for i, (sc, fss) in
+             enumerate([("SC1", 1.1), ("SC1", 0.4), ("SC1", 0.0), ("SC2", 0.2),
+                        ("SC2", 0.8), ("SC2", 0.6)])]
+    sup_u = [uscore(u, fss, rs_u=n) for u, fss, n in [("A", 1.2, 2), ("B", 0.8, 2),
+                                                       ("C", 1.0, 1)]]
+    unsup_u = [uscore(u, fss, rs_u=n, mode=MODE_UNSUPERVISED)
+               for u, fss, n in [("A", 0.9, 3), ("B", 1.1, 2), ("C", 0.7, 1)]]
+    by_mode = {MODE_SUPERVISED: (sup, sup_u), MODE_UNSUPERVISED: (unsup, unsup_u)}
+    report, table, matrix, distributions = compare_modes(by_mode)
+    assert table == rank_universities(sup_u, unsup_u)
+    assert report == comparison_report(table, sup, unsup)
+    assert matrix == quartile_confusion(table)
+    assert distributions == {
+        f"{mode}:{group}": distribution_stats(
+            [s.fss_r for s in scores if group in ("overall", s.sc_id)])
+        for mode, (scores, _) in by_mode.items() for group in ("overall", "SC1", "SC2")}
 
 
 def test_rank_table_and_matrix_csv(tmp_path):

@@ -16,6 +16,7 @@ from fssbench.fss import (
     compute_fss_u,
     compute_sc_baselines,
     load_researcher_scores_csv,
+    load_scores,
     load_university_scores_csv,
     normalized_citation_score,
     publication_norm,
@@ -413,6 +414,17 @@ def test_score_modes_refuses_a_mode_left_without_researchers():
         score_modes(corpus, roster, staff, SCScheme([]), 1, min_obs=3)
     assert str(refused.value) == ("no supervised researcher left after exclusions "
                                   "(min_obs 3, obs_rule literal)")
+
+
+def test_load_scores_reads_back_what_score_modes_returns(tmp_path):
+    corpus, roster, staff = _run_inputs()
+    by_mode = score_modes(corpus, roster, staff, SCScheme([]), 1, min_obs=0)
+    researchers, universities = tmp_path / "r.csv", tmp_path / "u.csv"
+    write_researcher_scores_csv([s for r, _ in by_mode.values() for s in r], researchers)
+    write_university_scores_csv([u for _, us in by_mode.values() for u in us], universities)
+    back = load_scores(researchers, universities)
+    assert back == by_mode
+    assert list(back) == [MODE_SUPERVISED, MODE_UNSUPERVISED]
 
 
 # ---------------------------------------------------------------------------

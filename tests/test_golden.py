@@ -10,7 +10,7 @@ and says which files changed and why. ``synth`` draws through numpy's
 versions (NEP 19), so the file records the numpy version it was made with.
 
 README's library example runs in the README flow's output directory and
-must return what ``score`` wrote there.
+must return what ``score`` and ``compare`` wrote there.
 """
 
 import json
@@ -21,7 +21,7 @@ import numpy as np
 
 from fssbench.cli import STAGES, run_pipeline
 from fssbench.corpus import sha256
-from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
+from fssbench.fss import load_scores
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -89,8 +89,6 @@ def test_readme_library_example_scores_what_score_writes(tmp_path, monkeypatch, 
     monkeypatch.chdir("run")
     namespace = {}
     exec(example, namespace)
-    scored = namespace["by_mode"].values()
-    assert [s for researchers, _ in scored for s in researchers] == \
-        load_researcher_scores_csv("scores_researchers.csv")
-    assert [u for _, universities in scored for u in universities] == \
-        load_university_scores_csv("scores_universities.csv")
+    assert namespace["by_mode"] == load_scores("scores_researchers.csv",
+                                               "scores_universities.csv")
+    assert namespace["report"] == json.loads(Path("report.json").read_text(encoding="utf-8"))
