@@ -6,106 +6,70 @@ corpus alone (author-name disambiguation plus affiliation evidence) and
 scores from that. The comparison layer reports how far observer-minted
 scores, ranks, and quartiles drift from the roster-based ones, and a
 synthetic world generator provides ground truth for calibration.
+
+``import fssbench`` registers every library module in ``sys.modules``,
+and as an attribute of the package, without executing it
+(``importlib.util.LazyLoader``). A module executes when one of its
+attributes is first read, so an error in it surfaces there, and each
+``fssbench`` stage process runs only the modules its stage uses. The
+names of ``__all__`` are served on first use from the module that defines them.
+``cli`` is imported as usual: whoever imports it runs it, and a lazy
+``cli`` would make ``python -m fssbench.cli`` warn that it was found in
+``sys.modules`` before it ran.
 """
 
-from .corpus import (
-    Corpus,
-    CorpusError,
-    PublicationRecord,
-    RosterEntry,
-    SCScheme,
-    University,
-    UniversityRegistry,
-    YearWindow,
-    load_publications,
-    load_registry,
-    load_roster,
-    load_scheme,
-)
-from .disambig import (
-    DEFAULT_RULES,
-    AuthorCluster,
-    ScoringRules,
-    cluster_corpus,
-    pairwise_metrics,
-    score_pair,
-)
-from .staff import DerivedStaff, derive_staff
-from .fss import (
-    ResearcherScore,
-    ScoreError,
-    UniversityScore,
-    apply_exclusions,
-    build_citation_cells,
-    compute_fss_r,
-    compute_fss_u,
-    compute_sc_baselines,
-    load_scores,
-    score_modes,
-    score_subjects,
-    subjects_from_roster,
-    subjects_from_staff,
-)
-from .compare import (
-    RankTable,
-    compare_modes,
-    comparison_report,
-    correlation_battery,
-    distribution_stats,
-    load_reference_table,
-    quartile_confusion,
-    rank_jumps,
-    rank_universities,
-)
-from .synth import GroundTruth, SynthConfig, generate, oracle_scores
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthorCluster",
-    "Corpus",
-    "CorpusError",
-    "DEFAULT_RULES",
-    "DerivedStaff",
-    "GroundTruth",
-    "PublicationRecord",
-    "RankTable",
-    "ResearcherScore",
-    "RosterEntry",
-    "SCScheme",
-    "ScoreError",
-    "ScoringRules",
-    "SynthConfig",
-    "University",
-    "UniversityRegistry",
-    "UniversityScore",
-    "YearWindow",
-    "apply_exclusions",
-    "build_citation_cells",
-    "cluster_corpus",
-    "compare_modes",
-    "comparison_report",
-    "compute_fss_r",
-    "compute_fss_u",
-    "compute_sc_baselines",
-    "correlation_battery",
-    "derive_staff",
-    "distribution_stats",
-    "generate",
-    "load_publications",
-    "load_reference_table",
-    "load_registry",
-    "load_roster",
-    "load_scheme",
-    "load_scores",
-    "oracle_scores",
-    "pairwise_metrics",
-    "quartile_confusion",
-    "rank_jumps",
-    "rank_universities",
-    "score_modes",
-    "score_pair",
-    "score_subjects",
-    "subjects_from_roster",
-    "subjects_from_staff",
-]
+#: Each library module and the names the package re-exports from it.
+_EXPORTS = {
+    "compare": ("RankTable", "compare_modes", "comparison_report", "correlation_battery",
+                "distribution_stats", "load_reference_table", "quartile_confusion",
+                "rank_jumps", "rank_universities"),
+    "corpus": ("Corpus", "CorpusError", "PublicationRecord", "RosterEntry", "SCScheme",
+               "University", "UniversityRegistry", "YearWindow", "load_publications",
+               "load_registry", "load_roster", "load_scheme"),
+    "disambig": ("DEFAULT_RULES", "AuthorCluster", "ScoringRules", "cluster_corpus",
+                 "pairwise_metrics", "score_pair"),
+    "fss": ("ResearcherScore", "ScoreError", "UniversityScore", "apply_exclusions",
+            "build_citation_cells", "compute_fss_r", "compute_fss_u", "compute_sc_baselines",
+            "load_scores", "score_modes", "score_subjects", "subjects_from_roster",
+            "subjects_from_staff"),
+    "staff": ("DerivedStaff", "derive_staff"),
+    "synth": ("GroundTruth", "SynthConfig", "generate", "oracle_scores"),
+}
+
+#: Each re-exported name and the module that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def _register(name: str):
+    """Package module ``name``, in ``sys.modules`` and not yet executed."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _EXPORTS:
+    globals()[_name] = _register(_name)
+del _name
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -62,12 +62,24 @@ its own settings of both. A stage's data hold no reference cycles, and its
 arrays no more than a few thousand numbers: a full collection of a national
 corpus walks millions of objects for nothing, and OpenBLAS's thread pool
 costs more to start than it could save.
+
+A stage process executes only the package modules its stage uses:
+``import fssbench`` registers every module but this one without executing
+it, and a module executes when one of its names is first read. ``ingest`` and
+``report`` execute ``cli`` and ``corpus``; ``disambiguate`` adds
+``disambig``, ``derive-staff`` also ``staff``, ``score`` also ``fss`` and
+``compare`` also ``compare``; ``synth`` executes ``cli``, ``corpus`` and
+``synth``. So the settings' defaults come from ``corpus``, and the world
+knobs, which execute ``synth``, are read only for a config file that sets
+a key other than a setting or an input file. On a small world, executing
+every module took a stage process longer than most stages' own work.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import logging
@@ -100,20 +112,24 @@ SETTINGS = {
     "seed": Setting(int, 42),
     "window": Setting(corpusmod.YearWindow.parse, corpusmod.YearWindow(2015, 2019),
                       "observation window, START:END"),
-    "min_clusters": Setting(int, staffmod.DEFAULT_MIN_CLUSTERS),
-    "min_age": Setting(int, staffmod.DEFAULT_MIN_AGE),
+    "min_clusters": Setting(int, corpusmod.DEFAULT_MIN_CLUSTERS),
+    "min_age": Setting(int, corpusmod.DEFAULT_MIN_AGE),
     "recency": Setting(int, None),                # None: the window's last year
-    "min_obs": Setting(int, fss.DEFAULT_MIN_OBS),
-    "obs_rule": Setting(str, fss.OBS_RULE_LITERAL,
-                        choices=(fss.OBS_RULE_LITERAL, fss.OBS_RULE_STRICT)),
+    "min_obs": Setting(int, corpusmod.DEFAULT_MIN_OBS),
+    "obs_rule": Setting(str, corpusmod.OBS_RULE_LITERAL,
+                        choices=(corpusmod.OBS_RULE_LITERAL, corpusmod.OBS_RULE_STRICT)),
     "sc_lookback": Setting(int, corpusmod.DEFAULT_SC_LOOKBACK),
     "out": Setting(Path, Path("out"), "artifact directory (default: out)"),
 }
 
-#: World-generator knobs a config file may set; the window and seed come
-#: from the settings above.
-_SYNTH_KNOBS = {name: hint for name, hint in typing.get_type_hints(synthmod.SynthConfig).items()
-                if name not in SETTINGS}
+
+@functools.cache
+def _synth_knobs() -> dict[str, typing.Callable[[str], object]]:
+    """World-generator knobs a config file may set, each with its type; the
+    window and seed come from the settings above. Reading them executes
+    ``synth``, so only a config file that sets some other key reads them."""
+    return {name: hint for name, hint in typing.get_type_hints(synthmod.SynthConfig).items()
+            if name not in SETTINGS}
 
 
 class StageError(RuntimeError):
@@ -164,7 +180,7 @@ def _cast(key: str, raw: str) -> object:
     """Config-file value ``raw`` of setting or world knob ``key``, cast to its type."""
     setting = SETTINGS.get(key)
     try:
-        value = setting.type(raw) if setting else _SYNTH_KNOBS[key](raw)
+        value = setting.type(raw) if setting else _synth_knobs()[key](raw)
         if setting and setting.choices and value not in setting.choices:
             raise ValueError(raw)
     except (ValueError, corpusmod.CorpusError) as exc:
@@ -197,13 +213,16 @@ def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> Run
     for key in ("window_start", "window_end"):
         if key in file_values:
             raise StageError(f"config key {key} is not a setting; use window = START:END")
-    for key in sorted(file_values.keys() - SETTINGS.keys() - set(_PATH_KEYS)
-                      - _SYNTH_KNOBS.keys()):
-        log.warning("ignoring unknown config key %r", key)
-    extra = {k: v for k, v in file_values.items() if k in _SYNTH_KNOBS}
-    # refused in every stage, not only synth: a bad type here, a value out of
-    # range by the generator's own checks
-    synthmod.SynthConfig(**{key: _cast(key, raw) for key, raw in extra.items()})
+    extra = {}
+    others = file_values.keys() - SETTINGS.keys() - set(_PATH_KEYS)
+    if others:
+        knobs = _synth_knobs()
+        for key in sorted(others - knobs.keys()):
+            log.warning("ignoring unknown config key %r", key)
+        extra = {k: v for k, v in file_values.items() if k in knobs}
+        # refused in every stage, not only synth: a bad type here, a value out
+        # of range by the generator's own checks
+        synthmod.SynthConfig(**{key: _cast(key, raw) for key, raw in extra.items()})
     return RunConfig(**{key: _pick(args, file_values, key) for key in SETTINGS},
                      paths=_paths(args, file_values), extra=extra)
 
@@ -341,7 +360,7 @@ def cmd_report(cfg: RunConfig) -> None:
 def _report_lines(report: dict) -> list[str]:
     """The summary of ``report``, the dictionary ``compare`` writes."""
     lines = [f"universities compared: {report['n_universities']}"]
-    for mode in (fss.MODE_SUPERVISED, fss.MODE_UNSUPERVISED):
+    for mode in (corpusmod.MODE_SUPERVISED, corpusmod.MODE_UNSUPERVISED):
         unranked = report[f"universities_only_{mode}"]
         if unranked:
             lines.append(f"scored {mode} only, not compared: {', '.join(unranked)}")

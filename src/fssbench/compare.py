@@ -14,8 +14,9 @@ unrounded 75/50/25 percentile thresholds, and delta_rank = supervised
 rank minus unsupervised rank (negative when the unsupervised ranking is
 too generous).
 
-numpy is imported inside the functions that compute with it: every CLI
-stage imports this module through the package, and only ``compare`` needs it.
+numpy is imported inside the functions that compute with it. Of the CLI
+stages only ``compare`` executes this module, and it needs numpy; a library
+caller that ranks universities or counts quartile moves does not load it.
 Percentiles and medians do not use numpy: ``np.percentile`` and ``np.median``
 import ``numpy.ma`` (numpy 2.4), which costs ``compare`` about 1.7 MB of peak
 RSS and 12 ms, though no masked array is ever built. ``_percentiles`` and
@@ -34,8 +35,8 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import read_csv, write_csv
-from .fss import MODE_SUPERVISED, MODE_UNSUPERVISED, ResearcherScore, UniversityScore
+from .corpus import MODE_SUPERVISED, MODE_UNSUPERVISED, read_csv, write_csv
+from .fss import ResearcherScore, UniversityScore
 
 if TYPE_CHECKING:
     import numpy as np

@@ -2,7 +2,9 @@
 university registry, and the subject-category scheme, plus the one reader
 and writer of CSV and of JSON Lines (``read_csv``, ``write_csv``,
 ``read_jsonl``, ``write_jsonl``), ``key = value`` reader and SHA-256
-(``sha256``) the package uses.
+(``sha256``) the package uses. It also defines the run settings' defaults
+and the two mode names that ``staff``, ``fss``, ``compare`` and ``cli``
+share, so that ``cli`` reads them without executing those modules.
 
 Input formats (documented in the README); required columns first, then
 the optional ones:
@@ -16,7 +18,9 @@ the optional ones:
   subject categories and ``full_name`` must be strings; ``journal``,
   ``orcid``, ``researcher_id`` and the other mention fields a string or
   null; ``year`` and ``citation_count`` whole numbers (not a bool). No
-  value of another JSON type is converted.
+  value of another JSON type is converted. An ``orcid`` is four groups of
+  ASCII digits joined by "-", the last character a digit or ``X``, and
+  nothing else: ``0000-0002-1825-0097``.
 * ``roster.csv`` - required ``person_id, university_id, active_years``;
   optional ``full_name, field_code, sc_hint, linked_pub_ids`` (years and
   pub ids joined with ";", year ranges like "2015-2019" allowed).
@@ -94,7 +98,24 @@ DEFAULT_DOC_FILTER = frozenset({"article", "review", "letter", "proceedings"})
 #: window ending in 2019).
 DEFAULT_SC_LOOKBACK = 19
 
-_ORCID_RE = re.compile(r"^\d{4}-\d{4}-\d{4}-\d{3}[0-9X]$")
+#: Defaults of ``staff.derive_staff``'s size and age filters; the recency
+#: year has none.
+DEFAULT_MIN_CLUSTERS = 30
+DEFAULT_MIN_AGE = 4
+
+#: The two observation-floor rules of ``fss.apply_exclusions``, and its
+#: default floor.
+OBS_RULE_LITERAL = "literal"
+OBS_RULE_STRICT = "strict"
+DEFAULT_MIN_OBS = 10
+
+#: The two scoring modes, in the order every artifact lists them.
+MODE_SUPERVISED = "supervised"
+MODE_UNSUPERVISED = "unsupervised"
+
+#: An ORCID's one accepted form: ASCII digits only, nothing after the check
+#: character (``$`` would let a trailing newline through).
+_ORCID_RE = re.compile(r"[0-9]{4}-[0-9]{4}-[0-9]{4}-[0-9]{3}[0-9X]")
 
 
 class CorpusError(ValueError):
@@ -577,7 +598,7 @@ def _parse_mention(obj: dict, where: str, warned: set[str], shared: dict) -> Aut
         country = text_or_none(obj, "country")
     except TypeError as exc:
         raise CorpusError(f"{where}: mention {exc}") from exc
-    if orcid is not None and not _ORCID_RE.match(orcid):
+    if orcid is not None and not _ORCID_RE.fullmatch(orcid):
         raise CorpusError(f"{where}: invalid orcid {orcid!r}")
     share = shared.setdefault
     email = normalize_email(email)

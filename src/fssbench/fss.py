@@ -35,14 +35,12 @@ from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .corpus import (Corpus, CorpusError, PublicationRecord, RosterEntry, SCScheme, csv_number,
-                     listed_once, read_csv, sha256, write_csv)
+from .corpus import (DEFAULT_MIN_OBS, MODE_SUPERVISED, MODE_UNSUPERVISED, OBS_RULE_LITERAL,
+                     OBS_RULE_STRICT, Corpus, CorpusError, PublicationRecord, RosterEntry,
+                     SCScheme, csv_number, listed_once, read_csv, sha256, write_csv)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
-
-MODE_SUPERVISED = "supervised"
-MODE_UNSUPERVISED = "unsupervised"
 
 
 class ScoreError(ValueError):
@@ -268,12 +266,6 @@ def compute_sc_baselines(scores: list[ResearcherScore]) -> dict[str, float]:
         if score.productive:
             totals.setdefault(score.sc_id, []).append(score.fss_r)
     return {sc: sum(values) / len(values) for sc, values in totals.items()}
-
-
-OBS_RULE_LITERAL = "literal"
-OBS_RULE_STRICT = "strict"
-#: Default observation floor of ``apply_exclusions``.
-DEFAULT_MIN_OBS = 10
 
 
 def apply_exclusions(scores: dict[str, list[ResearcherScore]], scheme: SCScheme,

@@ -21,7 +21,8 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import CorpusError, UniversityRegistry, listed_once, read_csv, write_csv
+from .corpus import (DEFAULT_MIN_AGE, DEFAULT_MIN_CLUSTERS, CorpusError, UniversityRegistry,
+                     listed_once, read_csv, write_csv)
 from .disambig import AuthorCluster
 
 log = logging.getLogger(__name__)
@@ -34,10 +35,6 @@ FLAG_EMAIL_CONFLICT = "email_conflict"
 FLAG_BELOW_AGE = "below_age"
 FLAG_STALE = "stale"
 FLAG_SMALL_UNIVERSITY = "excluded_small_university"
-
-#: Defaults of the size and age filters; the recency year has none.
-DEFAULT_MIN_CLUSTERS = 30
-DEFAULT_MIN_AGE = 4
 
 
 @dataclass

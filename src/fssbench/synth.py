@@ -23,8 +23,9 @@ may set; every other generator parameter is a fixed module constant.
 (full corpus scan per cell mean, no indexing, no caching) and is the
 independent reference the scoring pipeline is tested against.
 
-numpy is imported inside the functions that draw from it: every CLI stage
-imports this module through the package, and only ``synth`` needs it.
+numpy is imported inside the functions that draw from it. Every CLI stage
+executes this module when its config file sets a world knob, to check the
+knob, and only ``synth`` draws.
 """
 
 from __future__ import annotations

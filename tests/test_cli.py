@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import hashlib
@@ -372,7 +373,9 @@ def test_fixed_generator_parameter_in_config_is_ignored(tmp_path, caplog):
 
 def test_readme_names_every_world_knob():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    assert [key for key in cli._SYNTH_KNOBS if f"`{key}`" not in readme] == []
+    knobs = cli._synth_knobs()
+    assert "n_researchers" in knobs and "seed" not in knobs
+    assert [key for key in knobs if f"`{key}`" not in readme] == []
 
 
 def _table_after(text: str, header: str) -> list[str]:
@@ -897,7 +900,7 @@ def test_cli_import_does_not_load_scipy():
     assert done.returncode == 0, done.stderr
 
 
-def test_cli_import_loads_every_package_module_but_not_numpy():
+def test_cli_import_registers_every_package_module_but_not_numpy():
     done = run_fresh("import fssbench.cli, json, sys; print(json.dumps(list(sys.modules)))")
     assert done.returncode == 0, done.stderr
     modules = set(json.loads(done.stdout))
@@ -907,25 +910,55 @@ def test_cli_import_loads_every_package_module_but_not_numpy():
     assert "_hashlib" not in modules             # OpenSSL, through hashlib
 
 
+#: The package modules each stage process executes; the others stay registered
+#: and unexecuted.
+STAGE_MODULES = {
+    "synth": {"cli", "corpus", "synth"},
+    "ingest": {"cli", "corpus"},
+    "disambiguate": {"cli", "corpus", "disambig"},
+    "derive-staff": {"cli", "corpus", "disambig", "staff"},
+    "score": {"cli", "corpus", "disambig", "staff", "fss"},
+    "compare": {"cli", "corpus", "disambig", "staff", "fss", "compare"},
+    "report": {"cli", "corpus"},
+}
+
+
 def test_only_synth_and_compare_load_numpy(tmp_path):
     # and no stage loads numpy.ma, which np.percentile and np.median import;
     # only synth loads OpenSSL, through numpy.random's secrets and hmac, even
-    # where a stage digests an input file passed by flag
+    # where a stage digests an input file passed by flag; each stage executes
+    # only the package modules of STAGE_MODULES
     steps, out = chain_steps(tmp_path), tmp_path / "out"
     steps[1] += ["--publications", str(out / "publications.jsonl")]
     steps[4] += ["--roster", str(out / "roster.csv"), "--scheme", str(out / "scheme.csv")]
-    loaded = {}
+    loaded, executed = {}, {}
     for argv in steps:
         done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
                          f"code = run_pipeline({argv!r}); "
+                         "print(sorted(name[9:] for name, module in sys.modules.items() "
+                         "if name.startswith('fssbench.') "
+                         "and type(module).__name__ != '_LazyModule')); "
                          "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
                          "'_hashlib' in sys.modules)")
         assert done.returncode == 0, done.stderr
-        loaded[argv[0]] = done.stdout.split()[-4:]
+        *_, modules, flags = done.stdout.splitlines()
+        loaded[argv[0]] = flags.split()
+        executed[argv[0]] = set(ast.literal_eval(modules))
     assert loaded == {stage: ["0", str(stage in ("synth", "compare")), "False",
                               str(stage == "synth")]
                       for stage in ("synth", "ingest", "disambiguate", "derive-staff",
                                     "score", "compare", "report")}
+    assert executed == STAGE_MODULES
+
+
+def test_a_config_file_of_settings_alone_leaves_synth_unexecuted(tmp_path):
+    cfg = write_config(tmp_path, "min_obs = 5\nobs_rule = strict\n")
+    done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
+                     f"run_pipeline(['ingest', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+                     "print(type(sys.modules['fssbench.synth']).__name__)")
+    assert done.stdout.split() == ["_LazyModule"]
+    assert done.stderr == ("error: ingest: missing publications.jsonl; "
+                           "pass --publications or run `synth` first\n")
 
 
 @pytest.mark.filterwarnings("error")

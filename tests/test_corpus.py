@@ -280,6 +280,9 @@ def test_load_publications_holds_one_object_per_distinct_value(tmp_path):
     ("census_date", "2018-12-32", "invalid census_date '2018-12-32'"),
     ("census_date", "20181231", "invalid census_date '20181231'"),
     ("orcid", "0000-0001-0000-001", "invalid orcid '0000-0001-0000-001'"),
+    ("orcid", "0000-0002-1825-0097\n", "invalid orcid '0000-0002-1825-0097\\n'"),
+    ("orcid", "\uff10\uff10\uff10\uff10-0002-1825-0097",
+     "invalid orcid '\uff10\uff10\uff10\uff10-0002-1825-0097'"),
     ("email", 5, "mention email is neither a string nor null"),
     ("subject_categories", ["SC1", 2], "subject category 2 is not a string"),
 ])
