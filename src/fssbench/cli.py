@@ -14,13 +14,14 @@ off through the output directory:
     report        -> report.txt (and a summary on stdout)
 
 Each stage overwrites run_manifest.json with its own resolved config,
-config hash and seed, its output names, and the sha256 digest of each
-input file passed by flag (--publications, --roster, ...), keyed by the
-flag's name; artifacts a stage reads from the output directory are not
-digested. Every digest, the config hash included, comes from the
-interpreter's builtin SHA-256 (``corpus.sha256``), not from ``hashlib``,
-so ``synth`` is the one stage that loads OpenSSL (about 3.5 MB of a
-process), through numpy's random module.
+config hash and seed, its output names, and the sha256 digest of each of
+its own input files passed by flag or config key (--publications,
+--roster, ...), keyed by the flag's name; a file set for another stage's
+flag, and an artifact read from the output directory, are not digested.
+Every digest, the config hash included, comes from the interpreter's
+builtin SHA-256 (``corpus.sha256``), not from ``hashlib``, so ``synth`` is
+the one stage that loads OpenSSL (about 3.5 MB of a process), through
+numpy's random module.
 Settings come from an optional ``key = value`` config file; command-line
 flags override it. Each is one entry of ``SETTINGS``:
 
@@ -244,7 +245,8 @@ def write_manifest(cfg: RunConfig, subcommand: str) -> None:
         "config": config,
         "config_hash": config_hash,
         "seed": cfg.seed,
-        "inputs": {flag: _sha256(p) for flag, p in cfg.paths.items() if p and p.exists()},
+        "inputs": {flag: _sha256(cfg.paths[flag]) for flag in STAGES[subcommand].flags
+                   if cfg.paths[flag]},
         "outputs": list(STAGES[subcommand].outputs),
     }
     (cfg.out / "run_manifest.json").write_text(
@@ -312,8 +314,6 @@ def cmd_derive_staff(cfg: RunConfig) -> None:
 def cmd_score(cfg: RunConfig) -> None:
     corpus = _load_corpus(cfg, _artifact(cfg, "corpus.jsonl"))
     scheme = corpusmod.load_scheme(_artifact(cfg, "scheme.csv"))
-    incidence = (corpusmod.load_incidence(cfg.paths["incidence"]) if cfg.paths["incidence"]
-                 else None)
     roster_path = _artifact(cfg, "roster.csv")
     roster = corpusmod.load_roster(roster_path, cfg.window)
     if not roster:
@@ -324,7 +324,7 @@ def cmd_score(cfg: RunConfig) -> None:
     if not derived.members:
         raise StageError(f"{staff_path.name} lists no staff unit")
     scored = fss.score_modes(corpus, roster, derived, scheme, cfg.seed, min_obs=cfg.min_obs,
-                             rule=cfg.obs_rule, incidence=incidence).values()
+                             rule=cfg.obs_rule).values()
     researcher_rows = [s for scores, _ in scored for s in scores]
     university_rows = [u for _, universities in scored for u in universities]
     fss.write_researcher_scores_csv(researcher_rows, cfg.out / "scores_researchers.csv")
@@ -413,7 +413,7 @@ STAGES = {
     "derive-staff": Stage(cmd_derive_staff, ("staff.csv", "review_queue.csv"),
                           ("registry",)),
     "score": Stage(cmd_score, ("scores_researchers.csv", "scores_universities.csv"),
-                   ("roster", "scheme", "incidence")),
+                   ("roster", "scheme")),
     "compare": Stage(cmd_compare, ("report.json", "rank_table.csv", "quartile_matrix.csv",
                                    "distribution_stats.csv")),
     "report": Stage(cmd_report, ("report.txt",)),

@@ -29,21 +29,21 @@ the optional ones:
   lists).
 * ``scheme.csv`` - required ``sc_id``; optional ``name, area_id,
   excluded_area, is_multidisciplinary``.
-* the incidence table (``--incidence``) - required ``field_code, sc_id,
-  incidence``.
 
-The roster's ``full_name``, the registry's ``official_name`` and the
-scheme's ``name`` and ``area_id`` are accepted and not read.
+The roster's ``full_name`` and ``field_code``, the registry's
+``official_name`` and the scheme's ``name`` and ``area_id`` are accepted and
+not read.
 
 The pipeline's own CSV artifacts (``staff.csv``, ``scores_researchers.csv``,
 ``scores_universities.csv``) require every column their loader reads. Their
-numbers and the incidence must parse, and a float must be finite.
+numbers must parse, and a float must be finite.
 
 An empty CSV file or one whose header lacks a required column is refused
-with a ``CorpusError`` naming the file and the column, a row with fewer
-fields than the header, or a JSON Lines line that is not a JSON object,
-with one naming the file and the line. A key listed twice is refused, by the
-``listed_once`` that every loader in the package shares, naming both lines.
+with a ``CorpusError`` naming the file and the column, a row with more or
+fewer fields than the header, or a JSON Lines line that is not a JSON
+object, with one naming the file and the line. A key listed twice is
+refused, by the ``listed_once`` that every loader in the package shares,
+naming both lines.
 Unknown columns and JSON fields are ignored with one warning each. Loading
 is a pure function of the file bytes: the same input yields an identical
 in-memory corpus, and downstream code treats it as read-only.
@@ -265,7 +265,6 @@ class RosterEntry:
 
     person_id: str
     university_id: str
-    field_code: str
     sc_hint: str | None
     active_years: frozenset[int]
     linked_pub_ids: tuple[str, ...] = ()
@@ -413,7 +412,7 @@ def read_csv(path: str | Path, required: Sequence[str],
     """Yield ``("<file> line <n>", row)`` for each data row of a CSV file.
 
     An empty file, a header naming a column twice or lacking a column of
-    ``required``, or a row with fewer fields than the header raises
+    ``required``, or a row with more or fewer fields than the header raises
     ``CorpusError`` naming the file (and the column or the line); each
     column outside ``required`` and ``optional`` is ignored with one
     warning. Blank lines are skipped.
@@ -441,7 +440,7 @@ def read_csv(path: str | Path, required: Sequence[str],
             where, end = f"{path.name} line {end + 1}", reader.line_num
             if not values:
                 continue
-            if len(values) < len(header):
+            if len(values) != len(header):
                 raise CorpusError(f"{where}: expected {len(header)} fields, "
                                   f"got {len(values)}")
             yield where, dict(zip(header, values))
@@ -747,7 +746,6 @@ def load_roster(path: str | Path, window: YearWindow) -> list[RosterEntry]:
         entries.append(RosterEntry(
             person_id=pid,
             university_id=university_id,
-            field_code=(row.get("field_code") or "").strip(),
             sc_hint=(row.get("sc_hint") or "").strip() or None,
             active_years=years,
             linked_pub_ids=links,
@@ -808,18 +806,3 @@ def load_scheme(path: str | Path) -> SCScheme:
         ))
     return SCScheme(categories)
 
-
-def load_incidence(path: str | Path) -> dict[str, tuple[tuple[str, float], ...]]:
-    """Load the field-code to SC incidence table (columns field_code, sc_id,
-    incidence), used as the supervised SC-assignment fallback."""
-    table: dict[str, list[tuple[str, float]]] = {}
-    listed: dict[tuple[str, str], int] = {}
-    for where, row in read_csv(path, ("field_code", "sc_id", "incidence")):
-        code = (row.get("field_code") or "").strip()
-        sc = (row.get("sc_id") or "").strip()
-        if not code or not sc:
-            raise CorpusError(f"{where}: missing field_code or sc_id")
-        listed_once(listed, (code, sc), where, f"field_code {code}, sc_id {sc}")
-        table.setdefault(code, []).append((sc, csv_number(where, row, "incidence", float)))
-    return {code: tuple(sorted(rows, key=lambda r: (-r[1], r[0])))
-            for code, rows in table.items()}

@@ -22,9 +22,10 @@ scoring code path.
 Conventions that the formulas leave open, fixed here and in the README:
 a publication listing several subject categories is normalized against
 each listed cell and the results averaged; an all-zero cell contributes
-0 (the 0/0 case); prevailing-SC ties are broken by a draw keyed on
-(seed, subject id), so the outcome is reproducible and independent of
-iteration order.
+0 (the 0/0 case); an unsupervised subject's prevailing-SC tie is broken
+by a draw keyed on (seed, subject id), so the outcome is reproducible and
+independent of iteration order, and a supervised one's by the roster hint,
+else the smallest SC id.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class Subject:
     pub_ids: tuple[str, ...]
     active_years: frozenset[int] | None = None
     sc_hint: str | None = None
-    field_code: str | None = None
 
 
 def subjects_from_roster(roster: list[RosterEntry], corpus: Corpus) -> list[Subject]:
@@ -113,7 +113,6 @@ def subjects_from_roster(roster: list[RosterEntry], corpus: Corpus) -> list[Subj
             pub_ids=present,
             active_years=entry.active_years,
             sc_hint=entry.sc_hint,
-            field_code=entry.field_code,
         ))
     if missing:
         log.debug("dropped %d roster-linked pub ids not in the corpus", missing)
@@ -149,18 +148,16 @@ def _sc_counts(pubs: list[PublicationRecord]) -> dict[str, int]:
     return counts
 
 
-def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int,
-                         incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
-                         ) -> str:
+def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int) -> str:
     """The subject category a researcher is evaluated under.
 
     Unsupervised: the most frequent SC over the whole oeuvre; several
     equally frequent SCs are settled by the seeded draw. Supervised: the
     most frequent SC over the production in the corpus's lookback range
-    (``corpus.lookback``, set when the corpus was loaded); a tie prefers the
-    roster hint, then the field-code incidence ranking; with no production
-    at all the hint, then the incidence table, decide, and an error is
-    raised when neither exists.
+    (``corpus.lookback``, set when the corpus was loaded); a tie goes to the
+    roster hint when it is among the tied SCs, else to the smallest SC id;
+    with no production at all the hint decides, and an error is raised when
+    there is none.
     """
     pubs = [corpus.by_id[p] for p in subject.pub_ids if p in corpus.by_id]
     if subject.mode == MODE_UNSUPERVISED:
@@ -172,23 +169,16 @@ def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int,
         return tied[0] if len(tied) == 1 else _seeded_choice(seed, subject.subject_id, tied)
 
     counts = _sc_counts([p for p in pubs if p.year in corpus.lookback])
-    rows = (incidence or {}).get(subject.field_code or "", ())
     if counts:
         top = max(counts.values())
-        tied = sorted(sc for sc, c in counts.items() if c == top)
-        if len(tied) == 1:
-            return tied[0]
+        tied = [sc for sc, c in counts.items() if c == top]
         if subject.sc_hint in tied:
             return subject.sc_hint
-        ranked = [sc for sc, _ in rows if sc in tied]
-        return ranked[0] if ranked else tied[0]
+        return min(tied)
     if subject.sc_hint:
         return subject.sc_hint
-    if rows:
-        return rows[0][0]
     raise ScoreError(
-        f"supervised subject {subject.subject_id!r} has no publications, no "
-        "sc_hint, and no incidence row for its field code")
+        f"supervised subject {subject.subject_id!r} has no publications and no sc_hint")
 
 
 @dataclass(frozen=True)
@@ -207,9 +197,7 @@ class ResearcherScore:
 
 
 def compute_fss_r(subject: Subject, corpus: Corpus,
-                  cells: dict[tuple[int, str], float], seed: int,
-                  incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
-                  ) -> ResearcherScore:
+                  cells: dict[tuple[int, str], float], seed: int) -> ResearcherScore:
     """Score one subject over the corpus window.
 
     Both modes share this implementation; they differ only in t (active
@@ -227,7 +215,7 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
         t = float(len(window))
     else:
         raise ScoreError(f"unknown mode {subject.mode!r}")
-    sc_id = assign_prevailing_sc(subject, corpus, seed, incidence)
+    sc_id = assign_prevailing_sc(subject, corpus, seed)
     n_pubs = 0
     total = 0.0
     for pub_id in sorted(set(subject.pub_ids)):
@@ -250,10 +238,8 @@ def compute_fss_r(subject: Subject, corpus: Corpus,
 
 
 def score_subjects(subjects: list[Subject], corpus: Corpus,
-                   cells: dict[tuple[int, str], float], seed: int,
-                   incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
-                   ) -> list[ResearcherScore]:
-    return [compute_fss_r(s, corpus, cells, seed, incidence=incidence)
+                   cells: dict[tuple[int, str], float], seed: int) -> list[ResearcherScore]:
+    return [compute_fss_r(s, corpus, cells, seed)
             for s in sorted(subjects, key=lambda s: s.subject_id)]
 
 
@@ -339,7 +325,6 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
 def score_modes(corpus: Corpus, roster: list[RosterEntry], staff: DerivedStaff,
                 scheme: SCScheme, seed: int, *, min_obs: int = DEFAULT_MIN_OBS,
                 rule: str = OBS_RULE_LITERAL,
-                incidence: dict[str, tuple[tuple[str, float], ...]] | None = None,
                 ) -> dict[str, tuple[list[ResearcherScore], list[UniversityScore]]]:
     """A scoring run, as ``fssbench score`` writes it: for each mode,
     supervised first, the researcher scores left by ``apply_exclusions``
@@ -347,7 +332,7 @@ def score_modes(corpus: Corpus, roster: list[RosterEntry], staff: DerivedStaff,
     is refused, naming the floor."""
     cells = build_citation_cells(corpus)
     by_mode = apply_exclusions(
-        {mode: score_subjects(subjects, corpus, cells, seed, incidence=incidence)
+        {mode: score_subjects(subjects, corpus, cells, seed)
          for mode, subjects in ((MODE_SUPERVISED, subjects_from_roster(roster, corpus)),
                                 (MODE_UNSUPERVISED, subjects_from_staff(staff, corpus)))},
         scheme, min_obs=min_obs, rule=rule)

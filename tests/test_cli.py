@@ -1,11 +1,14 @@
+import argparse
 import ast
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
 import logging
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +18,7 @@ import pytest
 
 from fssbench import cli, synth
 from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
+from fssbench.disambig import ScoringRules
 
 from conftest import mention, package_env, pub, write_jsonl
 
@@ -253,6 +257,31 @@ def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
     }
 
 
+def test_manifest_digests_only_the_inputs_its_stage_reads(tmp_path):
+    world = tmp_path / "world"
+    assert run_pipeline(["synth", "--config", write_config(tmp_path),
+                         "--out", str(world)]) == 0
+    # one config file for every stage, naming each input file
+    files = {"publications": "publications.jsonl", "roster": "roster.csv",
+             "scheme": "scheme.csv", "registry": "registry.csv"}
+    shared = write_config(tmp_path, "".join(f"{flag} = {world / name}\n"
+                                            for flag, name in files.items()), "shared.cfg")
+    inputs = {}
+    for argv in chain_steps(tmp_path)[1:]:
+        assert run_pipeline([*argv, "--config", shared]) == 0, argv
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert {flag: manifest["config"][flag] for flag in files} == {
+            flag: str(world / name) for flag, name in files.items()}
+        inputs[argv[0]] = manifest["inputs"]
+    assert inputs["report"] == {}
+    assert inputs["score"] == {
+        flag: hashlib.sha256((world / files[flag]).read_bytes()).hexdigest()
+        for flag in ("roster", "scheme")}
+    assert {stage: sorted(digests) for stage, digests in inputs.items()} == {
+        "ingest": ["publications"], "disambiguate": [], "derive-staff": ["registry"],
+        "score": ["roster", "scheme"], "compare": [], "report": []}
+
+
 def test_synth_refuses_a_negative_seed(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_pipeline(["synth", "--out", str(out), "--seed", "-3"]) == 1
@@ -395,6 +424,22 @@ def test_readme_and_cli_docstring_list_exactly_the_settings():
     assert [tuple(row.split()[:2]) for row in doc_rows] == expected
 
 
+def test_readme_lists_the_rules_keys_and_only_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [row.split("|")[1:3] for row in
+            _table_after(readme, "| rules key | default | added when two mentions share |")[1:]]
+    assert [(key.strip(" `"), float(default)) for key, default in rows] == [
+        (f.name, f.default) for f in dataclasses.fields(ScoringRules)]
+    inline = " ".join(re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)))
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", inline))
+    assert [key for key in cli._PATH_KEYS if f"--{key}" not in flags] == []
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {option for parser in sub.choices.values()
+               for option in parser._option_string_actions}
+    assert sorted(flags - options) == []
+
+
 def run_to_staff(tmp_path):
     out = str(tmp_path / "out")
     cfg = write_config(tmp_path)
@@ -484,17 +529,29 @@ def test_score_refuses_staff_without_member_column(tmp_path, capsys):
         "error: score: staff.csv: missing column member_cluster_ids\n")
 
 
-def test_score_refuses_empty_incidence_file(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    cfg = write_config(tmp_path)
-    for argv in [["synth", "--config", cfg, "--out", out],
-                 ["ingest", "--out", out]]:
-        assert run_pipeline(argv) == 0
-    incidence = tmp_path / "incidence.csv"
-    incidence.write_text("")
+def test_score_ignores_an_incidence_key_in_the_config_file(tmp_path, capsys):
+    # the field-code table is gone; a config file written for it still runs
+    out = run_to_staff(tmp_path)
+    cfg = write_config(tmp_path, "incidence = incidence.csv\n", name="old.cfg")
     capsys.readouterr()
-    assert run_pipeline(["score", "--out", out, "--incidence", str(incidence)]) == 1
-    assert capsys.readouterr().err == "error: score: incidence.csv: empty file\n"
+    assert run_pipeline(["score", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: score: ignoring unknown config key 'incidence'\n")
+
+
+def test_a_roster_without_field_code_scores_the_same(tmp_path):
+    out = run_to_staff(tmp_path)
+    assert run_pipeline(["score", "--out", str(out)]) == 0
+    scored = {name: (out / name).read_bytes() for name in STAGES["score"].outputs}
+    with (out / "roster.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(row.pop("field_code") for row in rows)
+    with (out / "roster.csv").open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert run_pipeline(["score", "--out", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in STAGES["score"].outputs} == scored
 
 
 def test_derive_staff_refuses_when_nobody_is_accepted(tmp_path, capsys):

@@ -20,7 +20,6 @@ from fssbench.corpus import (
     UniversityRegistry,
     YearWindow,
     first_initial,
-    load_incidence,
     load_publications,
     load_registry,
     load_roster,
@@ -476,7 +475,7 @@ def test_load_registry_domain_claimed_twice(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# scheme and incidence
+# scheme
 
 def test_load_scheme_flags_and_area(tmp_path):
     path = tmp_path / "scheme.csv"
@@ -517,32 +516,6 @@ def test_load_scheme_rejects_bad_boolean(tmp_path):
         load_scheme(path)
 
 
-def test_load_incidence_sorted_by_weight_then_id(tmp_path):
-    path = tmp_path / "incidence.csv"
-    path.write_text("field_code,sc_id,incidence\n"
-                    "F01,SC2,0.3\nF01,SC1,0.6\nF01,SC3,0.3\n", encoding="utf-8")
-    table = load_incidence(path)
-    assert table["F01"] == (("SC1", 0.6), ("SC2", 0.3), ("SC3", 0.3))
-
-
-def test_load_incidence_refuses_a_weight_that_is_not_finite(tmp_path):
-    path = tmp_path / "incidence.csv"
-    path.write_text("field_code,sc_id,incidence\nF1,SC1,nan\nF1,SC2,0.5\n", encoding="utf-8")
-    with pytest.raises(CorpusError) as exc:
-        load_incidence(path)
-    assert str(exc.value) == "incidence.csv line 2: incidence 'nan' is not a number"
-
-
-def test_load_incidence_refuses_a_pair_listed_twice(tmp_path):
-    path = tmp_path / "incidence.csv"
-    path.write_text("field_code,sc_id,incidence\nF1,SC1,0.2\nF1,SC2,0.5\nF1,SC1,0.9\n",
-                    encoding="utf-8")
-    with pytest.raises(CorpusError) as exc:
-        load_incidence(path)
-    assert str(exc.value) == ("incidence.csv line 4: field_code F1, sc_id SC1 already "
-                              "listed on line 2")
-
-
 # ---------------------------------------------------------------------------
 # every CSV loader: header checks
 
@@ -557,8 +530,6 @@ CSV_LOADERS = {
     "scheme.csv": (load_scheme,
                    ["sc_id", "name", "area_id", "excluded_area", "is_multidisciplinary"],
                    ("sc_id",)),
-    "incidence.csv": (load_incidence, ["field_code", "sc_id", "incidence"],
-                      ("field_code", "sc_id", "incidence")),
     "staff.csv": (lambda p: load_staff_csv(p, []),
                   ["university_id", "cluster_id", "evidence", "n_pubs",
                    "member_cluster_ids"],
@@ -604,6 +575,20 @@ def test_csv_loader_refuses_short_row(tmp_path, name):
     assert str(exc.value) == f"{name} line 2: expected {len(header)} fields, got 2"
 
 
+@pytest.mark.parametrize("name,row", [
+    # an unquoted comma in the name would shift the domain and the variants
+    ("registry.csv", "U00,University of Arden, main campus,uniarden.example,univ arden"),
+    ("scores_universities.csv", "U00,supervised,3,1.5,0.5"),
+])
+def test_csv_loader_refuses_long_row(tmp_path, name, row):
+    load, header, _ = CSV_LOADERS[name]
+    path = tmp_path / name
+    path.write_text(",".join(header) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load(path)
+    assert str(exc.value) == f"{name} line 2: expected {len(header)} fields, got 5"
+
+
 def test_csv_loader_warns_unknown_column_once(tmp_path, caplog):
     path = tmp_path / "roster.csv"
     path.write_text(ROSTER_HEADER + ",nickname\n"
@@ -637,9 +622,6 @@ LISTED_TWICE = {
                      "registry.csv line 4: university_id U1 already listed on line 2"),
     "scheme.csv": (load_scheme, "sc_id\nSC1\nSC1\n",
                    "scheme.csv line 3: sc_id SC1 already listed on line 2"),
-    "incidence.csv": (load_incidence, "field_code,sc_id,incidence\nF1,SC1,0.2\nF1,SC1,0.9\n",
-                      "incidence.csv line 3: field_code F1, sc_id SC1 already listed "
-                      "on line 2"),
     "scores_researchers.csv": (
         load_researcher_scores_csv,
         "subject_id,mode,university_id,sc,t,n,fss_r\n"

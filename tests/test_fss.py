@@ -32,10 +32,9 @@ from fssbench.staff import DerivedStaff, StaffUnit
 from conftest import WINDOW, corpus_of, record
 
 
-def sup(subject_id, pubs, years, hint=None, field=None, univ="U1"):
+def sup(subject_id, pubs, years, hint=None, univ="U1"):
     return Subject(subject_id=subject_id, mode=MODE_SUPERVISED, university_id=univ,
-                   pub_ids=tuple(pubs), active_years=frozenset(years),
-                   sc_hint=hint, field_code=field)
+                   pub_ids=tuple(pubs), active_years=frozenset(years), sc_hint=hint)
 
 
 def unsup(subject_id, pubs, univ="U1"):
@@ -221,22 +220,21 @@ def test_prevailing_sc_supervised_tie_prefers_hint():
     assert assign_prevailing_sc(subject, corpus, 1) == "SC2"
 
 
-def test_prevailing_sc_supervised_tie_uses_incidence_then_lexicographic():
+def test_prevailing_sc_supervised_tie_without_a_tied_hint_is_lexicographic():
     corpus = _sc_corpus()
-    subject = sup("P1", ["W1", "W2", "W3", "W4"], [2016], field="F01")
-    incidence = {"F01": (("SC2", 0.9), ("SC1", 0.1))}
-    assert assign_prevailing_sc(subject, corpus, 1, incidence=incidence) == "SC2"
-    assert assign_prevailing_sc(subject, corpus, 1) == "SC1"
+    pubs = ["W1", "W2", "W3", "W4"]
+    assert assign_prevailing_sc(sup("P1", pubs, [2016]), corpus, 1) == "SC1"
+    # SC2 counted first, and a hint that is not among the tied SCs
+    backwards = sup("P1", pubs[::-1], [2016], hint="SC9")
+    assert assign_prevailing_sc(backwards, corpus, 1) == "SC1"
 
 
 def test_prevailing_sc_supervised_no_pubs_fallbacks():
     corpus = _sc_corpus()
     assert assign_prevailing_sc(sup("P1", [], [2016], hint="SC7"), corpus, 1) == "SC7"
-    incidence = {"F02": (("SC5", 1.0),)}
-    assert assign_prevailing_sc(sup("P1", [], [2016], field="F02"),
-                                corpus, 1, incidence=incidence) == "SC5"
-    with pytest.raises(ScoreError, match="P1"):
+    with pytest.raises(ScoreError) as exc:
         assign_prevailing_sc(sup("P1", [], [2016]), corpus, 1)
+    assert str(exc.value) == "supervised subject 'P1' has no publications and no sc_hint"
 
 
 def test_prevailing_sc_supervised_reads_the_corpus_lookback():
@@ -259,7 +257,7 @@ def test_roster_listing_a_publication_twice_counts_it_once():
         record("W2", 2017, ["a, x"], ["SC2"], citations=1),
         record("W3", 2018, ["a, x"], ["SC2"], citations=1),
     ])
-    entry = RosterEntry(person_id="P1", university_id="U1", field_code="", sc_hint=None,
+    entry = RosterEntry(person_id="P1", university_id="U1", sc_hint=None,
                         active_years=frozenset({2016}),
                         linked_pub_ids=("W1", "W2", "W1", "W3", "W9"))
     (subject,) = subjects_from_roster([entry], corpus)
@@ -376,7 +374,7 @@ def _run_inputs():
     """``_scored_world``'s corpus, a roster of its four authors (P1 and P2
     at U1, P3 and P4 at U2) and a staff of one unit per publication."""
     corpus, _ = _scored_world()
-    roster = [RosterEntry(f"P{i}", f"U{1 + (i > 2)}", "F1", None, frozenset(WINDOW.years()),
+    roster = [RosterEntry(f"P{i}", f"U{1 + (i > 2)}", None, frozenset(WINDOW.years()),
                           (f"W{i}",)) for i in range(1, 5)]
     units = [StaffUnit(f"W{i}:0", f"U{1 + (i > 2)}", "both", (f"W{i}:0",),
                        frozenset({f"W{i}"}), None, ()) for i in range(1, 5)]
