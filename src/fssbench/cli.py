@@ -32,19 +32,18 @@ flags override it. Each is one entry of ``SETTINGS``:
     min_age       --min-age        4
     recency       --recency        the window's last year
     min_obs       --min-obs        10
-    obs_rule      --obs-rule       literal (or strict)
-    sc_lookback   --sc-lookback    19
     out           --out            out
 
 A ``recency`` after the window's last year and a negative ``min_clusters``,
-``min_age`` or ``min_obs`` are refused, naming the setting, and so is an
-``sc_lookback`` below 1 where a stage loads the publications.
+``min_age`` or ``min_obs`` are refused, naming the setting. The SC lookback
+(``corpus.SC_LOOKBACK``, 19 years) and the observation-floor rule are
+constants of the scoring method, not settings.
 The file may also set the world generator's knobs; any other key is
 ignored with a warning and left out of the manifest. A file value not of
-its setting's or knob's type, or not one of its allowed values, is refused
-as ``config key <key>: bad value '<value>'``, and a knob outside the range
-``synth.SynthConfig`` allows with that class's own message
-(``n_researchers must be positive``), by every stage.
+its setting's or knob's type is refused as ``config key <key>: bad value
+'<value>'``, and a knob outside the range ``synth.SynthConfig`` allows with
+that class's own message (``n_researchers must be positive``), by every
+stage.
 Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing. A
@@ -99,13 +98,12 @@ log = logging.getLogger(__name__)
 
 
 class Setting(typing.NamedTuple):
-    """A run setting: ``type`` casts a flag or config-file string; ``help`` and
-    ``choices`` go to the flag, which every subcommand has."""
+    """A run setting: ``type`` casts a flag or config-file string; ``help``
+    goes to the flag, which every subcommand has."""
 
     type: typing.Callable[[str], object]
     default: object
     help: str | None = None
-    choices: tuple[str, ...] | None = None
 
 
 #: Every run setting, in the order of the flags in ``--help``.
@@ -117,9 +115,6 @@ SETTINGS = {
     "min_age": Setting(int, corpusmod.DEFAULT_MIN_AGE),
     "recency": Setting(int, None),                # None: the window's last year
     "min_obs": Setting(int, corpusmod.DEFAULT_MIN_OBS),
-    "obs_rule": Setting(str, corpusmod.OBS_RULE_LITERAL,
-                        choices=(corpusmod.OBS_RULE_LITERAL, corpusmod.OBS_RULE_STRICT)),
-    "sc_lookback": Setting(int, corpusmod.DEFAULT_SC_LOOKBACK),
     "out": Setting(Path, Path("out"), "artifact directory (default: out)"),
 }
 
@@ -146,8 +141,6 @@ class RunConfig:
     min_age: int
     recency: int | None          # None becomes the window's last year
     min_obs: int
-    obs_rule: str
-    sc_lookback: int
     paths: dict[str, Path | None]   # each input-file flag of ``STAGES``: its file, if given
     extra: dict[str, str]        # world-generator knobs from the config file, as written
 
@@ -181,12 +174,9 @@ def _cast(key: str, raw: str) -> object:
     """Config-file value ``raw`` of setting or world knob ``key``, cast to its type."""
     setting = SETTINGS.get(key)
     try:
-        value = setting.type(raw) if setting else _synth_knobs()[key](raw)
-        if setting and setting.choices and value not in setting.choices:
-            raise ValueError(raw)
+        return setting.type(raw) if setting else _synth_knobs()[key](raw)
     except (ValueError, corpusmod.CorpusError) as exc:
         raise StageError(f"config key {key}: bad value {raw!r}") from exc
-    return value
 
 
 def _pick(args: argparse.Namespace, file_values: dict[str, str], key: str) -> object:
@@ -265,10 +255,6 @@ def _artifact(cfg: RunConfig, name: str) -> Path:
     return path
 
 
-def _load_corpus(cfg: RunConfig, path: Path) -> corpusmod.Corpus:
-    return corpusmod.load_publications(path, cfg.window, sc_lookback=cfg.sc_lookback)
-
-
 def cmd_synth(cfg: RunConfig) -> None:
     config = synthmod.SynthConfig(seed=cfg.seed, window=cfg.window,
                                   **{key: _cast(key, raw) for key, raw in cfg.extra.items()})
@@ -277,13 +263,13 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
-    corpus = _load_corpus(cfg, _artifact(cfg, "publications.jsonl"))
+    corpus = corpusmod.load_publications(_artifact(cfg, "publications.jsonl"), cfg.window)
     corpus.write_jsonl(cfg.out / "corpus.jsonl")
     log.info("ingested %d publications, %d mentions", len(corpus), corpus.mention_count())
 
 
 def cmd_disambiguate(cfg: RunConfig) -> None:
-    corpus = _load_corpus(cfg, _artifact(cfg, "corpus.jsonl"))
+    corpus = corpusmod.load_publications(_artifact(cfg, "corpus.jsonl"), cfg.window)
     rules = (disambig.load_rules(cfg.paths["rules"]) if cfg.paths["rules"]
              else disambig.DEFAULT_RULES)
     clusters = disambig.cluster_corpus(corpus, rules)
@@ -312,7 +298,7 @@ def cmd_derive_staff(cfg: RunConfig) -> None:
 
 
 def cmd_score(cfg: RunConfig) -> None:
-    corpus = _load_corpus(cfg, _artifact(cfg, "corpus.jsonl"))
+    corpus = corpusmod.load_publications(_artifact(cfg, "corpus.jsonl"), cfg.window)
     scheme = corpusmod.load_scheme(_artifact(cfg, "scheme.csv"))
     roster_path = _artifact(cfg, "roster.csv")
     roster = corpusmod.load_roster(roster_path, cfg.window)
@@ -323,8 +309,8 @@ def cmd_score(cfg: RunConfig) -> None:
         staff_path, disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl")))
     if not derived.members:
         raise StageError(f"{staff_path.name} lists no staff unit")
-    scored = fss.score_modes(corpus, roster, derived, scheme, cfg.seed, min_obs=cfg.min_obs,
-                             rule=cfg.obs_rule).values()
+    scored = fss.score_modes(corpus, roster, derived, scheme, cfg.seed,
+                             min_obs=cfg.min_obs).values()
     researcher_rows = [s for scores, _ in scored for s in scores]
     university_rows = [u for _, universities in scored for u in universities]
     fss.write_researcher_scores_csv(researcher_rows, cfg.out / "scores_researchers.csv")
@@ -434,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, setting in SETTINGS.items():
             # a bad window is refused by resolve_config, in one line
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=int if setting.type is int else None,
-                           choices=setting.choices, help=setting.help)
+                           type=int if setting.type is int else None, help=setting.help)
         for flag in stage.flags:
             p.add_argument(f"--{flag}")
     return parser

@@ -2,9 +2,10 @@
 university registry, and the subject-category scheme, plus the one reader
 and writer of CSV and of JSON Lines (``read_csv``, ``write_csv``,
 ``read_jsonl``, ``write_jsonl``), ``key = value`` reader and SHA-256
-(``sha256``) the package uses. It also defines the run settings' defaults
-and the two mode names that ``staff``, ``fss``, ``compare`` and ``cli``
-share, so that ``cli`` reads them without executing those modules.
+(``sha256``) the package uses. It also defines the run settings' defaults,
+the SC lookback (``SC_LOOKBACK``) and the two mode names that ``staff``,
+``fss``, ``compare`` and ``cli`` share, so that ``cli`` reads them without
+executing those modules.
 
 Input formats (documented in the README); required columns first, then
 the optional ones:
@@ -43,7 +44,8 @@ with a ``CorpusError`` naming the file and the column, a row with more or
 fewer fields than the header, or a JSON Lines line that is not a JSON
 object, with one naming the file and the line. A key listed twice is
 refused, by the ``listed_once`` that every loader in the package shares,
-naming both lines.
+naming both lines. A leading UTF-8 byte-order mark is skipped in a CSV or
+``key = value`` file and refused as invalid JSON in a JSON Lines file.
 Unknown columns and JSON fields are ignored with one warning each. Loading
 is a pure function of the file bytes: the same input yields an identical
 in-memory corpus, and downstream code treats it as read-only.
@@ -93,20 +95,17 @@ SOURCE_INDEXES = ("core", "esci", "other")
 #: Document types counted by default: articles, reviews, letters, proceedings.
 DEFAULT_DOC_FILTER = frozenset({"article", "review", "letter", "proceedings"})
 
-#: Default span, in years up to the window end, of the production used for
+#: Span, in years up to the window end, of the production used for
 #: supervised subject-category assignment (19 years: e.g. 2001-2019 for a
 #: window ending in 2019).
-DEFAULT_SC_LOOKBACK = 19
+SC_LOOKBACK = 19
 
 #: Defaults of ``staff.derive_staff``'s size and age filters; the recency
 #: year has none.
 DEFAULT_MIN_CLUSTERS = 30
 DEFAULT_MIN_AGE = 4
 
-#: The two observation-floor rules of ``fss.apply_exclusions``, and its
-#: default floor.
-OBS_RULE_LITERAL = "literal"
-OBS_RULE_STRICT = "strict"
+#: Default observation floor of ``fss.apply_exclusions``.
 DEFAULT_MIN_OBS = 10
 
 #: The two scoring modes, in the order every artifact lists them.
@@ -347,16 +346,15 @@ class SCScheme:
 class Corpus:
     """Immutable post-ingestion view of the loaded publications.
 
-    ``lookback`` is the range of years feeding supervised SC assignment;
-    without one it is the default lookback ending with the window.
+    ``lookback`` is the range of years feeding supervised SC assignment,
+    ``lookback_window(window)``.
     """
 
-    def __init__(self, records: list[PublicationRecord], window: YearWindow,
-                 lookback: YearWindow | None = None):
+    def __init__(self, records: list[PublicationRecord], window: YearWindow):
         self.records: tuple[PublicationRecord, ...] = tuple(
             sorted(records, key=lambda r: r.pub_id))
         self.window = window
-        self.lookback = lookback if lookback is not None else lookback_window(window)
+        self.lookback = lookback_window(window)
         self.by_id: dict[str, PublicationRecord] = {r.pub_id: r for r in self.records}
 
     def __len__(self) -> int:
@@ -415,10 +413,11 @@ def read_csv(path: str | Path, required: Sequence[str],
     ``required``, or a row with more or fewer fields than the header raises
     ``CorpusError`` naming the file (and the column or the line); each
     column outside ``required`` and ``optional`` is ignored with one
-    warning. Blank lines are skipped.
+    warning. Blank lines are skipped, and so is a leading UTF-8 byte-order
+    mark.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -508,11 +507,11 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str]]:
     """Yield ``(lineno, key, value)`` for each line of a ``key = value`` file;
-    ``#`` starts a comment and blank lines are skipped. A key set twice is
-    refused. As in ``read_jsonl``, a line ends only at LF, CR LF or CR, never
-    at U+0085, U+2028 or U+2029."""
+    ``#`` starts a comment, and blank lines and a leading UTF-8 byte-order
+    mark are skipped. A key set twice is refused. As in ``read_jsonl``, a
+    line ends only at LF, CR LF or CR, never at U+0085, U+2028 or U+2029."""
     listed: dict[str, int] = {}
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -672,16 +671,13 @@ def _parse_record(obj: dict, where: str, warned: set[str], shared: dict) -> Publ
                              share(journal, journal), mentions, citations, census)
 
 
-def lookback_window(window: YearWindow, sc_lookback: int = DEFAULT_SC_LOOKBACK) -> YearWindow:
-    """Years of production considered for supervised SC assignment."""
-    if sc_lookback < 1:
-        raise CorpusError(f"sc_lookback must be at least 1, got {sc_lookback}")
-    return YearWindow(window.end - sc_lookback + 1, window.end)
+def lookback_window(window: YearWindow) -> YearWindow:
+    """Years of production considered for supervised SC assignment: the
+    ``SC_LOOKBACK`` years ending with the window."""
+    return YearWindow(window.end - SC_LOOKBACK + 1, window.end)
 
 
-def load_publications(path: str | Path,
-                      window: YearWindow,
-                      sc_lookback: int = DEFAULT_SC_LOOKBACK) -> Corpus:
+def load_publications(path: str | Path, window: YearWindow) -> Corpus:
     """Load and filter publications.jsonl.
 
     Keeps records whose doc_type is in ``DEFAULT_DOC_FILTER``, whose source
@@ -690,8 +686,7 @@ def load_publications(path: str | Path,
     ``lookback``. Records come back sorted by pub_id. Equal values share
     one object (see the module docstring).
     """
-    lookback = lookback_window(window, sc_lookback)
-    accepted_years = set(window.years()) | set(lookback.years())
+    accepted_years = set(window.years()) | set(lookback_window(window).years())
     warned: set[str] = set()
     shared: dict = {}
     records: list[PublicationRecord] = []
@@ -702,7 +697,7 @@ def load_publications(path: str | Path,
         if (rec.doc_type in DEFAULT_DOC_FILTER and rec.source_index == "core"
                 and rec.year in accepted_years):
             records.append(rec)
-    return Corpus(records, window, lookback)
+    return Corpus(records, window)
 
 
 def _parse_years(text: str, where: str) -> frozenset[int]:

@@ -25,7 +25,9 @@ each listed cell and the results averaged; an all-zero cell contributes
 0 (the 0/0 case); an unsupervised subject's prevailing-SC tie is broken
 by a draw keyed on (seed, subject id), so the outcome is reproducible and
 independent of iteration order, and a supervised one's by the roster hint,
-else the smallest SC id.
+else the smallest SC id. A supervised prevailing SC counts only the
+``corpus.SC_LOOKBACK`` years ending with the window, and an SC short of
+min_obs researchers in both modes is excluded.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from .corpus import (DEFAULT_MIN_OBS, MODE_SUPERVISED, MODE_UNSUPERVISED, OBS_RULE_LITERAL,
-                     OBS_RULE_STRICT, Corpus, CorpusError, PublicationRecord, RosterEntry,
-                     SCScheme, csv_number, listed_once, read_csv, sha256, write_csv)
+from .corpus import (DEFAULT_MIN_OBS, MODE_SUPERVISED, MODE_UNSUPERVISED, Corpus, CorpusError,
+                     PublicationRecord, RosterEntry, SCScheme, csv_number, listed_once,
+                     read_csv, sha256, write_csv)
 from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
@@ -154,10 +156,10 @@ def assign_prevailing_sc(subject: Subject, corpus: Corpus, seed: int) -> str:
     Unsupervised: the most frequent SC over the whole oeuvre; several
     equally frequent SCs are settled by the seeded draw. Supervised: the
     most frequent SC over the production in the corpus's lookback range
-    (``corpus.lookback``, set when the corpus was loaded); a tie goes to the
-    roster hint when it is among the tied SCs, else to the smallest SC id;
-    with no production at all the hint decides, and an error is raised when
-    there is none.
+    (``corpus.lookback``, the ``SC_LOOKBACK`` years ending with the
+    window); a tie goes to the roster hint when it is among the tied SCs,
+    else to the smallest SC id; with no production at all the hint decides,
+    and an error is raised when there is none.
     """
     pubs = [corpus.by_id[p] for p in subject.pub_ids if p in corpus.by_id]
     if subject.mode == MODE_UNSUPERVISED:
@@ -255,26 +257,21 @@ def compute_sc_baselines(scores: list[ResearcherScore]) -> dict[str, float]:
 
 
 def apply_exclusions(scores: dict[str, list[ResearcherScore]], scheme: SCScheme,
-                     min_obs: int = DEFAULT_MIN_OBS, rule: str = OBS_RULE_LITERAL,
-                     ) -> dict[str, list[ResearcherScore]]:
+                     min_obs: int = DEFAULT_MIN_OBS) -> dict[str, list[ResearcherScore]]:
     """Drop out-of-scope researchers, then thin SCs.
 
     ``scores`` maps each mode to its score list; the same modes come back.
     Researchers whose prevailing SC sits in an excluded area, or is the
-    multidisciplinary SC, are dropped first. Then the observation floor:
-    under the literal rule an SC is excluded when it has fewer than min_obs
-    researchers in EVERY mode given, under the strict rule when it is short
-    in any one.
+    multidisciplinary SC, are dropped first. Then the observation floor: an
+    SC is excluded when it has fewer than min_obs researchers in EVERY mode
+    given.
     """
-    if rule not in (OBS_RULE_LITERAL, OBS_RULE_STRICT):
-        raise ValueError(f"unknown obs rule {rule!r}")
     kept = {mode: [s for s in lst if not scheme.is_dropped(s.sc_id)]
             for mode, lst in scores.items()}
     obs = [Counter(s.sc_id for s in lst) for lst in kept.values()]
     all_scs = set().union(*obs)
     short = [{sc for sc in all_scs if per_sc[sc] < min_obs} for per_sc in obs]
-    combine = set.intersection if rule == OBS_RULE_LITERAL else set.union
-    excluded = combine(*short) if short else set()
+    excluded = set.intersection(*short) if short else set()
     return {mode: [s for s in lst if s.sc_id not in excluded] for mode, lst in kept.items()}
 
 
@@ -323,8 +320,7 @@ def compute_fss_u(staff_scores: list[ResearcherScore],
 
 
 def score_modes(corpus: Corpus, roster: list[RosterEntry], staff: DerivedStaff,
-                scheme: SCScheme, seed: int, *, min_obs: int = DEFAULT_MIN_OBS,
-                rule: str = OBS_RULE_LITERAL,
+                scheme: SCScheme, seed: int, *, min_obs: int = DEFAULT_MIN_OBS
                 ) -> dict[str, tuple[list[ResearcherScore], list[UniversityScore]]]:
     """A scoring run, as ``fssbench score`` writes it: for each mode,
     supervised first, the researcher scores left by ``apply_exclusions``
@@ -335,11 +331,10 @@ def score_modes(corpus: Corpus, roster: list[RosterEntry], staff: DerivedStaff,
         {mode: score_subjects(subjects, corpus, cells, seed)
          for mode, subjects in ((MODE_SUPERVISED, subjects_from_roster(roster, corpus)),
                                 (MODE_UNSUPERVISED, subjects_from_staff(staff, corpus)))},
-        scheme, min_obs=min_obs, rule=rule)
+        scheme, min_obs=min_obs)
     for mode, scores in by_mode.items():
         if not scores:
-            raise ScoreError(f"no {mode} researcher left after exclusions "
-                             f"(min_obs {min_obs}, obs_rule {rule})")
+            raise ScoreError(f"no {mode} researcher left after exclusions (min_obs {min_obs})")
     return {mode: (scores, compute_fss_u(scores, compute_sc_baselines(scores)))
             for mode, scores in by_mode.items()}
 

@@ -239,7 +239,7 @@ def test_config_hash_of_a_fixed_config(tmp_path, monkeypatch):
     cli.write_manifest(cfg, "score")
     manifest = json.loads(Path("out", "run_manifest.json").read_text())
     assert manifest["config_hash"] == (
-        "4d78faa4604d69d071196dad18d04044a7dc8f98ee4fb7537901c5058d4635b6")
+        "adadaddc534320c6b3a3fa6a097bce783e849e360fac3aa6decdeae20b4d13a8")
 
 
 def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
@@ -299,8 +299,8 @@ def test_synth_refuses_a_career_start_before_year_zero(tmp_path, capsys, window)
     assert capsys.readouterr().err == "error: synth: expected non-negative integer\n"
 
 
-def test_bad_obs_rule_in_config_file(tmp_path, capsys):
-    for stage, key, value in [("synth", "obs_rule", "sometimes"), ("synth", "window", "lots"),
+def test_bad_setting_value_in_config_file(tmp_path, capsys):
+    for stage, key, value in [("synth", "min_obs", "lots"), ("synth", "window", "lots"),
                               ("synth", "n_researchers", "lots"),
                               ("ingest", "n_researchers", "lots")]:
         cfg = write_config(tmp_path, f"{key} = {value}\n")
@@ -328,8 +328,6 @@ SETTING_VALUES = {
     "min_age": ("2", "3"),
     "recency": ("2016", "2017"),
     "min_obs": ("3", "4"),
-    "obs_rule": ("strict", "literal"),
-    "sc_lookback": ("10", "12"),
 }
 
 
@@ -375,6 +373,20 @@ def test_config_lines_end_at_lf_crlf_and_cr(tmp_path):
     cfg = tmp_path / "world.cfg"
     cfg.write_bytes(b"a = 1\r\nb = 2\rc = 3\n")
     assert load_config_file(cfg) == {"a": "1", "b": "2", "c": "3"}
+
+
+def test_a_config_file_with_a_byte_order_mark_synthesizes_the_same_world(tmp_path, caplog):
+    # a mark kept in the first key would leave n_universities at its default
+    text = "n_universities = 3\nn_researchers = 36\nn_scs = 2\n"
+    for name, encoding in [("plain", "utf-8"), ("marked", "utf-8-sig")]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding=encoding)
+        assert run_pipeline(["synth", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbfn_universities")
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+    for name in STAGES["synth"].outputs:
+        marked, plain = (tmp_path / out / name for out in ("marked", "plain"))
+        assert marked.read_bytes() == plain.read_bytes(), name
 
 
 def test_load_config_file_strips_comments(tmp_path):
@@ -454,9 +466,9 @@ def run_to_staff(tmp_path):
 @pytest.mark.parametrize("cut, flags, refusal", [
     # a floor above every SC's count empties both modes; the first is named
     (None, ["--min-obs", "1000"], "no supervised researcher left after exclusions "
-                                  "(min_obs 1000, obs_rule literal)"),
+                                  "(min_obs 1000)"),
     # an empty input is named, not the floor, which no value would help
-    ("roster.csv", ["--obs-rule", "strict"], "roster.csv lists no researcher"),
+    ("roster.csv", [], "roster.csv lists no researcher"),
     ("staff.csv", [], "staff.csv lists no staff unit"),
 ], ids=["floor", "header-only-roster", "header-only-staff"])
 def test_score_refuses_a_mode_left_without_researchers(tmp_path, capsys, cut, flags, refusal):
@@ -629,23 +641,14 @@ def test_setting_out_of_range_refused(tmp_path, capsys, stage, flags, message):
     assert not (out / "run_manifest.json").exists()
 
 
-def test_sc_lookback_below_one_refused_by_the_corpus(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert run_pipeline(["ingest", "--out", str(out), "--sc-lookback", "0"]) == 1
-    assert capsys.readouterr().err == "error: ingest: sc_lookback must be at least 1, got 0\n"
-    assert not (out / "corpus.jsonl").exists()
-
-
 def test_settings_at_their_lowest_allowed_values_run(tmp_path):
     out = tmp_path / "out"
     assert run_pipeline(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 0
-    for argv in [["ingest", "--sc-lookback", "1"],
+    for argv in [["ingest"],
                  ["disambiguate"],
                  ["derive-staff", "--min-clusters", "0", "--min-age", "0",
                   "--recency", "2015"],
-                 ["score", "--min-obs", "0", "--sc-lookback", "1"]]:
+                 ["score", "--min-obs", "0"]]:
         assert run_pipeline([*argv, "--out", str(out)]) == 0, argv
 
 
@@ -653,15 +656,19 @@ def test_unknown_config_key_warned_and_not_recorded(tmp_path, caplog):
     out = tmp_path / "out"
     assert run_pipeline(["synth", "--config", write_config(tmp_path),
                          "--out", str(out)]) == 0
-    # no setting picks a mode: ``score`` scores both in every run
-    cfg = write_config(tmp_path, "threads = 4\nmode = both\n", name="stage.cfg")
+    # no setting picks a mode: ``score`` scores both in every run; the SC
+    # lookback and the observation-floor rule are fixed
+    unknown = ["mode", "obs_rule", "sc_lookback", "threads"]
+    cfg = write_config(tmp_path, "threads = 4\nmode = both\nobs_rule = strict\n"
+                                 "sc_lookback = 5\n", name="stage.cfg")
     caplog.clear()
     assert run_pipeline(["ingest", "--config", cfg, "--out", str(out)]) == 0
     assert [r.getMessage() for r in caplog.records if "unknown" in r.getMessage()] == [
-        "ignoring unknown config key 'mode'", "ignoring unknown config key 'threads'"]
+        f"ignoring unknown config key {key!r}" for key in unknown]
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert "threads" not in manifest["config"]
-    assert "mode" not in manifest["config"]
+    assert [key for key in unknown if key in manifest["config"]] == []
+    # a row of a setting that is gone would be skipped without a word
+    assert SETTING_VALUES.keys() == SETTINGS.keys() - {"out"}
 
 
 @pytest.mark.parametrize("key", ["window_start", "window_end"])
@@ -1009,7 +1016,7 @@ def test_only_synth_and_compare_load_numpy(tmp_path):
 
 
 def test_a_config_file_of_settings_alone_leaves_synth_unexecuted(tmp_path):
-    cfg = write_config(tmp_path, "min_obs = 5\nobs_rule = strict\n")
+    cfg = write_config(tmp_path, "min_obs = 5\nmin_age = 2\n")
     done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
                      f"run_pipeline(['ingest', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
                      "print(type(sys.modules['fssbench.synth']).__name__)")

@@ -166,16 +166,6 @@ def test_lookback_window_spans_nineteen_years():
     assert len(lb) == 19
 
 
-@pytest.mark.parametrize("sc_lookback", [0, -3])
-def test_lookback_below_one_year_refused(tmp_path, sc_lookback):
-    message = f"sc_lookback must be at least 1, got {sc_lookback}"
-    with pytest.raises(CorpusError, match=message):
-        cm.lookback_window(WINDOW, sc_lookback)
-    path = write_jsonl(tmp_path / "p.jsonl", [_one_pub()])
-    with pytest.raises(CorpusError, match=message):
-        load_publications(path, WINDOW, sc_lookback=sc_lookback)
-
-
 # ---------------------------------------------------------------------------
 # publications loader
 
@@ -216,13 +206,12 @@ def test_load_publications_keeps_lookback_years_only(tmp_path):
 
 def test_load_publications_records_its_lookback(tmp_path):
     rows = [
-        pub("W1", 2009, [mention("Rossi, M")], ["SC1"]),   # before a 10-year lookback
-        pub("W2", 2010, [mention("Rossi, M")], ["SC1"]),
+        pub("W1", 2000, [mention("Rossi, M")], ["SC1"]),   # before the 19-year lookback
+        pub("W2", 2001, [mention("Rossi, M")], ["SC1"]),
         pub("W3", 2019, [mention("Rossi, M")], ["SC1"]),
     ]
-    corpus = load_publications(write_jsonl(tmp_path / "p.jsonl", rows), WINDOW,
-                               sc_lookback=10)
-    assert corpus.lookback == YearWindow(2010, 2019)
+    corpus = load_publications(write_jsonl(tmp_path / "p.jsonl", rows), WINDOW)
+    assert corpus.lookback == YearWindow(2001, 2019)
     assert sorted(corpus.by_id) == ["W2", "W3"]
     assert cm.Corpus([], WINDOW).lookback == cm.lookback_window(WINDOW)
 
@@ -554,6 +543,27 @@ def test_csv_loader_refuses_missing_required_column(tmp_path, name):
         with pytest.raises(CorpusError) as exc:
             load(path)
         assert str(exc.value) == f"{name}: missing column {column}"
+
+
+@pytest.mark.parametrize("name", sorted(CSV_LOADERS))
+def test_csv_loader_skips_a_byte_order_mark(tmp_path, name):
+    # kept, the mark would turn the first, required column into "\ufeff<column>"
+    load, header, required = CSV_LOADERS[name]
+    assert header[0] in required
+    path = tmp_path / name
+    path.write_text(",".join(header) + "\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf" + header[0].encode())
+    load(path)
+
+
+def test_read_csv_reads_a_marked_file_like_an_unmarked_one(tmp_path):
+    text = "university_id,email_domains\nU1,a.it\n"
+    rows = []
+    for name, encoding in [("plain.csv", "utf-8"), ("marked.csv", "utf-8-sig")]:
+        (tmp_path / name).write_text(text, encoding=encoding)
+        rows.append([row for _, row in cm.read_csv(tmp_path / name, ("university_id",),
+                                                      ("email_domains",))])
+    assert rows == [[{"university_id": "U1", "email_domains": "a.it"}]] * 2
 
 
 @pytest.mark.parametrize("name", sorted(CSV_LOADERS))

@@ -238,12 +238,15 @@ def test_prevailing_sc_supervised_no_pubs_fallbacks():
 
 
 def test_prevailing_sc_supervised_reads_the_corpus_lookback():
-    records = _sc_corpus().records
-    subject = sup("P1", ["W1", "W2", "W3", "W4"], [2016], hint="SC2")
-    # the default 19 years count W4 (2005, SC2): a tie the hint settles
-    assert assign_prevailing_sc(subject, Corpus(records, WINDOW), 1) == "SC2"
-    short = Corpus(records, WINDOW, lookback=YearWindow(2015, 2019))
-    assert assign_prevailing_sc(subject, short, 1) == "SC1"
+    # W5 (2000, SC2) is in the corpus but before the 19 years ending in 2019
+    records = [*_sc_corpus().records, record("W5", 2000, ["a, x"], ["SC2"], citations=1)]
+    corpus = Corpus(records, WINDOW)
+    assert corpus.lookback == YearWindow(2001, 2019) and "W5" in corpus
+    # counted, W5 would give SC2 three publications to SC1's two
+    subject = sup("P1", ["W1", "W2", "W3", "W4", "W5"], [2016])
+    assert assign_prevailing_sc(subject, corpus, 1) == "SC1"
+    # the oeuvre, read in full for an unsupervised subject, does count it
+    assert assign_prevailing_sc(unsup("C1", ["W1", "W2", "W3", "W4", "W5"]), corpus, 1) == "SC2"
 
 
 def test_prevailing_sc_unsupervised_without_pubs_raises():
@@ -354,17 +357,8 @@ def test_apply_exclusions_literal_needs_short_in_both():
     unsupd = [_fake_score(f"C{i}", "SC1", MODE_UNSUPERVISED) for i in range(10)] \
         + [_fake_score(f"C9{i}", "SC2", MODE_UNSUPERVISED) for i in range(10)]
     both = {MODE_SUPERVISED: supd, MODE_UNSUPERVISED: unsupd}
-    literal = apply_exclusions(both, SCHEME, min_obs=10, rule="literal")
-    # SC2 is short only in the supervised list -> kept under the literal rule
-    assert literal == both
-    strict = apply_exclusions(both, SCHEME, min_obs=10, rule="strict")
-    assert not any(s.sc_id == "SC2" for lst in strict.values() for s in lst)
-    assert len(strict[MODE_UNSUPERVISED]) == 10
-
-
-def test_apply_exclusions_rejects_unknown_rule():
-    with pytest.raises(ValueError, match="rule"):
-        apply_exclusions({}, SCHEME, rule="fuzzy")
+    # SC2 is short only in the supervised list -> kept
+    assert apply_exclusions(both, SCHEME, min_obs=10) == both
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +404,7 @@ def test_score_modes_refuses_a_mode_left_without_researchers():
     # two researchers per SC in each mode: a floor of 3 excludes every SC
     with pytest.raises(ScoreError) as refused:
         score_modes(corpus, roster, staff, SCScheme([]), 1, min_obs=3)
-    assert str(refused.value) == ("no supervised researcher left after exclusions "
-                                  "(min_obs 3, obs_rule literal)")
+    assert str(refused.value) == "no supervised researcher left after exclusions (min_obs 3)"
 
 
 def test_load_scores_reads_back_what_score_modes_returns(tmp_path):
