@@ -6,11 +6,17 @@ linkage. Agglomeration keeps only the nonzero pair sums, one dict per
 cluster, and takes merges from a heap of candidate pairs whose average
 clears the threshold, dropping stale entries as they surface. Two clusters
 that share a publication or carry distinct ORCIDs never merge. Beyond
-scoring every pair of a block once, a block costs about O(P log P) for P
-nonzero pair sums, not the O(n^3) of rescanning all pairs after each merge.
-A complete block, one whose every pair clears the threshold under
-whole-number weights, is one cluster without any agglomeration. Most
-blocks of a national corpus hold one person and are complete.
+scoring pairs, a block costs about O(P log P) for P nonzero pair sums, not
+the O(n^3) of rescanning all pairs after each merge. A complete block, one
+whose every pair clears the threshold under whole-number weights, is one
+cluster without any agglomeration. Most blocks of a national corpus hold
+one person and are complete.
+
+A block of 32 mentions or more, such as one common surname and initial
+shared by many people, is first cut at shared identifiers into parts that
+no merge can cross, and only the pairs within a part are scored: a
+530-mention homonym block takes 6,391 pair scores instead of 140,185, and
+a 4,606-mention one clusters in about 1 s instead of 11-13 s.
 
 Blocks hold their mentions as (record, position) references. A mention's
 scoring context is built only while its block is clustered, so memory
@@ -300,6 +306,88 @@ def _distinct(x: str | None, y: str | None) -> bool:
     return x is not None and y is not None and x != y
 
 
+#: Blocks of fewer mentions are agglomerated whole; ``cluster_block`` gives
+#: the measurements behind the figure.
+_SPLIT_FLOOR = 32
+#: The evidence kinds a pair can score on without sharing an identifier or a
+#: co-author surname.
+_WEAK_KINDS = ("organization", "journal", "subject_category", "first_name")
+
+
+@cache
+def _split_bounds(rules: ScoringRules) -> tuple[int, int] | None:
+    """The largest magnitude of a pair score but its co-author term, and the
+    co-author weight's magnitude, as exact integers; ``None`` when a block
+    cannot be split under ``rules``: a weight is not a whole number, or the
+    weak kinds' positive weights can reach the threshold on their own."""
+    if not _whole_weights(rules):
+        return None
+    weights = {f.name: int(getattr(rules, f.name)) for f in fields(rules)
+               if f.name != "merge_threshold"}
+    if sum(max(weights[kind], 0) for kind in _WEAK_KINDS) >= rules.merge_threshold:
+        return None
+    coauthor = abs(weights.pop("coauthor"))
+    return sum(map(abs, weights.values())), coauthor
+
+
+def _split(ctxs: list[MentionContext], rules: ScoringRules) -> list[list[MentionContext]]:
+    """A sorted block cut into parts that no merge can cross, each sorted,
+    as ``cluster_block`` describes; one part, ``[ctxs]``, where the block is
+    agglomerated whole. Parts are kept as a union-find forest whose roots
+    are their lowest indices, so they come out in canonical order.
+    """
+    n = len(ctxs)
+    bounds = _split_bounds(rules) if n >= _SPLIT_FLOOR else None
+    if bounds is None:
+        return [ctxs]
+    rest, coauthor = bounds
+    # the largest magnitude a pair score can take among these mentions
+    most = rest + coauthor * max(len(c.coauthor_last_names) for c in ctxs)
+    if most * (n * (n - 1) // 2) >= _EXACT_SUMS:
+        return [ctxs]
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    def join(i: int, j: int) -> bool:
+        i, j = find(i), find(j)
+        if i == j:
+            return False
+        root[max(i, j)] = min(i, j)
+        return True
+
+    orcids: dict[str, int] = {}
+    rids: dict[str, int] = {}
+    emails: dict[str, int] = {}
+    by_coauthor: dict[str, list[int]] = {}
+    parts = n
+    for i, c in enumerate(ctxs):
+        for seen, value in ((orcids, c.orcid), (rids, c.researcher_id), (emails, c.email)):
+            if value is not None and join(seen.setdefault(value, i), i):
+                parts -= 1
+        for name in c.coauthor_last_names:
+            by_coauthor.setdefault(name, []).append(i)
+    threshold = rules.merge_threshold
+    for members in by_coauthor.values():
+        for k, a in enumerate(members):
+            ma = ctxs[a]
+            for b in members[k + 1:]:
+                mb = ctxs[b]
+                if (parts > 1 and mb.pub_id != ma.pub_id and find(a) != find(b)
+                        and score_pair(ma, mb, rules) >= threshold):
+                    join(a, b)
+                    parts -= 1
+    if parts == 1:
+        return [ctxs]
+    split: dict[int, list[MentionContext]] = {}
+    for i, c in enumerate(ctxs):
+        split.setdefault(find(i), []).append(c)
+    return list(split.values())
+
+
 def cluster_block(block: list[MentionContext],
                   rules: ScoringRules = DEFAULT_RULES) -> list[AuthorCluster]:
     """Greedy average-linkage agglomeration of one block.
@@ -307,7 +395,61 @@ def cluster_block(block: list[MentionContext],
     Repeatedly merges the cluster pair with the highest average pairwise
     score, while that average clears the merge threshold and the two
     clusters do not conflict. Ties break on the smallest (pub_id, position)
-    pair, so the trace is deterministic.
+    pair, so the trace is deterministic. The clusters come back in
+    canonical ref order.
+
+    A block of ``_SPLIT_FLOOR`` (32) mentions or more is first cut into
+    parts that no merge can cross (``_split``), and each part is
+    agglomerated alone:
+
+    - Mentions that share an ORCID, ResearcherID or email go into one part
+      unscored. A pair that shares only a co-author surname and lies in two
+      parts is scored, and its parts are joined when it clears the
+      threshold.
+    - Two clusters merge only when their average pair score clears the
+      threshold. With exact sums, that needs a pair between them that
+      clears it: whole-number scores that all fall below the threshold
+      average below it, rounding included. A pair that shares none of the
+      four kinds above scores at most the sum of the positive
+      organization, journal, subject-category and first-name weights (45
+      by default, against a threshold of 50). So every pair that clears the
+      threshold lies within one part, and no merge crosses two parts.
+      Within a part, the merges are the ones whole-block agglomeration
+      makes there, in the same order; a merge in one part leaves every
+      other part's averages alone. Parts coarser than needed change
+      nothing, which is why identifiers join unscored.
+    - The cut is made only where that argument holds exactly: every weight
+      is a whole number, the weak kinds' positive weights sum below the
+      threshold, and the block's n(n-1)/2 pairs, each bounded by the
+      weights and the block's largest co-author set, total below 2**53, so
+      every sum is exact. Any other block is agglomerated whole.
+    - The floor comes from measured costs (2 cores, Python 3.11). On
+      mentions drawn at random from the 530-mention homonym block of the
+      ``homonym-block`` benchmark, the cut breaks even at about 16
+      mentions, saves a quarter of the time at 32 and half at 64. On the
+      ten ``seed-sweep-s`` worlds (seed 3), whose blocks mostly hold one
+      person and do not split, cutting every block of 3 or more mentions
+      adds 170 ms to the 565 ms of agglomerating them whole; cutting from
+      16 mentions adds 37 ms, and from 32 adds 10 ms, 60 of their 15,420
+      blocks.
+
+    Cost: the ``score_pair`` calls within each part, after those the cut
+    makes on co-author pairs, then O(P log P) for P nonzero pair sums
+    (``_agglomerate``). The 530-mention block cuts into 39 parts, the
+    largest of 49 mentions, and takes 6,391 ``score_pair`` calls instead of
+    140,185. A block that does not split pays the cut for nothing: about
+    2 µs per mention, under a tenth of its agglomeration.
+    """
+    parts = _split(sorted(block, key=_BY_REF), rules)
+    if len(parts) == 1:
+        return _agglomerate(parts[0], rules)
+    clusters = [c for part in parts for c in _agglomerate(part, rules)]
+    return sorted(clusters, key=lambda c: c.mention_refs[0])
+
+
+def _agglomerate(ctxs: list[MentionContext], rules: ScoringRules) -> list[AuthorCluster]:
+    """``cluster_block``'s agglomeration of a sorted block, or of one part
+    of it.
 
     Clusters are numbered in canonical mention order, and a merge keeps the
     lower number: the cluster with the smaller canonical ref survives. So a
@@ -360,7 +502,6 @@ def cluster_block(block: list[MentionContext],
     pair after each merge. A complete block costs one O(P) pass over its
     seeds instead of the heap.
     """
-    ctxs = sorted(block, key=_BY_REF)
     n = len(ctxs)
     ids = list(range(n))                    # dict keys share these, not one int per pair
     sums: list[dict[int, float]] = [{} for _ in ctxs]

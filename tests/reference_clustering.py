@@ -5,7 +5,10 @@ equality tests.
 two n×n lists and a full rescan of every live cluster pair after each
 merge, about n^2.7 on a homonym block. It is slow on purpose and is kept
 only so that the sparse, heap-driven ``cluster_block`` can be checked to
-give the same clusters.
+give the same clusters. It also agglomerates every block whole, where
+``cluster_block`` first cuts a block of 32 mentions or more into parts
+that no merge can cross, so equality on blocks above that floor checks
+the cut too.
 
 ``score_pair``, ``_modal`` and ``summarize_cluster`` are copies of the
 package's functions before their constant factors were cut: intersections

@@ -1,13 +1,17 @@
 import gc
+import itertools
 import json
 import math
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fssbench import disambig
@@ -33,7 +37,7 @@ from fssbench.disambig import (
 from fssbench.synth import SynthConfig, generate
 
 import reference_clustering as reference
-from conftest import WINDOW, corpus_of, record
+from conftest import WINDOW, corpus_of, package_env, record
 from reference_clustering import reference_cluster_block
 
 
@@ -484,16 +488,113 @@ def _blocks(draw):
     return block
 
 
-_RULES = st.builds(ScoringRules, orcid=_WEIGHTS, researcher_id=_WEIGHTS, email=_WEIGHTS,
-                   coauthor=_WEIGHTS, organization=_WEIGHTS, journal=_WEIGHTS,
-                   subject_category=_WEIGHTS, first_name=_WEIGHTS,
-                   merge_threshold=_THRESHOLDS)
+# mostly positive, so that many drawn blocks are complete; 2**52 - 1 and
+# 1e308 make seeds that total 2**53 or more, or overflow
+_WHOLE_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 10.0, 25.0, 100.0, -10.0, 2.0 ** 52 - 1, 1e308]),
+    st.integers(-20, 200).map(float))
+_ANY_THRESHOLDS = st.one_of(st.sampled_from([0.7, 1.0, 10.0, 50.0, 2.0 ** 52 - 1]),
+                            st.floats(0.01, 150, allow_nan=False))
+
+# Fractional and negative weights; whole-number ones, which a block at or
+# above the split floor is cut under when the weak kinds' positive weights
+# sum below the threshold and its sums stay exact; and the defaults beside
+# two near misses: one fractional weight, and weak weights summing to the
+# threshold (10 + 10 + 10 + 15).
+_RULES = st.one_of(
+    st.builds(ScoringRules, orcid=_WEIGHTS, researcher_id=_WEIGHTS, email=_WEIGHTS,
+              coauthor=_WEIGHTS, organization=_WEIGHTS, journal=_WEIGHTS,
+              subject_category=_WEIGHTS, first_name=_WEIGHTS, merge_threshold=_THRESHOLDS),
+    st.builds(ScoringRules, orcid=_WHOLE_WEIGHTS, researcher_id=_WHOLE_WEIGHTS,
+              email=_WHOLE_WEIGHTS, coauthor=_WHOLE_WEIGHTS, organization=_WHOLE_WEIGHTS,
+              journal=_WHOLE_WEIGHTS, subject_category=_WHOLE_WEIGHTS,
+              first_name=_WHOLE_WEIGHTS, merge_threshold=_ANY_THRESHOLDS),
+    st.sampled_from([DEFAULT_RULES, replace(DEFAULT_RULES, journal=10.5),
+                     replace(DEFAULT_RULES, merge_threshold=45.0)]))
 
 
 @settings(max_examples=200)
 @given(block=_blocks(), rules=_RULES)
 def test_cluster_block_equals_dense_reference(block, rules):
     assert cluster_block(block, rules) == reference_cluster_block(block, rules)
+
+
+def _large_block(drawn) -> list[MentionContext]:
+    """Mentions of a dozen people named rossi, m: each identifier is absent,
+    the person's own, or the next person's."""
+    positions: dict[str, int] = {}
+    block = []
+    for pub_id, person, (email, orcid, rid), first, org, journal, year, scs, coauthors in drawn:
+        positions[pub_id] = positions.get(pub_id, -1) + 1
+        email, orcid, rid = (None if who is None else (person + who) % 12
+                             for who in (email, orcid, rid))
+        block.append(MentionContext(
+            pub_id, positions[pub_id], "rossi", first,
+            None if email is None else f"m@{email}.it",
+            None if orcid is None else f"0000-0001-0000-{orcid:04d}",
+            None if rid is None else f"A-{rid}", org, None, None, journal, year, scs, coauthors))
+    return block
+
+
+_WHOSE = st.sampled_from([None, None, 0, 0, 0, 1])
+
+#: A one-surname block at or above the split floor, of a dozen people, with
+#: more publications and co-author surnames than ``_blocks`` draws, so that
+#: it falls into several parts about as often as into one. Publications
+#: still repeat, and ORCIDs still collide or differ.
+_LARGE_BLOCKS = st.lists(st.tuples(
+    st.sampled_from([f"W{i}" for i in range(40)]),
+    st.integers(0, 11),
+    st.tuples(_WHOSE, _WHOSE, _WHOSE),
+    st.sampled_from(["m", "maria", "marco"]),
+    st.sampled_from([None, "univ milano", "univ roma"]),
+    st.sampled_from(["j1", "j2", "j3"]),
+    st.integers(2015, 2019),
+    st.frozensets(st.sampled_from(["SC1", "SC2", "SC3"]), min_size=1),
+    st.frozensets(st.sampled_from([f"co{i}" for i in range(20)]), max_size=2),
+), min_size=disambig._SPLIT_FLOOR, max_size=60).map(_large_block)
+
+
+def _parts(block, rules):
+    """The parts ``cluster_block`` agglomerates ``block`` in, as a
+    hypothesis event, so that ``--hypothesis-show-statistics`` shows how
+    often each path ran."""
+    parts = disambig._split(sorted(block, key=lambda c: c.ref), rules)
+    event("one part" if len(parts) == 1 else "several parts")
+    return parts
+
+
+@settings(max_examples=100)
+@given(block=_LARGE_BLOCKS, rules=_RULES)
+def test_cluster_block_equals_dense_reference_above_the_split_floor(block, rules):
+    _parts(block, rules)
+    assert cluster_block(block, rules) == reference_cluster_block(block, rules)
+
+
+@settings(max_examples=100)
+@given(block=_LARGE_BLOCKS, rules=_RULES)
+def test_no_pair_that_clears_the_threshold_lies_across_two_parts(block, rules):
+    parts = _parts(block, rules)
+    assert sorted(c.ref for part in parts for c in part) == sorted(c.ref for c in block)
+    assert all(part == sorted(part, key=lambda c: c.ref) for part in parts)
+    part_of = {c.ref: i for i, part in enumerate(parts) for c in part}
+    magnitudes = []
+    for a, b in itertools.combinations(block, 2):
+        if a.pub_id == b.pub_id:
+            continue
+        s = score_pair(a, b, rules)
+        if s >= rules.merge_threshold:
+            assert part_of[a.ref] == part_of[b.ref]
+        if s != NEVER_MERGE:
+            magnitudes.append(abs(s))
+    weights = [getattr(rules, f.name) for f in fields(rules) if f.name != "merge_threshold"]
+    weak = sum(max(getattr(rules, kind), 0.0) for kind in
+               ("organization", "journal", "subject_category", "first_name"))
+    # fractional weights, weak kinds that reach the threshold alone, or
+    # sums that may round
+    if (not all(w.is_integer() for w in weights) or weak >= rules.merge_threshold
+            or math.fsum(magnitudes) >= 2.0 ** 53):
+        assert len(parts) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +708,8 @@ def test_rounded_sums_keep_a_complete_block_apart_like_the_reference(rules):
         (("W0", 0), ("W1", 0), ("W2", 0)), (("W3", 0),)]
 
 
-# mostly positive, so that many drawn blocks are complete; 2**52 - 1 and
-# 1e308 make seeds that total 2**53 or more, or overflow
-_WHOLE_WEIGHTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 10.0, 25.0, 100.0, -10.0, 2.0 ** 52 - 1, 1e308]),
-    st.integers(-20, 200).map(float))
 _FRACTIONAL_WEIGHTS = st.one_of(st.sampled_from([0.1, 0.3, 0.7, 12.5]),
                                 st.floats(-120, 120, allow_nan=False))
-_ANY_THRESHOLDS = st.one_of(st.sampled_from([0.7, 1.0, 10.0, 50.0, 2.0 ** 52 - 1]),
-                            st.floats(0.01, 150, allow_nan=False))
 
 
 @st.composite
@@ -690,3 +784,45 @@ def test_cluster_block_scales_to_a_large_homonym_block(tmp_path):
     assert time.perf_counter() - started < 30
     assert sorted(ref for c in clusters for ref in c.mention_refs) == [c.ref for c in block]
     assert len(clusters) < len(block) / 2
+
+
+#: Clusters the largest block of a publications file in a fresh interpreter
+#: and prints its size, its cluster count, the wall time of ``cluster_block``
+#: and the interpreter's peak RSS. The peak is VmHWM, which starts afresh at
+#: exec; ru_maxrss would start from the RSS of the process that forked it.
+_CLUSTER_LARGEST_BLOCK = """
+import json, re, sys, time
+from pathlib import Path
+from fssbench.corpus import YearWindow, load_publications
+from fssbench.disambig import block_mentions, cluster_block, mention_context
+corpus = load_publications(sys.argv[1], YearWindow(int(sys.argv[2]), int(sys.argv[3])))
+block = [mention_context(*ref) for ref in max(block_mentions(corpus).values(), key=len)]
+started = time.perf_counter()
+clusters = cluster_block(block)
+seconds = time.perf_counter() - started
+peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1)
+print(json.dumps({"mentions": len(block), "clusters": len(clusters), "seconds": seconds,
+                  "peak_mb": int(peak_kb) / 1024}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_cluster_block_clusters_a_4606_mention_homonym_block_in_bounded_time_and_memory(
+        tmp_path):
+    # Measured on 2 cores, Python 3.11, over 5 runs: cluster_block took
+    # 0.94-1.18 s and the interpreter peaked at 73.5 MB, 54 MB of it before
+    # clustering. Agglomerating the block whole, without the cut at shared
+    # identifiers, took 12.5-13.2 s and 534-537 MB. The bounds leave about
+    # 4x and 2x headroom.
+    config = SynthConfig(seed=7, n_universities=4, n_researchers=400, n_scs=4,
+                         homonym_rate=1.0, orcid_missing_rate=0.5, email_missing_rate=0.5)
+    files, _ = generate(config, tmp_path)
+    done = subprocess.run([sys.executable, "-c", _CLUSTER_LARGEST_BLOCK,
+                           str(files["publications"]), str(config.window.start),
+                           str(config.window.end)],
+                          env=package_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout)
+    assert (run["mentions"], run["clusters"]) == (4606, 604)
+    assert run["seconds"] < 5.0
+    assert run["peak_mb"] < 150.0

@@ -1,6 +1,7 @@
 """The package surface: lazily registered modules and the re-exported names."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,32 @@ def test_the_cli_module_runs_as_a_script_without_a_warning(tmp_path):
     done = subprocess.run([sys.executable, "-m", "fssbench.cli", "report", "--out", str(tmp_path)],
                           env=package_env(), capture_output=True, text=True)
     assert done.stderr == "error: report: missing report.json; run `compare` first\n"
+
+
+def test_a_module_that_raises_while_it_executes_raises_again_on_every_use(tmp_path):
+    package = tmp_path / "fssbench"
+    shutil.copytree(Path(fssbench.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with (package / "staff.py").open("a", encoding="utf-8") as fh:
+        fh.write('\nraise ImportError("staff is broken")\n')
+    uses = ["fssbench.derive_staff", "fssbench.derive_staff", "fssbench.staff.derive_staff",
+            "__import__('fssbench.staff')", "fssbench.DEFAULT_RULES"]
+    code = ("import json, sys, fssbench\n"
+            "seen = []\n"
+            f"for use in {uses!r}:\n"
+            "    try:\n"
+            "        eval(use)\n"
+            "        error = None\n"
+            "    except ImportError as exc:\n"
+            "        error = str(exc)\n"
+            "    seen.append([error, 'fssbench.staff' in sys.modules, 'staff' in vars(fssbench)])\n"
+            "print(json.dumps(seen))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**package_env(), "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # each use raises as a failed eager import would, and leaves neither
+    # sys.modules nor the package holding the half-executed module; the
+    # other modules still work
+    assert json.loads(done.stdout) == [["staff is broken", False, False]] * 4 + [
+        [None, False, False]]
