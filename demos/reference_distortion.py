@@ -17,10 +17,10 @@ def main() -> None:
     table = load_reference_table()
     print(f"{table.n} universities\n")
 
-    battery = correlation_battery(table)["overall"]
+    correlation = correlation_battery(table)
     print("agreement between the two paths")
-    print(f"  pearson on scores:   {battery.pearson_scores:.3f}")
-    print(f"  spearman on ranks:   {battery.spearman_ranks:.3f}\n")
+    print(f"  pearson on scores:   {correlation.pearson_scores:.3f}")
+    print(f"  spearman on ranks:   {correlation.spearman_ranks:.3f}\n")
 
     matrix = quartile_confusion(table)
     print("quartile confusion (rows: unsupervised, cols: supervised)")

@@ -350,9 +350,9 @@ def _report_lines(report: dict) -> list[str]:
         unranked = report[f"universities_only_{mode}"]
         if unranked:
             lines.append(f"scored {mode} only, not compared: {', '.join(unranked)}")
-    for name, corr in sorted(report["correlations"].items()):
-        lines.append(f"correlation [{name}]: pearson(scores)="
-                     f"{_fmt(corr['pearson_scores'])} "
+    corr = report["correlation"]
+    if corr is not None:
+        lines.append(f"correlation: pearson(scores)={_fmt(corr['pearson_scores'])} "
                      f"spearman(ranks)={_fmt(corr['spearman_ranks'])} (n={corr['n']})")
     lines.append("quartile matrix (rows unsupervised, columns supervised):")
     for i, row in enumerate(report["quartile_matrix"], 1):

@@ -2,9 +2,9 @@
 
 Distribution statistics per researcher population, university rank
 tables with percentiles and quartiles, the quartile confusion matrix,
-two-quartile rank jumps, correlation batteries, and the percentage
-deviation correlations that relate staff-count inflation to score
-distortion.
+two-quartile rank jumps, the score and rank correlation of the two
+rankings, and the percentage deviation correlations that relate
+staff-count inflation to score distortion.
 
 Fixed conventions (see README): sample standard deviation (ddof 1),
 population-moment skewness m3/m2^1.5 and non-excess kurtosis m4/m2^2
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -193,35 +193,35 @@ class RankTable:
         raise KeyError(university_id)
 
 
-def build_rank_table(rows: list[dict]) -> RankTable:
+def build_rank_table(rows: list[tuple[str, int, float, int, int, float, int]],
+                     only_supervised: tuple[str, ...] = (),
+                     only_unsupervised: tuple[str, ...] = ()) -> RankTable:
     """Assemble a RankTable from explicit per-mode ranks.
 
-    Each input row needs university_id, sup_obs, sup_fss_u, sup_rank,
-    unsup_obs, unsup_fss_u, unsup_rank; percentiles, quartiles, and
-    delta_rank are derived here. Each mode's ranks must be exactly 1..n.
+    Each row is (university_id, sup_obs, sup_fss_u, sup_rank, unsup_obs,
+    unsup_fss_u, unsup_rank); percentiles, quartiles, and delta_rank are
+    derived here. Each mode's ranks must be exactly 1..n.
     """
     n = len(rows)
-    for mode in ("sup_rank", "unsup_rank"):
-        if sorted(r[mode] for r in rows) != list(range(1, n + 1)):
+    for mode, i in (("sup_rank", 3), ("unsup_rank", 6)):
+        if sorted(r[i] for r in rows) != list(range(1, n + 1)):
             raise ValueError(f"{mode} values are not a permutation of 1..{n}")
-    out = []
-    for r in rows:
-        out.append(RankRow(
-            university_id=r["university_id"],
-            sup_obs=int(r["sup_obs"]),
-            sup_fss_u=float(r["sup_fss_u"]),
-            sup_rank=int(r["sup_rank"]),
-            sup_percentile=percentile_of_rank(int(r["sup_rank"]), n),
-            sup_quartile=assign_quartile(int(r["sup_rank"]), n),
-            unsup_obs=int(r["unsup_obs"]),
-            unsup_fss_u=float(r["unsup_fss_u"]),
-            unsup_rank=int(r["unsup_rank"]),
-            unsup_percentile=percentile_of_rank(int(r["unsup_rank"]), n),
-            unsup_quartile=assign_quartile(int(r["unsup_rank"]), n),
-            delta_rank=int(r["sup_rank"]) - int(r["unsup_rank"]),
-        ))
+    out = [RankRow(
+        university_id=u,
+        sup_obs=sup_obs,
+        sup_fss_u=sup_fss_u,
+        sup_rank=sup_rank,
+        sup_percentile=percentile_of_rank(sup_rank, n),
+        sup_quartile=assign_quartile(sup_rank, n),
+        unsup_obs=unsup_obs,
+        unsup_fss_u=unsup_fss_u,
+        unsup_rank=unsup_rank,
+        unsup_percentile=percentile_of_rank(unsup_rank, n),
+        unsup_quartile=assign_quartile(unsup_rank, n),
+        delta_rank=sup_rank - unsup_rank,
+    ) for u, sup_obs, sup_fss_u, sup_rank, unsup_obs, unsup_fss_u, unsup_rank in rows]
     out.sort(key=lambda r: r.unsup_rank)
-    return RankTable(rows=tuple(out))
+    return RankTable(tuple(out), only_supervised, only_unsupervised)
 
 
 def _ranks_desc(values: dict[str, float]) -> dict[str, int]:
@@ -260,17 +260,9 @@ def rank_universities(supervised: list[UniversityScore],
         raise ValueError(f"a correlation needs at least 2 pairs, got {len(shared)}{dropped}")
     sup_ranks = _ranks_desc({u: sup[u].fss_u for u in shared})
     unsup_ranks = _ranks_desc({u: unsup[u].fss_u for u in shared})
-    rows = [{
-        "university_id": u,
-        "sup_obs": sup[u].rs_u,
-        "sup_fss_u": sup[u].fss_u,
-        "sup_rank": sup_ranks[u],
-        "unsup_obs": unsup[u].rs_u,
-        "unsup_fss_u": unsup[u].fss_u,
-        "unsup_rank": unsup_ranks[u],
-    } for u in sorted(shared)]
-    return replace(build_rank_table(rows), only_supervised=only_sup,
-                   only_unsupervised=only_unsup)
+    return build_rank_table([(u, sup[u].rs_u, sup[u].fss_u, sup_ranks[u],
+                              unsup[u].rs_u, unsup[u].fss_u, unsup_ranks[u])
+                             for u in sorted(shared)], only_sup, only_unsup)
 
 
 FIXTURE_COLUMNS = ("university", "unsup_obs", "unsup_fss_u", "unsup_rank",
@@ -292,16 +284,10 @@ def load_reference_table() -> RankTable:
     """The bundled reference table as a RankTable, using its published
     ranks (two unsupervised scores tie at 3 decimals, so re-ranking the
     rounded scores would be ambiguous)."""
-    rows = [{
-        "university_id": r["university"],
-        "sup_obs": int(r["sup_obs"]),
-        "sup_fss_u": float(r["sup_fss_u"]),
-        "sup_rank": int(r["sup_rank"]),
-        "unsup_obs": int(r["unsup_obs"]),
-        "unsup_fss_u": float(r["unsup_fss_u"]),
-        "unsup_rank": int(r["unsup_rank"]),
-    } for r in load_fixture_rows()]
-    return build_rank_table(rows)
+    return build_rank_table([(r["university"], int(r["sup_obs"]), float(r["sup_fss_u"]),
+                              int(r["sup_rank"]), int(r["unsup_obs"]),
+                              float(r["unsup_fss_u"]), int(r["unsup_rank"]))
+                             for r in load_fixture_rows()])
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +416,21 @@ def _correlation(test, x: list, y: list) -> float:
     return test(x, y)
 
 
-def correlation_battery(table: RankTable) -> dict[str, GroupCorrelation]:
+def correlation_battery(table: RankTable) -> GroupCorrelation | None:
     """Pearson on scores and Spearman on ranks (average-rank ties) over all
-    the table's universities, as the one group ``overall``. A table of
-    fewer than 3 universities gives no group, with a warning."""
+    the table's universities. A table of fewer than 3 universities gives
+    None, with a warning."""
     rows = table.rows
     if len(rows) < 3:
-        log.warning("group 'overall' has %d universities, need 3; skipped", len(rows))
-        return {}
-    pearson = _correlation(_pearson, [r.sup_fss_u for r in rows],
-                           [r.unsup_fss_u for r in rows])
-    spearman = _correlation(_spearman, [r.sup_rank for r in rows],
-                            [r.unsup_rank for r in rows])
-    return {"overall": GroupCorrelation(n=len(rows), pearson_scores=pearson,
-                                        spearman_ranks=spearman)}
+        log.warning("%d universities compared, need 3 for a correlation; skipped",
+                    len(rows))
+        return None
+    return GroupCorrelation(
+        n=len(rows),
+        pearson_scores=_correlation(_pearson, [r.sup_fss_u for r in rows],
+                                    [r.unsup_fss_u for r in rows]),
+        spearman_ranks=_correlation(_spearman, [r.sup_rank for r in rows],
+                                    [r.unsup_rank for r in rows]))
 
 
 def percent_deviation(supervised: float, unsupervised: float) -> float:
@@ -530,16 +517,12 @@ def comparison_report(table: RankTable,
     become None."""
     matrix = quartile_confusion(table)
     jumps = rank_jumps(table)
-    battery = correlation_battery(table)
+    correlation = correlation_battery(table)
     report = {
         "n_universities": table.n,
         "universities_only_supervised": list(table.only_supervised),
         "universities_only_unsupervised": list(table.only_unsupervised),
-        "correlations": {
-            name: {"n": c.n, "pearson_scores": c.pearson_scores,
-                   "spearman_ranks": c.spearman_ranks}
-            for name, c in battery.items()
-        },
+        "correlation": asdict(correlation) if correlation else None,
         "quartile_matrix": [list(row) for row in matrix.counts],
         "quartile_diagonal": matrix.diagonal_total,
         "quartile_above_diagonal": matrix.above_diagonal,

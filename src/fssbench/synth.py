@@ -520,6 +520,11 @@ def _make_pub(config, universities, sc_ids, cite_mult, persons, external_pools,
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
+#: Years up to the window's end that set a prevailing SC: the oracle's own
+#: copy of ``corpus.SC_LOOKBACK``, so that it stays independent.
+_ORACLE_SC_LOOKBACK = 19
+
+
 def _oracle_cell_mean(corpus: Corpus, year: int, sc: str) -> float:
     values = [rec.citation_count for rec in corpus
               if rec.year == year and sc in rec.subject_categories]
@@ -564,7 +569,6 @@ def _oracle_prevailing_sc(person: GroundTruthPerson, corpus: Corpus, mode: str,
 
 
 def oracle_scores(truth: GroundTruth, corpus: Corpus, mode: str, seed: int,
-                  sc_lookback: int = 19,
                   ) -> tuple[dict[str, float], dict[str, float]]:
     """Direct evaluation of both formulas over the ground-truth faculty.
 
@@ -573,7 +577,7 @@ def oracle_scores(truth: GroundTruth, corpus: Corpus, mode: str, seed: int,
     this is the slow, obviously-correct reference implementation.
     """
     window = corpus.window
-    lookback = YearWindow(window.end - sc_lookback + 1, window.end)
+    lookback = YearWindow(window.end - _ORACLE_SC_LOOKBACK + 1, window.end)
     subjects = sorted(truth.faculty(), key=lambda p: p.person_id)
     if mode == "unsupervised":
         # only people with at least one mention in the corpus are observable

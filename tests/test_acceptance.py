@@ -106,8 +106,8 @@ def test_quartile_jumpers_identified():
 
 
 def test_score_and_rank_correlations():
-    battery = correlation_battery(load_reference_table())["overall"]
-    pearson, spearman = battery.pearson_scores, battery.spearman_ranks
+    correlation = correlation_battery(load_reference_table())
+    pearson, spearman = correlation.pearson_scores, correlation.spearman_ranks
     ok = abs(pearson - 0.813) <= 0.010 and abs(spearman - 0.686) <= 0.005
     check("score and rank correlations", ok,
           f"pearson {pearson:.6f} (want 0.813 +/- 0.010), "

@@ -885,22 +885,39 @@ def test_report_prints_a_null_correlation_as_na(tmp_path, capsys, finished_run):
     out = shutil.copytree(finished_run, tmp_path / "out")
     report = json.loads((out / "report.json").read_text())
     assert report["n_universities"] == 3
-    report["correlations"]["overall"].update(pearson_scores=None, spearman_ranks=None)
+    report["correlation"].update(pearson_scores=None, spearman_ranks=None)
     report["university_deviation_correlations"]["obs_vs_fss_u"] = None
     (out / "report.json").write_text(json.dumps(report))
     capsys.readouterr()
     assert run_pipeline(["report", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "correlation [overall]: pearson(scores)=n/a spearman(ranks)=n/a (n=3)" in lines
+    assert "correlation: pearson(scores)=n/a spearman(ranks)=n/a (n=3)" in lines
     assert lines[-1].startswith("staff-count deviation vs score deviation: pearson=n/a; ")
+
+
+def test_report_prints_no_correlation_line_for_a_null_correlation(tmp_path, capsys,
+                                                                  finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    report = json.loads((out / "report.json").read_text())
+    assert report["correlation"] is not None
+    report["correlation"] = None
+    (out / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run_pipeline(["report", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.startswith("correlation")]
+    assert lines[0] == "universities compared: 3"
+    assert lines[1].startswith("quartile matrix ")
 
 
 @pytest.mark.parametrize("text, reason", [
     ("[1, 2]", "not a JSON object"),
-    ('{"correlations": {}}', "'n_universities'"),
+    ('{"correlation": null}', "'n_universities'"),
+    ('{"n_universities": 3, "universities_only_supervised": [], '
+     '"universities_only_unsupervised": []}', "'correlation'"),
     # a section compare always writes
     ('{"n_universities": 3, "universities_only_supervised": [], '
-     '"universities_only_unsupervised": [], "correlations": {}}', "'quartile_matrix'"),
+     '"universities_only_unsupervised": [], "correlation": null}', "'quartile_matrix'"),
 ])
 def test_report_refuses_a_malformed_report(tmp_path, capsys, text, reason):
     out = tmp_path / "out"
@@ -935,14 +952,14 @@ def test_compare_ranks_the_universities_both_modes_cover(tmp_path, capsys):
 
 
 def test_package_warning_prints_as_one_stage_line(tmp_path, capsys):
-    # at seed 7 two universities are compared, one short of a quartile group
+    # at seed 7 two universities are compared, one short of a correlation
     *upstream, compare, _ = default_filter_flow(tmp_path, "7")
     for argv in upstream:
         assert run_pipeline(argv) == 0, argv
     capsys.readouterr()
     assert run_pipeline(compare) == 0
     assert capsys.readouterr().err == (
-        "warning: compare: group 'overall' has 2 universities, need 3; skipped\n")
+        "warning: compare: 2 universities compared, need 3 for a correlation; skipped\n")
     assert logging.getLogger("fssbench").handlers == []
 
 

@@ -208,11 +208,11 @@ def test_rank_universities_ranks_the_shared_set():
 
 
 def test_build_rank_table_requires_permutations():
-    rows = [dict(university_id="A", sup_obs=1, sup_fss_u=1.0, sup_rank=1,
-                 unsup_obs=1, unsup_fss_u=1.0, unsup_rank=1),
-            dict(university_id="B", sup_obs=1, sup_fss_u=0.5, sup_rank=3,
-                 unsup_obs=1, unsup_fss_u=0.5, unsup_rank=2)]
-    with pytest.raises(ValueError, match="sup_rank"):
+    rows = [("A", 1, 1.0, 1, 1, 1.0, 1), ("B", 1, 0.5, 3, 1, 0.5, 2)]
+    with pytest.raises(ValueError, match="^sup_rank values are not a permutation of 1..2$"):
+        build_rank_table(rows)
+    rows = [("A", 1, 1.0, 1, 1, 1.0, 2), ("B", 1, 0.5, 2, 1, 0.5, 2)]
+    with pytest.raises(ValueError, match="^unsup_rank values are not a permutation of 1..2$"):
         build_rank_table(rows)
 
 
@@ -290,17 +290,18 @@ def test_correlation_battery_perfect_agreement():
     scores = {"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.5}
     table = rank_universities([uscore(u, s) for u, s in scores.items()],
                               [uscore(u, s) for u, s in scores.items()])
-    battery = correlation_battery(table)
-    assert battery["overall"].pearson_scores == pytest.approx(1.0)
-    assert battery["overall"].spearman_ranks == pytest.approx(1.0)
+    correlation = correlation_battery(table)
+    assert correlation.n == 4
+    assert correlation.pearson_scores == pytest.approx(1.0)
+    assert correlation.spearman_ranks == pytest.approx(1.0)
 
 
 def test_correlation_battery_skips_tiny_groups(caplog):
     table = rank_universities([uscore("A", 2.0), uscore("B", 1.0)],
                               [uscore("A", 1.0), uscore("B", 2.0)])
-    assert correlation_battery(table) == {}
+    assert correlation_battery(table) is None
     assert [r.getMessage() for r in caplog.records] == [
-        "group 'overall' has 2 universities, need 3; skipped"]
+        "2 universities compared, need 3 for a correlation; skipped"]
 
 
 def test_correlation_needs_two_pairs():

@@ -2,12 +2,14 @@
 
 ``synth`` through ``report`` run in-process, with the temporary directory
 as the working directory and a relative ``--out`` (the manifest records
-``out``). The sha256 of every file in ``--out`` and of ``report``'s stdout
-must equal ``golden_digests.json``. A change that is meant to alter bytes
-replaces that file in the same commit, with the JSON the failure prints,
-and says which files changed and why. ``synth`` draws through numpy's
-``Generator``, whose streams numpy does not promise to keep across
-versions (NEP 19), so the file records the numpy version it was made with.
+``out``). The sha256 of every file in ``--out``, of ``report``'s stdout and
+of ``run_manifest.json`` as each stage leaves it (each stage overwrites it,
+so the file in ``--out`` is ``report``'s) must equal ``golden_digests.json``.
+A change that is meant to alter bytes replaces that file in the same
+commit, with the JSON the failure prints, and says which files changed and
+why. ``synth`` draws through numpy's ``Generator``, whose streams numpy does
+not promise to keep across versions (NEP 19), so the file records the numpy
+version it was made with.
 
 README's library example runs in the README flow's output directory and
 must return what ``score`` and ``compare`` wrote there.
@@ -28,6 +30,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: The key of ``report``'s stdout among the file names.
 STDOUT = "report stdout"
+
+#: The key of ``run_manifest.json`` as stage ``{}`` left it.
+MANIFEST = "run_manifest.json after {}"
 
 #: name -> (world.cfg, synth's --seed, derive-staff's flags); every other
 #: setting at its default.
@@ -51,18 +56,21 @@ def _run_world(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(cwd)
     Path("world.cfg").write_text(world, encoding="utf-8")
     capsys.readouterr()
+    manifests = {}
     for stage in STAGES:
         argv = [stage, "--out", "run"]
         argv += {"synth": ["--config", "world.cfg", "--seed", seed],
                  "derive-staff": staff_flags}.get(stage, [])
         assert run_pipeline(argv) == 0, f"{name}: {argv}"
+        manifests[MANIFEST.format(stage)] = sha256(
+            Path("run", "run_manifest.json").read_bytes()).hexdigest()
     stdout = capsys.readouterr().out
     files = sorted(Path("run").iterdir(),
                    key=lambda p: (_ORDER.index(p.name) if p.name in _ORDER else len(_ORDER),
                                   p.name))
     digests = {p.name: sha256(p.read_bytes()).hexdigest() for p in files}
     digests[STDOUT] = sha256(stdout.encode("utf-8")).hexdigest()
-    return digests
+    return {**digests, **manifests}
 
 
 def test_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
