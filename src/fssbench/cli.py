@@ -13,26 +13,27 @@ off through the output directory:
                      distribution_stats.csv
     report        -> report.txt (and a summary on stdout)
 
-Each stage overwrites run_manifest.json with its own resolved config,
-config hash and seed, its output names, and the sha256 digest of each of
-its own input files passed by flag or config key (--publications,
---roster, ...), keyed by the flag's name; a file set for another stage's
-flag, and an artifact read from the output directory, are not digested.
+Each stage overwrites run_manifest.json with ``out``, the settings and set
+input files it reads, their config hash, its output names, and the sha256
+digest of each of those files (--publications, --roster, ...), keyed by
+the flag's name; neither a file set for another stage's flag nor an
+artifact read from the output directory is digested.
 Every digest, the config hash included, comes from the interpreter's
 builtin SHA-256 (``corpus.sha256``), not from ``hashlib``, so ``synth`` is
 the one stage that loads OpenSSL (about 3.5 MB of a process), through
 numpy's random module.
 Settings come from an optional ``key = value`` config file; command-line
-flags override it. Each is one entry of ``SETTINGS``:
+flags override it. Each is one entry of ``SETTINGS``, and a flag of the
+stages that read it:
 
-    key           flag             default
-    seed          --seed           42
-    window        --window         2015:2019
-    min_clusters  --min-clusters   30
-    min_age       --min-age        4
-    recency       --recency        the window's last year
-    min_obs       --min-obs        10
-    out           --out            out
+    key           flag             default                 read by
+    seed          --seed           42                      synth score
+    window        --window         2015:2019               synth to score
+    min_clusters  --min-clusters   30                      derive-staff
+    min_age       --min-age        4                       derive-staff
+    recency       --recency        the window's last year  derive-staff
+    min_obs       --min-obs        10                      score
+    out           --out            out                     every stage
 
 A ``recency`` after the window's last year and a negative ``min_clusters``,
 ``min_age`` or ``min_obs`` are refused, naming the setting. The SC lookback
@@ -43,7 +44,8 @@ ignored with a warning and left out of the manifest. A file value not of
 its setting's or knob's type is refused as ``config key <key>: bad value
 '<value>'``, and a knob outside the range ``synth.SynthConfig`` allows with
 that class's own message (``n_researchers must be positive``), by every
-stage.
+stage; a stage then ignores, and leaves out of its manifest, each setting,
+input file and knob it does not read (only ``synth`` reads the knobs).
 Exit status 0 on success; any failure prints a single
 ``error: <stage>: <reason>`` line on stderr and exits nonzero, naming
 the subcommand to run first when an upstream artifact is missing. A
@@ -78,7 +80,6 @@ every module took a stage process longer than most stages' own work.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import json
@@ -99,7 +100,7 @@ log = logging.getLogger(__name__)
 
 class Setting(typing.NamedTuple):
     """A run setting: ``type`` casts a flag or config-file string; ``help``
-    goes to the flag, which every subcommand has."""
+    goes to the flag of each stage that reads it."""
 
     type: typing.Callable[[str], object]
     default: object
@@ -141,7 +142,7 @@ class RunConfig:
     min_age: int
     recency: int | None          # None becomes the window's last year
     min_obs: int
-    paths: dict[str, Path | None]   # each input-file flag of ``STAGES``: its file, if given
+    paths: dict[str, Path | None]   # each input-file flag of the stage: its file, if given
     extra: dict[str, str]        # world-generator knobs from the config file, as written
 
     def __post_init__(self):
@@ -153,17 +154,6 @@ class RunConfig:
         for key in ("min_clusters", "min_age", "min_obs"):
             if getattr(self, key) < 0:
                 raise StageError(f"{key} must be non-negative, got {getattr(self, key)}")
-
-    def digestable(self) -> dict:
-        """The manifest's ``config``: every setting, each input path that is
-        set, then the world knobs as written in the config file."""
-        config = dataclasses.asdict(self)
-        extra = config.pop("extra")
-        config.update(config.pop("paths"))
-        config["window"] = f"{self.window.start}:{self.window.end}"
-        config = {key: str(value) if isinstance(value, Path) else value
-                  for key, value in config.items() if value is not None}
-        return {**config, **dict(sorted(extra.items()))}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -191,12 +181,10 @@ def _pick(args: argparse.Namespace, file_values: dict[str, str], key: str) -> ob
 
 
 def _paths(args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, Path | None]:
-    """Each input-file flag's file: the flag, else its config-file value."""
-    paths = {}
-    for key in _PATH_KEYS:
-        value = getattr(args, key, None) or file_values.get(key)
-        paths[key] = Path(value) if value else None
-    return paths
+    """Each input-file flag of stage ``args.subcommand``: its flag, else its config key."""
+    values = {key: getattr(args, key) or file_values.get(key)
+              for key in STAGES[args.subcommand].flags if key not in SETTINGS}
+    return {key: Path(value) if value else None for key, value in values.items()}
 
 
 def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> RunConfig:
@@ -227,16 +215,23 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(cfg: RunConfig, subcommand: str) -> None:
-    config = cfg.digestable()
+    """Write stage ``subcommand``'s manifest. Its ``config`` holds ``out``, each
+    setting and set input path the stage reads, and ``synth``'s world knobs."""
+    config = {"out": str(cfg.out), **{key: str(path) for key, path in cfg.paths.items() if path}}
+    for key in STAGES[subcommand].flags:
+        if key in SETTINGS:
+            config[key] = getattr(cfg, key)
+    if "window" in config:
+        config["window"] = f"{cfg.window.start}:{cfg.window.end}"
+    if subcommand == "synth":
+        config.update(cfg.extra)
     config_hash = corpusmod.sha256(
         "\n".join(f"{k}={config[k]}" for k in sorted(config)).encode()).hexdigest()
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "config_hash": config_hash,
-        "seed": cfg.seed,
-        "inputs": {flag: _sha256(cfg.paths[flag]) for flag in STAGES[subcommand].flags
-                   if cfg.paths[flag]},
+        "inputs": {flag: _sha256(path) for flag, path in cfg.paths.items() if path},
         "outputs": list(STAGES[subcommand].outputs),
     }
     (cfg.out / "run_manifest.json").write_text(
@@ -382,7 +377,8 @@ def _fmt(value) -> str:
 
 class Stage(typing.NamedTuple):
     """A subcommand: its computation, the artifacts it writes to ``--out``
-    (in the manifest's order), and its input-file flags."""
+    (in the manifest's order), and each setting and input-file flag it reads
+    besides ``--config`` and ``--out``: its flags, and its manifest's config."""
 
     run: typing.Callable[[RunConfig], None]
     outputs: tuple[str, ...]
@@ -393,20 +389,22 @@ class Stage(typing.NamedTuple):
 #: that lists it; a ``synth`` output may come from the flag named after it.
 STAGES = {
     "synth": Stage(cmd_synth, ("publications.jsonl", "roster.csv", "registry.csv",
-                               "scheme.csv", "ground_truth.csv")),
-    "ingest": Stage(cmd_ingest, ("corpus.jsonl",), ("publications",)),
-    "disambiguate": Stage(cmd_disambiguate, ("clusters.jsonl",), ("rules",)),
+                               "scheme.csv", "ground_truth.csv"), ("seed", "window")),
+    "ingest": Stage(cmd_ingest, ("corpus.jsonl",), ("window", "publications")),
+    "disambiguate": Stage(cmd_disambiguate, ("clusters.jsonl",), ("window", "rules")),
+    # the window gives recency its default and its upper bound
     "derive-staff": Stage(cmd_derive_staff, ("staff.csv", "review_queue.csv"),
-                          ("registry",)),
+                          ("window", "min_clusters", "min_age", "recency", "registry")),
     "score": Stage(cmd_score, ("scores_researchers.csv", "scores_universities.csv"),
-                   ("roster", "scheme")),
+                   ("seed", "window", "min_obs", "roster", "scheme")),
     "compare": Stage(cmd_compare, ("report.json", "rank_table.csv", "quartile_matrix.csv",
                                    "distribution_stats.csv")),
     "report": Stage(cmd_report, ("report.txt",)),
 }
 
-#: Every input-file flag; each is a key of ``RunConfig.paths`` and a config key.
-_PATH_KEYS = tuple(flag for stage in STAGES.values() for flag in stage.flags)
+#: Every input-file flag, each a config key: a flag of ``STAGES`` not in ``SETTINGS``.
+_PATH_KEYS = tuple(key for stage in STAGES.values() for key in stage.flags
+                   if key not in SETTINGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, stage in STAGES.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value settings file")
-        for key, setting in SETTINGS.items():
+        for key in ("out", *stage.flags):
+            setting = SETTINGS.get(key)
             # a bad window is refused by resolve_config, in one line
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=int if setting.type is int else None, help=setting.help)
-        for flag in stage.flags:
-            p.add_argument(f"--{flag}")
+                           type=int if setting and setting.type is int else None,
+                           help=setting and setting.help)
     return parser
 
 

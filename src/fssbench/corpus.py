@@ -213,7 +213,7 @@ class YearWindow:
 
     @classmethod
     def parse(cls, text: str) -> "YearWindow":
-        m = re.match(r"^(\d{4})[:\-](\d{4})$", text.strip())
+        m = re.match(r"^([0-9]{4})[:\-]([0-9]{4})$", text.strip())
         if not m:
             raise CorpusError(f"cannot parse year window {text!r} (expected START:END)")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -703,13 +703,13 @@ def load_publications(path: str | Path, window: YearWindow) -> Corpus:
 def _parse_years(text: str, where: str) -> frozenset[int]:
     years: set[int] = set()
     for token in filter(None, (t.strip() for t in text.split(";"))):
-        m = re.match(r"^(\d{4})-(\d{4})$", token)
+        m = re.match(r"^([0-9]{4})-([0-9]{4})$", token)
         if m:
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo > hi:
                 raise CorpusError(f"{where}: bad year range {token!r}")
             years.update(range(lo, hi + 1))
-        elif re.match(r"^\d{4}$", token):
+        elif re.match(r"^[0-9]{4}$", token):
             years.add(int(token))
         else:
             raise CorpusError(f"{where}: bad year token {token!r}")

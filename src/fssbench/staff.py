@@ -286,6 +286,8 @@ def load_staff_csv(path: str | Path, clusters: list[AuthorCluster]) -> DerivedSt
             raise CorpusError(f"{where}: unit {row['cluster_id']} has no university_id")
         ids = row["member_cluster_ids"].split(";")
         for cid in ids:
+            if not cid:
+                raise CorpusError(f"{where}: empty id in member_cluster_ids")
             if cid not in by_id:
                 raise CorpusError(f"{Path(path).name} references unknown cluster "
                                   f"{cid}; run `disambiguate` first")

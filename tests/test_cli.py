@@ -209,7 +209,7 @@ def test_flag_beats_config_file(tmp_path):
     assert run_pipeline(["synth", "--config", cfg, "--out", str(out),
                          "--seed", "7"]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["seed"] == 7
+    assert "seed" not in manifest
     assert manifest["config"]["seed"] == 7
 
 
@@ -218,7 +218,7 @@ def test_config_file_value_used_without_flag(tmp_path):
     cfg = write_config(tmp_path, SMALL_WORLD + "seed = 9\n")
     assert run_pipeline(["synth", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["seed"] == 9
+    assert manifest["config"]["seed"] == 9
 
 
 def test_manifest_records_inputs_and_hash(tmp_path):
@@ -231,7 +231,8 @@ def test_manifest_records_inputs_and_hash(tmp_path):
 
 
 def test_config_hash_of_a_fixed_config(tmp_path, monkeypatch):
-    # sha256 of the sorted key=value lines; any change to it is a new hash
+    # sha256 of the sorted key=value lines of what score reads (min_obs, out,
+    # seed, window), not of the knobs; any change to it is a new hash
     monkeypatch.chdir(tmp_path)
     Path("out").mkdir()
     args = cli.build_parser().parse_args(["score", "--out", "out", "--seed", "7"])
@@ -239,7 +240,7 @@ def test_config_hash_of_a_fixed_config(tmp_path, monkeypatch):
     cli.write_manifest(cfg, "score")
     manifest = json.loads(Path("out", "run_manifest.json").read_text())
     assert manifest["config_hash"] == (
-        "adadaddc534320c6b3a3fa6a097bce783e849e360fac3aa6decdeae20b4d13a8")
+        "8062011f1a4701b4256f25f5700a6244fc3d219f732caea30744f4122edcf5e6")
 
 
 def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
@@ -259,27 +260,34 @@ def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
 
 def test_manifest_digests_only_the_inputs_its_stage_reads(tmp_path):
     world = tmp_path / "world"
-    assert run_pipeline(["synth", "--config", write_config(tmp_path),
-                         "--out", str(world)]) == 0
-    # one config file for every stage, naming each input file
+    world.mkdir()
+    (world / "rules.cfg").write_text("")
+    # one config file for every stage: world knobs, each setting, each input
+    # file; a stage's manifest records, and digests, only what the stage reads
     files = {"publications": "publications.jsonl", "roster": "roster.csv",
-             "scheme": "scheme.csv", "registry": "registry.csv"}
-    shared = write_config(tmp_path, "".join(f"{flag} = {world / name}\n"
-                                            for flag, name in files.items()), "shared.cfg")
+             "scheme": "scheme.csv", "registry": "registry.csv", "rules": "rules.cfg"}
+    settings = "seed = 42\nwindow = 2015:2019\nmin_clusters = 1\nmin_age = 1\n" \
+               "recency = 2015\nmin_obs = 10\n"
+    shared = write_config(tmp_path, SMALL_WORLD + settings + "".join(
+        f"{flag} = {world / name}\n" for flag, name in files.items()), "shared.cfg")
     inputs = {}
-    for argv in chain_steps(tmp_path)[1:]:
-        assert run_pipeline([*argv, "--config", shared]) == 0, argv
-        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
-        assert {flag: manifest["config"][flag] for flag in files} == {
-            flag: str(world / name) for flag, name in files.items()}
-        inputs[argv[0]] = manifest["inputs"]
-    assert inputs["report"] == {}
+    for stage, entry in STAGES.items():
+        out = world if stage == "synth" else tmp_path / "out"
+        assert run_pipeline([stage, "--config", shared, "--out", str(out)]) == 0, stage
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        knobs = ["n_universities", "n_researchers", "n_scs"] if stage == "synth" else []
+        assert sorted(manifest) == ["config", "config_hash", "inputs", "outputs", "subcommand"]
+        assert sorted(manifest["config"]) == sorted(["out", *entry.flags, *knobs]), stage
+        assert {flag: value for flag, value in manifest["config"].items() if flag in files} == {
+            flag: str(world / files[flag]) for flag in entry.flags if flag in files}
+        inputs[stage] = manifest["inputs"]
     assert inputs["score"] == {
         flag: hashlib.sha256((world / files[flag]).read_bytes()).hexdigest()
         for flag in ("roster", "scheme")}
     assert {stage: sorted(digests) for stage, digests in inputs.items()} == {
-        "ingest": ["publications"], "disambiguate": [], "derive-staff": ["registry"],
-        "score": ["roster", "scheme"], "compare": [], "report": []}
+        "synth": [], "ingest": ["publications"], "disambiguate": ["rules"],
+        "derive-staff": ["registry"], "score": ["roster", "scheme"], "compare": [],
+        "report": []}
 
 
 def test_synth_refuses_a_negative_seed(tmp_path, capsys):
@@ -331,14 +339,22 @@ SETTING_VALUES = {
 }
 
 
+#: The settings under which ``derive-staff`` accepts staff in SMALL_WORLD.
+RELAXED = {"min_clusters": "1", "min_age": "1", "recency": "2015"}
+
+
 @pytest.mark.parametrize("key", sorted(SETTINGS.keys() - {"out"}))
-def test_setting_from_config_file_and_flag(tmp_path, key):
+def test_setting_from_config_file_and_flag(tmp_path, finished_run, key):
+    # on the first stage that reads the setting
+    stage = next(name for name, entry in STAGES.items() if key in entry.flags)
     in_file, by_flag = SETTING_VALUES[key]
-    cfg = write_config(tmp_path, SMALL_WORLD + f"{key} = {in_file}\n")
-    out = tmp_path / "out"
+    settings = {**RELAXED, key: in_file}
+    cfg = write_config(tmp_path, SMALL_WORLD + "".join(f"{k} = {v}\n"
+                                                       for k, v in settings.items()))
+    out = shutil.copytree(finished_run, tmp_path / "out")
     flag = ["--" + key.replace("_", "-"), by_flag]
     for extra, expected in [([], in_file), (flag, by_flag)]:
-        assert run_pipeline(["synth", "--config", cfg, "--out", str(out), *extra]) == 0
+        assert run_pipeline([stage, "--config", cfg, "--out", str(out), *extra]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert str(manifest["config"][key]) == expected
 
@@ -426,14 +442,48 @@ def _table_after(text: str, header: str) -> list[str]:
     return lines[start:lines.index("", start)]
 
 
+README_SETTINGS = "| config key | flag | default | read by |"
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_readme_and_cli_docstring_list_exactly_the_settings():
     expected = [(key, "--" + key.replace("_", "-")) for key in SETTINGS]
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    readme_rows = [row.split("|")[1:3] for row in
-                   _table_after(readme, "| config key | flag | default |")[1:]]
+    readme_rows = [row.split("|")[1:3] for row in _table_after(readme, README_SETTINGS)[1:]]
     assert [(key.strip(" `"), flag.strip(" `")) for key, flag in readme_rows] == expected
-    doc_rows = _table_after(cli.__doc__, "    key           flag             default")
+    doc_rows = _table_after(
+        cli.__doc__, "    key           flag             default                 read by")
     assert [tuple(row.split()[:2]) for row in doc_rows] == expected
+
+
+def test_each_stage_has_the_flags_of_what_it_reads_and_no_other():
+    # README's "read by" column, each ``STAGES`` entry and each subcommand's
+    # options name the same settings
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    read_by = {}
+    for row in _table_after(readme, README_SETTINGS)[1:]:
+        key, cell = row.split("|")[1].strip(" `"), row.split("|")[4]
+        named = set(re.findall(r"`([a-z-]+)`", cell))
+        read_by[key] = set(STAGES) - named if "every stage" in cell else named
+    for name, parser in _subparsers().items():
+        options = set(parser._option_string_actions) - {"-h", "--help"}
+        flags = ["out", *STAGES[name].flags]
+        assert options == {"--config", *("--" + key.replace("_", "-") for key in flags)}, name
+        assert {key for key, stages in read_by.items() if name in stages} == (
+            SETTINGS.keys() & flags), name
+    assert sum(len(entry.flags) for entry in STAGES.values()) == 16
+
+
+def test_a_flag_of_a_setting_the_stage_does_not_read_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_pipeline(["ingest", "--out", str(tmp_path / "o"), "--min-obs", "3"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --min-obs 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_lists_the_rules_keys_and_only_real_flags():
@@ -445,9 +495,7 @@ def test_readme_lists_the_rules_keys_and_only_real_flags():
     inline = " ".join(re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)))
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", inline))
     assert [key for key in cli._PATH_KEYS if f"--{key}" not in flags] == []
-    sub = next(action for action in cli.build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    options = {option for parser in sub.choices.values()
+    options = {option for parser in _subparsers().values()
                for option in parser._option_string_actions}
     assert sorted(flags - options) == []
 
@@ -783,7 +831,8 @@ def test_compare_refuses_a_researcher_listed_twice(tmp_path, capsys, finished_ru
 def test_compare_refused_by_a_setting_removes_its_outputs(tmp_path, capsys, finished_run):
     out = shutil.copytree(finished_run, tmp_path / "out")
     capsys.readouterr()
-    assert run_pipeline(["compare", "--out", str(out), "--recency", "2020"]) == 1
+    cfg = write_config(tmp_path, "recency = 2020\n", name="late.cfg")
+    assert run_pipeline(["compare", "--out", str(out), "--config", cfg]) == 1
     assert capsys.readouterr().err == (
         "error: compare: recency 2020 is after the window's last year 2019; "
         "no cluster can be active then\n")

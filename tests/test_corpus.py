@@ -154,7 +154,8 @@ def test_year_window_contains_and_len():
     assert list(w.years()) == [2015, 2016, 2017, 2018, 2019]
 
 
-@pytest.mark.parametrize("bad", ["2019:2015", "19:20", "abc", "2015", "2015:2019:2020"])
+@pytest.mark.parametrize("bad", ["2019:2015", "19:20", "abc", "2015", "2015:2019:2020",
+                                 "\u0662\u0660\u0661\u0665:\u0662\u0660\u0661\u0669"])
 def test_year_window_rejects_malformed(bad):
     with pytest.raises((CorpusError, ValueError)):
         YearWindow.parse(bad)
@@ -396,6 +397,16 @@ def test_load_roster_refuses_a_person_without_a_university(tmp_path):
     with pytest.raises(CorpusError) as exc:
         load_roster(path, WINDOW)
     assert str(exc.value) == "roster.csv line 2: person P0000 has no university_id"
+
+
+@pytest.mark.parametrize("years", ["\u0662\u0660\u0661\u0665-\u0662\u0660\u0661\u0667",
+                                   "\u0662\u0660\u0661\u0666"])
+def test_load_roster_refuses_years_in_non_ascii_digits(tmp_path, years):
+    # int() reads any Unicode digit, so these would load as 2015-2017 and 2016
+    path = _roster(tmp_path, f'P1,"Rossi, M",U1,F01,SC1,{years},')
+    with pytest.raises(CorpusError) as exc:
+        load_roster(path, WINDOW)
+    assert str(exc.value) == f"roster.csv line 2: bad year token {years!r}"
 
 
 def test_load_roster_rejects_empty_years(tmp_path):
@@ -660,6 +671,18 @@ def test_loader_refuses_a_key_listed_twice_naming_both_lines(tmp_path, name):
     with pytest.raises(CorpusError) as exc:
         load(path)
     assert str(exc.value) == refusal
+
+
+@pytest.mark.parametrize("members", ["", ";W1:0", "W1:0;", "W1:0;;W1:1"])
+def test_load_staff_csv_refuses_an_empty_member_id(tmp_path, members):
+    # not "references unknown cluster ; run `disambiguate` first", which no
+    # rerun of disambiguate would mend
+    path = tmp_path / "staff.csv"
+    path.write_text("university_id,cluster_id,evidence,n_pubs,member_cluster_ids\n"
+                    f"U1,W1:0,organization,1,{members}\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        load_staff_csv(path, [_W1_CLUSTER, dataclasses.replace(_W1_CLUSTER, cluster_id="W1:1")])
+    assert str(exc.value) == "staff.csv line 2: empty id in member_cluster_ids"
 
 
 def test_only_listed_once_words_a_repeated_key_refusal():
