@@ -65,12 +65,14 @@ arrays no more than a few thousand numbers: a full collection of a national
 corpus walks millions of objects for nothing, and OpenBLAS's thread pool
 costs more to start than it could save.
 
-A stage process executes only the package modules its stage uses:
-``import fssbench`` registers every module but this one without executing
-it, and a module executes when one of its names is first read. ``ingest`` and
-``report`` execute ``cli`` and ``corpus``; ``disambiguate`` adds
-``disambig``, ``derive-staff`` also ``staff``, ``score`` also ``fss`` and
-``compare`` also ``compare``; ``synth`` executes ``cli``, ``corpus`` and
+A stage process executes only the package modules its stage uses: this
+module imports ``corpus``, and each ``cmd_*`` function the other modules
+it calls. It calls through the module object (``disambig.cluster_corpus``),
+so that a wrapper set on a module attribute, as ``benchmarks/tracing.py``
+sets, sees the call. ``ingest`` and ``report`` execute ``cli`` and
+``corpus``; ``disambiguate`` adds ``disambig``, ``derive-staff`` also
+``staff`` and ``score`` also ``fss``; ``compare`` executes ``cli``,
+``corpus``, ``fss`` and ``compare``, and ``synth`` ``cli``, ``corpus`` and
 ``synth``. So the settings' defaults come from ``corpus``, and the world
 knobs, which execute ``synth``, are read only for a config file that sets
 a key other than a setting or an input file. On a small world, executing
@@ -91,9 +93,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import compare as comparemod
 from . import corpus as corpusmod
-from . import disambig, fss, staff as staffmod, synth as synthmod
 
 log = logging.getLogger(__name__)
 
@@ -125,6 +125,8 @@ def _synth_knobs() -> dict[str, typing.Callable[[str], object]]:
     """World-generator knobs a config file may set, each with its type; the
     window and seed come from the settings above. Reading them executes
     ``synth``, so only a config file that sets some other key reads them."""
+    from . import synth as synthmod
+
     return {name: hint for name, hint in typing.get_type_hints(synthmod.SynthConfig).items()
             if name not in SETTINGS}
 
@@ -195,6 +197,8 @@ def resolve_config(args: argparse.Namespace, file_values: dict[str, str]) -> Run
     extra = {}
     others = file_values.keys() - SETTINGS.keys() - set(_PATH_KEYS)
     if others:
+        from . import synth as synthmod
+
         knobs = _synth_knobs()
         for key in sorted(others - knobs.keys()):
             log.warning("ignoring unknown config key %r", key)
@@ -251,6 +255,8 @@ def _artifact(cfg: RunConfig, name: str) -> Path:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
+    from . import synth as synthmod
+
     config = synthmod.SynthConfig(seed=cfg.seed, window=cfg.window,
                                   **{key: _cast(key, raw) for key, raw in cfg.extra.items()})
     files, truth = synthmod.generate(config, cfg.out)
@@ -264,6 +270,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 
 def cmd_disambiguate(cfg: RunConfig) -> None:
+    from . import disambig
+
     corpus = corpusmod.load_publications(_artifact(cfg, "corpus.jsonl"), cfg.window)
     rules = (disambig.load_rules(cfg.paths["rules"]) if cfg.paths["rules"]
              else disambig.DEFAULT_RULES)
@@ -274,6 +282,8 @@ def cmd_disambiguate(cfg: RunConfig) -> None:
 
 
 def cmd_derive_staff(cfg: RunConfig) -> None:
+    from . import disambig, staff as staffmod
+
     clusters = disambig.load_clusters_jsonl(_artifact(cfg, "clusters.jsonl"))
     registry = corpusmod.load_registry(_artifact(cfg, "registry.csv"))
     derived = staffmod.derive_staff(clusters, registry,
@@ -293,6 +303,8 @@ def cmd_derive_staff(cfg: RunConfig) -> None:
 
 
 def cmd_score(cfg: RunConfig) -> None:
+    from . import disambig, fss, staff as staffmod
+
     corpus = corpusmod.load_publications(_artifact(cfg, "corpus.jsonl"), cfg.window)
     scheme = corpusmod.load_scheme(_artifact(cfg, "scheme.csv"))
     roster_path = _artifact(cfg, "roster.csv")
@@ -315,6 +327,8 @@ def cmd_score(cfg: RunConfig) -> None:
 
 
 def cmd_compare(cfg: RunConfig) -> None:
+    from . import compare as comparemod, fss
+
     uni_path = _artifact(cfg, "scores_universities.csv")
     report, table, matrix, distributions = comparemod.compare_modes(
         fss.load_scores(_artifact(cfg, "scores_researchers.csv"), uni_path))

@@ -15,8 +15,9 @@ the optional ones:
   ``journal``, ``citation_count``, ``census_date``, ``mentions``; each
   mention has ``full_name`` and optionally ``email``, ``orcid``,
   ``researcher_id``, ``affiliation``, ``organization``, ``city``,
-  ``country``. ``pub_id``, ``doc_type``, ``census_date`` (ISO date), the
-  subject categories and ``full_name`` must be strings; ``journal``,
+  ``country``. ``pub_id``, ``doc_type``, ``source_index`` (required, one
+  of ``SOURCE_INDEXES``), ``census_date`` (ISO date), the subject
+  categories and ``full_name`` must be strings; ``journal``,
   ``orcid``, ``researcher_id`` and the other mention fields a string or
   null; ``year`` and ``citation_count`` whole numbers (not a bool). No
   value of another JSON type is converted. An ``orcid`` is four groups of
@@ -637,11 +638,11 @@ def _parse_record(obj: dict, where: str, warned: set[str], shared: dict) -> Publ
         journal = text_or_none(obj, "journal")  # null or absent: no journal
         citations = whole_number(obj, "citation_count")
         census_raw = required_text(obj, "census_date")
+        source_index = required_text(obj, "source_index")
     except TypeError as exc:
         raise CorpusError(f"{where}: {exc}") from exc
     if doc_type not in DOC_TYPES:
         raise CorpusError(f"{where}: invalid doc_type {doc_type!r}")
-    source_index = obj.get("source_index", "other")
     if source_index not in SOURCE_INDEXES:
         raise CorpusError(f"{where}: invalid source_index {source_index!r}")
     scs = obj.get("subject_categories")

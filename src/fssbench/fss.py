@@ -37,11 +37,14 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import (DEFAULT_MIN_OBS, MODE_SUPERVISED, MODE_UNSUPERVISED, Corpus, CorpusError,
                      PublicationRecord, RosterEntry, SCScheme, csv_number, listed_once,
                      read_csv, sha256, write_csv)
-from .staff import DerivedStaff
+
+if TYPE_CHECKING:
+    from .staff import DerivedStaff
 
 log = logging.getLogger(__name__)
 

@@ -20,10 +20,13 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import (DEFAULT_MIN_AGE, DEFAULT_MIN_CLUSTERS, CorpusError, UniversityRegistry,
                      listed_once, read_csv, write_csv)
-from .disambig import AuthorCluster
+
+if TYPE_CHECKING:
+    from .disambig import AuthorCluster
 
 log = logging.getLogger(__name__)
 

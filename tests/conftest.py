@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -89,6 +91,18 @@ def package_env() -> dict[str, str]:
            if name not in BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return env
+
+
+def executed_after(code: str) -> tuple[list[str], list[str]]:
+    """Run ``code`` in a new interpreter that imports this fssbench: the
+    ``fssbench`` modules it executed, sorted, and the lines ``code`` printed."""
+    listing = ("import json, sys; print(json.dumps(sorted("
+               "name for name in sys.modules if name.startswith('fssbench'))))")
+    done = subprocess.run([sys.executable, "-c", f"{code}\n{listing}"], env=package_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    *printed, executed = done.stdout.splitlines()
+    return json.loads(executed), printed
 
 
 def corpus_of(records: list[PublicationRecord], window: YearWindow = WINDOW) -> Corpus:

@@ -1,5 +1,4 @@
 import argparse
-import ast
 import csv
 import dataclasses
 import gc
@@ -20,7 +19,7 @@ from fssbench import cli, synth
 from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
 from fssbench.disambig import ScoringRules
 
-from conftest import mention, package_env, pub, write_jsonl
+from conftest import executed_after, mention, package_env, pub, write_jsonl
 
 SMALL_WORLD = """\
 # generator knobs for a quick world
@@ -1030,25 +1029,21 @@ def test_cli_import_does_not_load_scipy():
     assert done.returncode == 0, done.stderr
 
 
-def test_cli_import_registers_every_package_module_but_not_numpy():
-    done = run_fresh("import fssbench.cli, json, sys; print(json.dumps(list(sys.modules)))")
-    assert done.returncode == 0, done.stderr
-    modules = set(json.loads(done.stdout))
-    assert {f"fssbench.{name}" for name in ("corpus", "disambig", "staff", "fss",
-                                            "compare", "synth")} <= modules
-    assert "numpy" not in modules
-    assert "_hashlib" not in modules             # OpenSSL, through hashlib
+def test_cli_import_executes_only_corpus_and_not_numpy():
+    executed, printed = executed_after("import fssbench.cli, sys; "
+                                       "print('numpy' in sys.modules, '_hashlib' in sys.modules)")
+    assert executed == ["fssbench", "fssbench.cli", "fssbench.corpus"]
+    assert printed == ["False False"]            # _hashlib: OpenSSL, through hashlib
 
 
-#: The package modules each stage process executes; the others stay registered
-#: and unexecuted.
+#: The package modules each stage process executes; the others are never imported.
 STAGE_MODULES = {
     "synth": {"cli", "corpus", "synth"},
     "ingest": {"cli", "corpus"},
     "disambiguate": {"cli", "corpus", "disambig"},
     "derive-staff": {"cli", "corpus", "disambig", "staff"},
     "score": {"cli", "corpus", "disambig", "staff", "fss"},
-    "compare": {"cli", "corpus", "disambig", "staff", "fss", "compare"},
+    "compare": {"cli", "corpus", "fss", "compare"},
     "report": {"cli", "corpus"},
 }
 
@@ -1063,17 +1058,13 @@ def test_only_synth_and_compare_load_numpy(tmp_path):
     steps[4] += ["--roster", str(out / "roster.csv"), "--scheme", str(out / "scheme.csv")]
     loaded, executed = {}, {}
     for argv in steps:
-        done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
-                         f"code = run_pipeline({argv!r}); "
-                         "print(sorted(name[9:] for name, module in sys.modules.items() "
-                         "if name.startswith('fssbench.') "
-                         "and type(module).__name__ != '_LazyModule')); "
-                         "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
-                         "'_hashlib' in sys.modules)")
-        assert done.returncode == 0, done.stderr
-        *_, modules, flags = done.stdout.splitlines()
+        modules, (*_, flags) = executed_after(
+            "import sys; from fssbench.cli import run_pipeline; "
+            f"code = run_pipeline({argv!r}); "
+            "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
+            "'_hashlib' in sys.modules)")
         loaded[argv[0]] = flags.split()
-        executed[argv[0]] = set(ast.literal_eval(modules))
+        executed[argv[0]] = {name.removeprefix("fssbench.") for name in modules} - {"fssbench"}
     assert loaded == {stage: ["0", str(stage in ("synth", "compare")), "False",
                               str(stage == "synth")]
                       for stage in ("synth", "ingest", "disambiguate", "derive-staff",
@@ -1085,8 +1076,8 @@ def test_a_config_file_of_settings_alone_leaves_synth_unexecuted(tmp_path):
     cfg = write_config(tmp_path, "min_obs = 5\nmin_age = 2\n")
     done = run_fresh("import sys; from fssbench.cli import run_pipeline; "
                      f"run_pipeline(['ingest', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
-                     "print(type(sys.modules['fssbench.synth']).__name__)")
-    assert done.stdout.split() == ["_LazyModule"]
+                     "print('fssbench.synth' in sys.modules)")
+    assert done.stdout.split() == ["False"]
     assert done.stderr == ("error: ingest: missing publications.jsonl; "
                            "pass --publications or run `synth` first\n")
 

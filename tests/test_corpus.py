@@ -274,6 +274,7 @@ def test_load_publications_holds_one_object_per_distinct_value(tmp_path):
      "invalid orcid '\uff10\uff10\uff10\uff10-0002-1825-0097'"),
     ("email", 5, "mention email is neither a string nor null"),
     ("subject_categories", ["SC1", 2], "subject category 2 is not a string"),
+    ("source_index", None, "missing field 'source_index'"),
 ])
 def test_load_publications_refuses_a_bad_field_after_a_good_record_like_it(
         tmp_path, field, value, refusal):

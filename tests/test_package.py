@@ -1,4 +1,4 @@
-"""The package surface: lazily registered modules and the re-exported names."""
+"""The package surface: modules imported on first use and the re-exported names."""
 
 import json
 import shutil
@@ -10,44 +10,36 @@ import pytest
 
 import fssbench
 
-from conftest import package_env
-
-#: Which package modules have executed, printed as a JSON list.
-EXECUTED = ("import json, sys; print(json.dumps(sorted("
-            "name for name, module in sys.modules.items() if name.startswith('fssbench') "
-            "and type(module).__name__ != '_LazyModule')))")
+from conftest import executed_after, package_env
 
 
-def executed_after(code: str) -> list[str]:
-    """The ``fssbench`` modules executed in a new interpreter after ``code``."""
-    done = subprocess.run([sys.executable, "-c", f"{code}; {EXECUTED}"], env=package_env(),
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
-def test_import_registers_every_library_module_and_executes_none():
+def test_import_executes_no_library_module():
+    assert executed_after("import fssbench") == (["fssbench"], [])
     package = Path(fssbench.__file__).parent
     modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__", "cli"}
     code = ("import sys, fssbench; "
-            f"assert all(type(sys.modules['fssbench.' + name]).__name__ == '_LazyModule' "
-            f"and getattr(fssbench, name) is sys.modules['fssbench.' + name] "
-            f"for name in {sorted(modules)!r}); "
-            "assert 'fssbench.cli' not in sys.modules")
-    assert executed_after(code) == ["fssbench"]
+            f"assert all(getattr(fssbench, name) is sys.modules['fssbench.' + name] "
+            f"for name in {sorted(modules)!r})")
+    executed, _ = executed_after(code)
+    assert executed == sorted({"fssbench"} | {f"fssbench.{name}" for name in modules})
 
 
 def test_a_name_executes_only_its_module_and_what_that_imports():
-    assert executed_after("from fssbench import YearWindow") == ["fssbench", "fssbench.corpus"]
-    assert executed_after("import fssbench; fssbench.derive_staff") == [
-        "fssbench", "fssbench.corpus", "fssbench.disambig", "fssbench.staff"]
+    for code, executed in [
+            ("from fssbench import YearWindow", ["fssbench", "fssbench.corpus"]),
+            ("import fssbench; fssbench.derive_staff",
+             ["fssbench", "fssbench.corpus", "fssbench.staff"]),
+            ("import fssbench; fssbench.compare_modes",
+             ["fssbench", "fssbench.compare", "fssbench.corpus", "fssbench.fss"])]:
+        assert executed_after(code) == (executed, []), code
 
 
 def test_each_exported_name_is_its_defining_modules_object():
     for name in fssbench.__all__:
+        value = getattr(fssbench, name)
         module = sys.modules[f"fssbench.{fssbench._MODULE_OF[name]}"]
-        assert getattr(fssbench, name) is getattr(module, name), name
-        assert getattr(fssbench, name).__module__ == module.__name__, name
+        assert value is getattr(module, name), name
+        assert value.__module__ == module.__name__, name
     assert set(fssbench.__all__) <= set(dir(fssbench))
 
 
