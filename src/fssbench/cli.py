@@ -38,7 +38,9 @@ stages that read it:
 A ``recency`` after the window's last year and a negative ``min_clusters``,
 ``min_age`` or ``min_obs`` are refused, naming the setting. The SC lookback
 (``corpus.SC_LOOKBACK``, 19 years) and the observation-floor rule are
-constants of the scoring method, not settings.
+constants of the scoring method, not settings, and so are the pair-scoring
+weights and the merge threshold that ``disambiguate`` clusters with
+(``disambig``); ``disambiguate`` reads no input file by flag.
 The file may also set the world generator's knobs; any other key is
 ignored with a warning and left out of the manifest. A file value not of
 its setting's or knob's type is refused as ``config key <key>: bad value
@@ -159,7 +161,7 @@ class RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    return {key: value for _, key, value in corpusmod.read_key_values(path, "config")}
+    return {key: value for _, key, value in corpusmod.read_key_values(path)}
 
 
 def _cast(key: str, raw: str) -> object:
@@ -244,10 +246,14 @@ def write_manifest(cfg: RunConfig, subcommand: str) -> None:
 
 def _artifact(cfg: RunConfig, name: str) -> Path:
     """Artifact ``name`` in the output directory, or the file passed by the
-    flag named after it; a missing one names its producer in ``STAGES``."""
+    flag or config key named after it. A missing file set that way is named
+    as set; a missing artifact names its producer in ``STAGES``."""
     flag = Path(name).stem
-    path = cfg.paths.get(flag) or cfg.out / name
+    given = cfg.paths.get(flag)
+    path = given or cfg.out / name
     if not path.exists():
+        if given:
+            raise StageError(f"missing {given}, set as the {flag} file")
         producer = next(stage for stage, entry in STAGES.items() if name in entry.outputs)
         how = f"pass --{flag} or run" if flag in cfg.paths else "run"
         raise StageError(f"missing {name}; {how} `{producer}` first")
@@ -273,9 +279,7 @@ def cmd_disambiguate(cfg: RunConfig) -> None:
     from . import disambig
 
     corpus = corpusmod.load_publications(_artifact(cfg, "corpus.jsonl"), cfg.window)
-    rules = (disambig.load_rules(cfg.paths["rules"]) if cfg.paths["rules"]
-             else disambig.DEFAULT_RULES)
-    clusters = disambig.cluster_corpus(corpus, rules)
+    clusters = disambig.cluster_corpus(corpus, disambig.DEFAULT_RULES)
     disambig.write_clusters_jsonl(clusters, cfg.out / "clusters.jsonl")
     log.info("clustered %d mentions into %d clusters",
              corpus.mention_count(), len(clusters))
@@ -405,7 +409,7 @@ STAGES = {
     "synth": Stage(cmd_synth, ("publications.jsonl", "roster.csv", "registry.csv",
                                "scheme.csv", "ground_truth.csv"), ("seed", "window")),
     "ingest": Stage(cmd_ingest, ("corpus.jsonl",), ("window", "publications")),
-    "disambiguate": Stage(cmd_disambiguate, ("clusters.jsonl",), ("window", "rules")),
+    "disambiguate": Stage(cmd_disambiguate, ("clusters.jsonl",), ("window",)),
     # the window gives recency its default and its upper bound
     "derive-staff": Stage(cmd_derive_staff, ("staff.csv", "review_queue.csv"),
                           ("window", "min_clusters", "min_age", "recency", "registry")),

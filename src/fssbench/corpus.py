@@ -506,8 +506,8 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(lineno, key, value)`` for each line of a ``key = value`` file;
+def read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, key, value)`` for each line of a ``key = value`` config file;
     ``#`` starts a comment, and blank lines and a leading UTF-8 byte-order
     mark are skipped. A key set twice is refused. As in ``read_jsonl``, a
     line ends only at LF, CR LF or CR, never at U+0085, U+2028 or U+2029."""
@@ -518,10 +518,10 @@ def read_key_values(path: str | Path, what: str) -> Iterator[tuple[int, str, str
             if not line:
                 continue
             if "=" not in line:
-                raise CorpusError(f"{what} line {lineno}: expected key = value, got {line!r}")
+                raise CorpusError(f"config line {lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            listed_once(listed, key, f"{what} line {lineno}", f"key {key}")
+            listed_once(listed, key, f"config line {lineno}", f"key {key}")
             yield lineno, key, value.strip()
 
 

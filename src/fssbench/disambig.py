@@ -8,9 +8,9 @@ clears the threshold, dropping stale entries as they surface. Two clusters
 that share a publication or carry distinct ORCIDs never merge. Beyond
 scoring pairs, a block costs about O(P log P) for P nonzero pair sums, not
 the O(n^3) of rescanning all pairs after each merge. A complete block, one
-whose every pair clears the threshold under whole-number weights, is one
-cluster without any agglomeration. Most blocks of a national corpus hold
-one person and are complete.
+whose every pair clears the threshold, is one cluster without any
+agglomeration. Most blocks of a national corpus hold one person and are
+complete.
 
 A block of 32 mentions or more, such as one common surname and initial
 shared by many people, is first cut at shared identifiers into parts that
@@ -27,10 +27,12 @@ Each resulting cluster is a proto-individual summarized in the
 same field layout as the reference cluster schema; ``_CLUSTER_FIELDS``
 lists its fields, the keys of each ``clusters.jsonl`` line.
 
-The scoring rules are a configurable approximation of the
-rule-based-scoring family of disambiguators, not a reimplementation of
-any published algorithm's internal weights. Defaults live in
-``DEFAULT_RULES``; a plain-text ``key = value`` file can override them.
+The evidence weights (``ORCID_WEIGHT`` to ``FIRST_NAME_WEIGHT``) are
+constants of the method, in the manner of the fixed evidence scores of
+rule-based disambiguation (Caron and van Eck, 2014), not a
+reimplementation of any published algorithm's internal weights. The one
+value a library caller may vary is the merge threshold, through
+``ScoringRules``; ``DEFAULT_RULES`` holds the default of 50.
 
 Known limitation, by design: one real person can come out split over
 several clusters (initials-only mentions with no shared identifiers).
@@ -45,14 +47,12 @@ import logging
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
 from .corpus import (Corpus, CorpusError, PublicationRecord, first_initial, listed_once,
-                     read_jsonl, read_key_values, required_text, text_or_none, whole_number,
-                     write_jsonl)
+                     read_jsonl, required_text, text_or_none, whole_number, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -67,45 +67,41 @@ _SUMMARY_FIELDS = attrgetter("pub_id", "position", "year", "orcid", "researcher_
 NEVER_MERGE = float("-inf")
 
 
+#: The score two mentions of one name block add for each kind of evidence
+#: they share. Whole numbers, so that every pair score is one, kept as
+#: floats: ``score_pair`` then adds floats alone, and ``cluster_corpus`` on
+#: the ten ``seed-sweep-s`` worlds ran 4 % faster than with ints (2 cores,
+#: Python 3.11).
+ORCID_WEIGHT = 100.0
+RESEARCHER_ID_WEIGHT = 100.0
+EMAIL_WEIGHT = 90.0
+COAUTHOR_WEIGHT = 25.0          # per shared co-author last name
+ORGANIZATION_WEIGHT = 15.0
+JOURNAL_WEIGHT = 10.0
+SUBJECT_CATEGORY_WEIGHT = 10.0  # any overlap, counted once
+FIRST_NAME_WEIGHT = 10.0        # full first names (not initials) equal
+
+#: The most a pair can score without sharing an identifier or a co-author
+#: surname: the organization, journal, subject-category and first-name
+#: weights together (45).
+_WEAK_SUM = ORGANIZATION_WEIGHT + JOURNAL_WEIGHT + SUBJECT_CATEGORY_WEIGHT + FIRST_NAME_WEIGHT
+#: The most a pair can score but its co-author term (335).
+_MOST_BUT_COAUTHORS = ORCID_WEIGHT + RESEARCHER_ID_WEIGHT + EMAIL_WEIGHT + _WEAK_SUM
+
+
 @dataclass(frozen=True)
 class ScoringRules:
-    """Evidence weights and the merge threshold for pairwise scoring."""
+    """The merge threshold: two clusters merge while the average score of
+    their mention pairs is at least this."""
 
-    orcid: float = 100.0
-    researcher_id: float = 100.0
-    email: float = 90.0
-    coauthor: float = 25.0          # per shared co-author last name
-    organization: float = 15.0
-    journal: float = 10.0
-    subject_category: float = 10.0  # any overlap, counted once
-    first_name: float = 10.0        # full first names (not initials) equal
     merge_threshold: float = 50.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name != "merge_threshold" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"scoring weight {f.name} must be finite")
         if not math.isfinite(self.merge_threshold) or self.merge_threshold <= 0:
             raise ValueError("merge_threshold must be finite and > 0")
 
 
 DEFAULT_RULES = ScoringRules()
-
-_RULE_KEYS = {f.name for f in fields(ScoringRules)}
-
-
-def load_rules(path: str | Path) -> ScoringRules:
-    """Read a ``key = value`` weights file; unlisted keys keep defaults."""
-    overrides: dict[str, float] = {}
-    for lineno, key, value in read_key_values(path, "rules file"):
-        if key not in _RULE_KEYS:
-            log.warning("ignoring unknown rules key %r", key)
-            continue
-        try:
-            overrides[key] = float(value)
-        except ValueError as exc:
-            raise CorpusError(f"rules file line {lineno}: bad value for {key}") from exc
-    return replace(DEFAULT_RULES, **overrides)
 
 
 @dataclass(slots=True)
@@ -177,7 +173,7 @@ def block_mentions(corpus: Corpus) -> dict[str, list[tuple[PublicationRecord, in
     return blocks
 
 
-def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAULT_RULES) -> float:
+def score_pair(a: MentionContext, b: MentionContext) -> float:
     """Evidence score for "a and b are the same person".
 
     Sum of the weights of the satisfied evidence kinds; per-shared-co-author
@@ -192,23 +188,21 @@ def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAU
         return NEVER_MERGE
     score = 0.0
     if a.orcid is not None and a.orcid == b.orcid:
-        score += rules.orcid
+        score += ORCID_WEIGHT
     if a.researcher_id is not None and a.researcher_id == b.researcher_id:
-        score += rules.researcher_id
+        score += RESEARCHER_ID_WEIGHT
     if a.email is not None and a.email == b.email:
-        score += rules.email
-    # a term skipped on disjoint sets would add w * 0 = +-0.0, and the score,
-    # which starts at +0.0, cannot be -0.0: skipping it changes no bit
+        score += EMAIL_WEIGHT
     if not a.coauthor_last_names.isdisjoint(b.coauthor_last_names):
-        score += rules.coauthor * len(a.coauthor_last_names & b.coauthor_last_names)
+        score += COAUTHOR_WEIGHT * len(a.coauthor_last_names & b.coauthor_last_names)
     if a.organization is not None and a.organization == b.organization:
-        score += rules.organization
+        score += ORGANIZATION_WEIGHT
     if a.journal and a.journal == b.journal:
-        score += rules.journal
+        score += JOURNAL_WEIGHT
     if not a.subject_categories.isdisjoint(b.subject_categories):
-        score += rules.subject_category
+        score += SUBJECT_CATEGORY_WEIGHT
     if a.full_first is not None and a.full_first == b.full_first:
-        score += rules.first_name
+        score += FIRST_NAME_WEIGHT
     return score
 
 
@@ -256,6 +250,10 @@ def _modal(values: Sequence[str | None]) -> str | None:
     return min(counts, key=lambda v: (-counts[v], v))
 
 
+#: ``summarize_cluster``'s refusal, which ``load_clusters_jsonl`` shares.
+_ONE_PUBLICATION = "cluster contains two mentions from one publication"
+
+
 def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
     """Build the cluster summary for one set of mentions.
 
@@ -270,7 +268,7 @@ def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
      emails, organizations, cities, countries) = zip(*map(_SUMMARY_FIELDS, members))
     n_pubs = len(set(pub_ids))
     if n_pubs != len(members):
-        raise CorpusError("cluster contains two mentions from one publication")
+        raise CorpusError(_ONE_PUBLICATION)
     orcids = sorted(set(orcids) - {None})
     if len(orcids) > 1:
         raise CorpusError(f"cluster mixes distinct orcids {orcids}")
@@ -294,13 +292,6 @@ def summarize_cluster(members: list[MentionContext]) -> AuthorCluster:
 _EXACT_SUMS = 2.0 ** 53
 
 
-@cache
-def _whole_weights(rules: ScoringRules) -> bool:
-    """Every evidence weight is a whole number, so every pair score is one."""
-    return all(float(getattr(rules, f.name)).is_integer()
-               for f in fields(rules) if f.name != "merge_threshold")
-
-
 def _distinct(x: str | None, y: str | None) -> bool:
     """Both identifiers present and different: a hard conflict for ORCIDs."""
     return x is not None and y is not None and x != y
@@ -309,40 +300,19 @@ def _distinct(x: str | None, y: str | None) -> bool:
 #: Blocks of fewer mentions are agglomerated whole; ``cluster_block`` gives
 #: the measurements behind the figure.
 _SPLIT_FLOOR = 32
-#: The evidence kinds a pair can score on without sharing an identifier or a
-#: co-author surname.
-_WEAK_KINDS = ("organization", "journal", "subject_category", "first_name")
 
 
-@cache
-def _split_bounds(rules: ScoringRules) -> tuple[int, int] | None:
-    """The largest magnitude of a pair score but its co-author term, and the
-    co-author weight's magnitude, as exact integers; ``None`` when a block
-    cannot be split under ``rules``: a weight is not a whole number, or the
-    weak kinds' positive weights can reach the threshold on their own."""
-    if not _whole_weights(rules):
-        return None
-    weights = {f.name: int(getattr(rules, f.name)) for f in fields(rules)
-               if f.name != "merge_threshold"}
-    if sum(max(weights[kind], 0) for kind in _WEAK_KINDS) >= rules.merge_threshold:
-        return None
-    coauthor = abs(weights.pop("coauthor"))
-    return sum(map(abs, weights.values())), coauthor
-
-
-def _split(ctxs: list[MentionContext], rules: ScoringRules) -> list[list[MentionContext]]:
+def _split(ctxs: list[MentionContext], threshold: float) -> list[list[MentionContext]]:
     """A sorted block cut into parts that no merge can cross, each sorted,
     as ``cluster_block`` describes; one part, ``[ctxs]``, where the block is
     agglomerated whole. Parts are kept as a union-find forest whose roots
     are their lowest indices, so they come out in canonical order.
     """
     n = len(ctxs)
-    bounds = _split_bounds(rules) if n >= _SPLIT_FLOOR else None
-    if bounds is None:
+    if n < _SPLIT_FLOOR or threshold <= _WEAK_SUM:
         return [ctxs]
-    rest, coauthor = bounds
-    # the largest magnitude a pair score can take among these mentions
-    most = rest + coauthor * max(len(c.coauthor_last_names) for c in ctxs)
+    # the largest score a pair can take among these mentions
+    most = _MOST_BUT_COAUTHORS + COAUTHOR_WEIGHT * max(len(c.coauthor_last_names) for c in ctxs)
     if most * (n * (n - 1) // 2) >= _EXACT_SUMS:
         return [ctxs]
     root = list(range(n))
@@ -370,14 +340,13 @@ def _split(ctxs: list[MentionContext], rules: ScoringRules) -> list[list[Mention
                 parts -= 1
         for name in c.coauthor_last_names:
             by_coauthor.setdefault(name, []).append(i)
-    threshold = rules.merge_threshold
     for members in by_coauthor.values():
         for k, a in enumerate(members):
             ma = ctxs[a]
             for b in members[k + 1:]:
                 mb = ctxs[b]
                 if (parts > 1 and mb.pub_id != ma.pub_id and find(a) != find(b)
-                        and score_pair(ma, mb, rules) >= threshold):
+                        and score_pair(ma, mb) >= threshold):
                     join(a, b)
                     parts -= 1
     if parts == 1:
@@ -410,19 +379,18 @@ def cluster_block(block: list[MentionContext],
       threshold. With exact sums, that needs a pair between them that
       clears it: whole-number scores that all fall below the threshold
       average below it, rounding included. A pair that shares none of the
-      four kinds above scores at most the sum of the positive
-      organization, journal, subject-category and first-name weights (45
-      by default, against a threshold of 50). So every pair that clears the
-      threshold lies within one part, and no merge crosses two parts.
+      four kinds above scores at most the organization, journal,
+      subject-category and first-name weights together (45, against a
+      default threshold of 50). So every pair that clears the threshold
+      lies within one part, and no merge crosses two parts.
       Within a part, the merges are the ones whole-block agglomeration
       makes there, in the same order; a merge in one part leaves every
       other part's averages alone. Parts coarser than needed change
       nothing, which is why identifiers join unscored.
-    - The cut is made only where that argument holds exactly: every weight
-      is a whole number, the weak kinds' positive weights sum below the
-      threshold, and the block's n(n-1)/2 pairs, each bounded by the
-      weights and the block's largest co-author set, total below 2**53, so
-      every sum is exact. Any other block is agglomerated whole.
+    - The cut is made only where that argument holds exactly: the
+      threshold is above 45, and the block's n(n-1)/2 pairs, each bounded
+      by the weights and the block's largest co-author set, total below
+      2**53, so every sum is exact. Any other block is agglomerated whole.
     - The floor comes from measured costs (2 cores, Python 3.11). On
       mentions drawn at random from the 530-mention homonym block of the
       ``homonym-block`` benchmark, the cut breaks even at about 16
@@ -440,14 +408,15 @@ def cluster_block(block: list[MentionContext],
     140,185. A block that does not split pays the cut for nothing: about
     2 µs per mention, under a tenth of its agglomeration.
     """
-    parts = _split(sorted(block, key=_BY_REF), rules)
+    threshold = rules.merge_threshold
+    parts = _split(sorted(block, key=_BY_REF), threshold)
     if len(parts) == 1:
-        return _agglomerate(parts[0], rules)
-    clusters = [c for part in parts for c in _agglomerate(part, rules)]
+        return _agglomerate(parts[0], threshold)
+    clusters = [c for part in parts for c in _agglomerate(part, threshold)]
     return sorted(clusters, key=lambda c: c.mention_refs[0])
 
 
-def _agglomerate(ctxs: list[MentionContext], rules: ScoringRules) -> list[AuthorCluster]:
+def _agglomerate(ctxs: list[MentionContext], threshold: float) -> list[AuthorCluster]:
     """``cluster_block``'s agglomeration of a sorted block, or of one part
     of it.
 
@@ -471,29 +440,21 @@ def _agglomerate(ctxs: list[MentionContext], rules: ScoringRules) -> list[Author
     - Two clusters conflict when their publication sets meet or their
       ORCIDs differ. Distinct ORCIDs are the only never-merge evidence, so
       a cluster holds at most one ORCID, and a conflict, once there, lasts.
-      A never-merge score that comes from overflowing weights is kept as a
-      pair sum instead, and no sum it enters can clear the threshold.
 
     A complete block skips the loop and comes back as one cluster. It is
-    complete when every one of its n(n-1)/2 pairs was seeded, every
-    evidence weight is a whole number, and the seeds total below 2**53
-    (which also turns away a score that overflowed to +inf). The loop
-    would then end in that same one cluster:
+    complete when every one of its n(n-1)/2 pairs was seeded and the seeds
+    total below 2**53. The loop would then end in that same one cluster:
 
     - No two mentions share a publication or carry distinct ORCIDs, or
       their pair would not have been seeded, so no two clusters conflict.
-    - Every score is a whole number, and the seeds total below 2**53, so
-      every cluster pair's sum, a sum of seeds, is exact. It covers
-      size_a * size_b seeds, each at or above the threshold, so the
+    - Every weight, so every score, is a whole number, and the seeds total
+      below 2**53, so every cluster pair's sum, a sum of seeds, is exact.
+      It covers size_a * size_b seeds, each at or above the threshold, so the
       average, rounded once, stays at or above the threshold too. Each
       merge leaves every pair of live clusters in the heap at its current
       average, and each valid pop merges, down to one cluster.
     - ``summarize_cluster`` sorts its members, so the merge order cannot
       show.
-
-    Under fractional weights the sums round (0.7 + 0.7 + 0.7 gives
-    2.0999999999999996, whose average falls below a threshold of 0.7), so
-    such a block takes the loop.
 
     Cost: the n(n-1)/2 calls to ``score_pair``, then O(log P) per heap
     entry, where P counts the nonzero pair sums. At most one entry goes in
@@ -505,25 +466,22 @@ def _agglomerate(ctxs: list[MentionContext], rules: ScoringRules) -> list[Author
     n = len(ctxs)
     ids = list(range(n))                    # dict keys share these, not one int per pair
     sums: list[dict[int, float]] = [{} for _ in ctxs]
-    threshold = rules.merge_threshold
     heap = []
     for a, ma in zip(ids, ctxs):
-        pub_a, orcid_a, sums_a = ma.pub_id, ma.orcid, sums[a]
+        pub_a, sums_a = ma.pub_id, sums[a]
         for b in ids[a + 1:]:
             mb = ctxs[b]
             if mb.pub_id == pub_a:
                 continue
-            s = score_pair(ma, mb, rules)
-            # distinct ORCIDs are checked per cluster; any other never-merge
-            # score (weights that overflowed) is kept as the pair's sum
-            if s == 0 or (s == NEVER_MERGE and _distinct(orcid_a, mb.orcid)):
+            s = score_pair(ma, mb)
+            # distinct ORCIDs, the one never-merge score, are checked per cluster
+            if s == 0 or s == NEVER_MERGE:
                 continue
             sums_a[b] = sums[b][a] = s
             if s >= threshold:
                 heap.append((-s, a, b))
     # a complete block: every pair was seeded, and its sums are exact
-    if (n and len(heap) == n * (n - 1) // 2 and _whole_weights(rules)
-            and -sum(entry[0] for entry in heap) < _EXACT_SUMS):
+    if n and len(heap) == n * (n - 1) // 2 and -sum(entry[0] for entry in heap) < _EXACT_SUMS:
         return [summarize_cluster(ctxs)]
     members = [[c] for c in ctxs]           # emptied when the cluster dies
     pubs = [{c.pub_id} for c in ctxs]
@@ -616,9 +574,13 @@ _CLUSTER_FIELDS = (
 
 def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
     """The clusters of a ``clusters.jsonl`` file; a malformed or inconsistent
-    record or a ``cluster_id`` listed twice raises ``CorpusError`` naming its line."""
+    record, a cluster holding two mentions of one publication, or a
+    ``cluster_id`` or mention ref listed twice raises ``CorpusError`` naming
+    its line."""
     clusters = []
-    listed: dict[str, int] = {}     # keyed by the clusters' own id strings, no copies
+    # keyed by the clusters' own id strings and ref tuples, no copies
+    listed: dict[str, int] = {}
+    refs_listed: dict[tuple[str, int], int] = {}
     for where, obj in read_jsonl(path):
         try:
             cluster = AuthorCluster(
@@ -631,6 +593,10 @@ def load_clusters_jsonl(path: str | Path) -> list[AuthorCluster]:
                               f"and n_pubs {cluster.n_pubs} are not last_year - first_year "
                               f"({age}) and the distinct pub_ids of mention_refs ({n_pubs})")
         listed_once(listed, cluster.cluster_id, where, f"cluster_id {cluster.cluster_id}")
+        for ref in cluster.mention_refs:
+            listed_once(refs_listed, ref, where, f"mention ref {ref[0]}:{ref[1]}")
+        if n_pubs != len(cluster.mention_refs):
+            raise CorpusError(f"{where}: bad cluster record: {_ONE_PUBLICATION}")
         clusters.append(cluster)
     return clusters
 

@@ -15,7 +15,8 @@ package's functions before their constant factors were cut: intersections
 built for every pair, a dict count for every modal value, a per-character
 sort key for the first name. The dense reference scores and summarizes
 with these copies, so a change to the package's versions shows up as a
-difference here.
+difference here. ``score_pair`` reads its own copy of the evidence
+weights, so a changed constant in the package shows up too.
 """
 
 from __future__ import annotations
@@ -29,8 +30,18 @@ from fssbench.disambig import (
     ScoringRules,
 )
 
+#: The evidence weights of ``disambig``, written out again.
+ORCID = 100.0
+RESEARCHER_ID = 100.0
+EMAIL = 90.0
+COAUTHOR = 25.0
+ORGANIZATION = 15.0
+JOURNAL = 10.0
+SUBJECT_CATEGORY = 10.0
+FIRST_NAME = 10.0
 
-def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAULT_RULES) -> float:
+
+def score_pair(a: MentionContext, b: MentionContext) -> float:
     """Evidence score for "a and b are the same person".
 
     Sum of the weights of the satisfied evidence kinds; per-shared-co-author
@@ -45,21 +56,21 @@ def score_pair(a: MentionContext, b: MentionContext, rules: ScoringRules = DEFAU
         return NEVER_MERGE
     score = 0.0
     if a.orcid is not None and a.orcid == b.orcid:
-        score += rules.orcid
+        score += ORCID
     if a.researcher_id is not None and a.researcher_id == b.researcher_id:
-        score += rules.researcher_id
+        score += RESEARCHER_ID
     if a.email is not None and a.email == b.email:
-        score += rules.email
+        score += EMAIL
     shared = a.coauthor_last_names & b.coauthor_last_names
-    score += rules.coauthor * len(shared)
+    score += COAUTHOR * len(shared)
     if a.organization is not None and a.organization == b.organization:
-        score += rules.organization
+        score += ORGANIZATION
     if a.journal and a.journal == b.journal:
-        score += rules.journal
+        score += JOURNAL
     if a.subject_categories & b.subject_categories:
-        score += rules.subject_category
+        score += SUBJECT_CATEGORY
     if a.full_first is not None and a.full_first == b.full_first:
-        score += rules.first_name
+        score += FIRST_NAME
     return score
 
 
@@ -144,7 +155,7 @@ def reference_cluster_block(block: list[MentionContext],
             if ma.pub_id == mb.pub_id:
                 conflict[a][b] = conflict[b][a] = True
                 continue
-            s = score_pair(ma, mb, rules)
+            s = score_pair(ma, mb)
             if s == NEVER_MERGE:
                 conflict[a][b] = conflict[b][a] = True
             else:

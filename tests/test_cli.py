@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import gc
 import hashlib
 import json
@@ -15,9 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from fssbench import cli, synth
+from fssbench import cli, disambig, synth
 from fssbench.cli import SETTINGS, STAGES, load_config_file, run_pipeline
-from fssbench.disambig import ScoringRules
 
 from conftest import executed_after, mention, package_env, pub, write_jsonl
 
@@ -260,11 +258,10 @@ def test_manifest_keeps_the_digest_of_each_flag_sharing_a_file_name(tmp_path):
 def test_manifest_digests_only_the_inputs_its_stage_reads(tmp_path):
     world = tmp_path / "world"
     world.mkdir()
-    (world / "rules.cfg").write_text("")
     # one config file for every stage: world knobs, each setting, each input
     # file; a stage's manifest records, and digests, only what the stage reads
     files = {"publications": "publications.jsonl", "roster": "roster.csv",
-             "scheme": "scheme.csv", "registry": "registry.csv", "rules": "rules.cfg"}
+             "scheme": "scheme.csv", "registry": "registry.csv"}
     settings = "seed = 42\nwindow = 2015:2019\nmin_clusters = 1\nmin_age = 1\n" \
                "recency = 2015\nmin_obs = 10\n"
     shared = write_config(tmp_path, SMALL_WORLD + settings + "".join(
@@ -284,7 +281,7 @@ def test_manifest_digests_only_the_inputs_its_stage_reads(tmp_path):
         flag: hashlib.sha256((world / files[flag]).read_bytes()).hexdigest()
         for flag in ("roster", "scheme")}
     assert {stage: sorted(digests) for stage, digests in inputs.items()} == {
-        "synth": [], "ingest": ["publications"], "disambiguate": ["rules"],
+        "synth": [], "ingest": ["publications"], "disambiguate": [],
         "derive-staff": ["registry"], "score": ["roster", "scheme"], "compare": [],
         "report": []}
 
@@ -474,23 +471,25 @@ def test_each_stage_has_the_flags_of_what_it_reads_and_no_other():
         assert options == {"--config", *("--" + key.replace("_", "-") for key in flags)}, name
         assert {key for key, stages in read_by.items() if name in stages} == (
             SETTINGS.keys() & flags), name
-    assert sum(len(entry.flags) for entry in STAGES.values()) == 16
+    assert sum(len(entry.flags) for entry in STAGES.values()) == 15
 
 
 def test_a_flag_of_a_setting_the_stage_does_not_read_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        run_pipeline(["ingest", "--out", str(tmp_path / "o"), "--min-obs", "3"])
-    assert exit_.value.code == 2
-    assert "unrecognized arguments: --min-obs 3" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # the pair-scoring rules file is gone with its flag
+    for stage, flag in [("ingest", "--min-obs"), ("disambiguate", "--rules")]:
+        with pytest.raises(SystemExit) as exit_:
+            run_pipeline([stage, "--out", str(tmp_path / "o"), flag, "3"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_readme_lists_the_rules_keys_and_only_real_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = [row.split("|")[1:3] for row in
-            _table_after(readme, "| rules key | default | added when two mentions share |")[1:]]
-    assert [(key.strip(" `"), float(default)) for key, default in rows] == [
-        (f.name, f.default) for f in dataclasses.fields(ScoringRules)]
+            _table_after(readme, "| weight | value | added when two mentions share |")[1:]]
+    assert [(name.strip(" `"), float(value)) for name, value in rows] == [
+        (name, value) for name, value in vars(disambig).items() if name.endswith("_WEIGHT")]
     inline = " ".join(re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)))
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", inline))
     assert [key for key in cli._PATH_KEYS if f"--{key}" not in flags] == []
@@ -640,6 +639,20 @@ def test_refused_derive_staff_removes_earlier_staff(tmp_path, capsys):
         "error: score: missing staff.csv; run `derive-staff` first\n")
 
 
+def test_a_missing_input_set_by_flag_or_config_key_is_named_as_set(tmp_path, capsys,
+                                                                   finished_run):
+    # the output directory holds a roster.csv, but the stage was told to read
+    # another file
+    out = shutil.copytree(finished_run, tmp_path / "out")
+    missing = tmp_path / "nowhere" / "r.csv"
+    cfg = write_config(tmp_path, f"roster = {missing}\n", name="roster.cfg")
+    for args in (["--roster", str(missing)], ["--config", cfg]):
+        assert run_pipeline(["score", "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: score: missing {missing}, set as the roster file\n")
+    assert (out / "roster.csv").exists()
+
+
 def test_derive_staff_refuses_a_malformed_mention_ref(tmp_path, capsys, finished_run):
     out = shutil.copytree(finished_run, tmp_path / "out")
     path = out / "clusters.jsonl"
@@ -704,16 +717,18 @@ def test_unknown_config_key_warned_and_not_recorded(tmp_path, caplog):
     assert run_pipeline(["synth", "--config", write_config(tmp_path),
                          "--out", str(out)]) == 0
     # no setting picks a mode: ``score`` scores both in every run; the SC
-    # lookback and the observation-floor rule are fixed
-    unknown = ["mode", "obs_rule", "sc_lookback", "threads"]
+    # lookback and the observation-floor rule are fixed, and so are the
+    # pair-scoring rules
+    unknown = ["mode", "obs_rule", "rules", "sc_lookback", "threads"]
     cfg = write_config(tmp_path, "threads = 4\nmode = both\nobs_rule = strict\n"
-                                 "sc_lookback = 5\n", name="stage.cfg")
-    caplog.clear()
-    assert run_pipeline(["ingest", "--config", cfg, "--out", str(out)]) == 0
-    assert [r.getMessage() for r in caplog.records if "unknown" in r.getMessage()] == [
-        f"ignoring unknown config key {key!r}" for key in unknown]
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert [key for key in unknown if key in manifest["config"]] == []
+                                 "sc_lookback = 5\nrules = rules.cfg\n", name="stage.cfg")
+    for stage in ("ingest", "disambiguate"):
+        caplog.clear()
+        assert run_pipeline([stage, "--config", cfg, "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records if "unknown" in r.getMessage()] == [
+            f"ignoring unknown config key {key!r}" for key in unknown]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert [key for key in unknown if key in manifest["config"]] == []
     # a row of a setting that is gone would be skipped without a word
     assert SETTING_VALUES.keys() == SETTINGS.keys() - {"out"}
 

@@ -31,8 +31,7 @@ from fssbench.corpus import (
 )
 
 from fssbench.cli import load_config_file
-from fssbench.disambig import (AuthorCluster, load_clusters_jsonl, load_rules, mention_context,
-                               score_pair)
+from fssbench.disambig import AuthorCluster, load_clusters_jsonl, mention_context, score_pair
 from fssbench.fss import load_researcher_scores_csv, load_university_scores_csv
 from fssbench.staff import load_staff_csv
 
@@ -632,8 +631,6 @@ _W1_CLUSTER = AuthorCluster(
 LISTED_TWICE = {
     "world.cfg": (load_config_file, "seed = 1\n# again\nseed = 2\n",
                   "config line 3: key seed already listed on line 1"),
-    "rules.cfg": (load_rules, "orcid = 100\norcid = 5\n",
-                  "rules file line 2: key orcid already listed on line 1"),
     "publications.jsonl": (lambda p: load_publications(p, WINDOW),
                            f"{json.dumps(_one_pub())}\n" * 2,
                            "publications.jsonl line 2: pub_id W1 already listed on line 1"),
